@@ -12,7 +12,6 @@
 #include "haralick/directions.hpp"
 #include "haralick/features.hpp"
 #include "haralick/kernel.hpp"
-#include "haralick/sliding.hpp"
 #include "micro_common.hpp"
 
 namespace {
@@ -79,27 +78,6 @@ void BM_Features_KernelFused(benchmark::State& state) {
 }
 BENCHMARK(BM_Features_KernelFused);
 
-void BM_Features_SlidingIncremental(benchmark::State& state) {
-  // Amortized cost per ROI of a full x-row raster scan through the
-  // incremental path: one reset, then boundary-delta slides with O(Ng)
-  // feature finalization at each position.
-  const auto v = mri_like({38, 11, 7, 7}, 32);
-  const auto dirs = haralick::unique_directions(ActiveDims::spatial3());
-  const std::int64_t positions = 38 - 7 + 1;
-  haralick::SlidingGlcm s(v.view(), {7, 7, 3, 3}, dirs, 32);
-  for (auto _ : state) {
-    s.reset({0, 2, 2, 2});
-    for (std::int64_t x = 0;; ++x) {
-      auto fv = s.features(haralick::FeatureSet::all());
-      benchmark::DoNotOptimize(fv);
-      if (x + 1 == positions) break;
-      s.slide(0);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * positions);
-}
-BENCHMARK(BM_Features_SlidingIncremental);
-
 // ---- committed-baseline mode (--json) ----
 
 int run_json(const std::string& path) {
@@ -164,27 +142,6 @@ int run_json(const std::string& path) {
                   {{"ns_per_roi", fused_e2e_ns}, {"nnz", nnz}}});
   runs.push_back({"roi_kernel_fused_strict/" + config,
                   {{"ns_per_roi", strict_e2e_ns}, {"nnz", nnz}}});
-
-  // Amortized end-to-end per ROI along a full x-row scan through the
-  // incremental sliding path (one reset, then boundary-delta slides with
-  // O(Ng) feature finalization). This is the headline roi_kernel figure
-  // check_bench.py gates against the frozen PR 4 anchor.
-  const auto vrow = mri_like({38, 11, 7, 7}, 32);
-  const std::int64_t positions = 38 - 7 + 1;
-  haralick::SlidingGlcm sliding(vrow.view(), {7, 7, 3, 3}, dirs, 32);
-  const double row_ns = h4d::bench::measure_ns_per_op([&] {
-    sliding.reset({0, 2, 2, 2});
-    for (std::int64_t x = 0;; ++x) {
-      auto fv = sliding.features(set);
-      benchmark::DoNotOptimize(fv);
-      if (x + 1 == positions) break;
-      sliding.slide(0);
-    }
-  });
-  runs.push_back({"roi_sliding_incremental/" + config,
-                  {{"ns_per_roi", row_ns / static_cast<double>(positions)},
-                   {"nnz", nnz},
-                   {"row_positions", static_cast<double>(positions)}}});
 
   return h4d::bench::write_micro_json("micro_features", runs, path);
 }

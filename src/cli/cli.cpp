@@ -130,7 +130,6 @@ haralick::EngineConfig engine_from_args(const Args& args) {
   if (args.get("dirs", "all") == "axis") {
     engine.directions = haralick::axis_directions(haralick::ActiveDims::all4());
   }
-  engine.sliding_window = args.get("sliding", "off") == "on";
   const std::string sweep = args.get("sweep", "fast");
   if (sweep == "strict") {
     engine.sweep_mode = haralick::SweepMode::Strict;
@@ -251,6 +250,13 @@ io::TailConfig tail_config_from_args(const Args& args) {
 }
 
 core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dataset) {
+  // Removed options fail loudly instead of being silently ignored: a script
+  // that asked for them would otherwise measure something else.
+  for (const char* removed : {"sliding", "queue"}) {
+    if (args.has(removed)) {
+      throw std::runtime_error(std::string("--") + removed + " was removed; drop the option");
+    }
+  }
   core::PipelineConfig cfg;
   cfg.dataset_root = dataset;
   cfg.engine = engine_from_args(args);
@@ -390,7 +396,6 @@ int cmd_analyze(const Args& args, std::ostream& out) {
   fs::TraceRecorder trace;
   fs::ThreadedOptions topt;
   if (args.has("trace")) topt.trace = &trace;
-  topt.queue = fs::queue_impl_from_name(args.get("queue", "locked"));
   topt.supervise = supervisor_from_args(args);
   const core::AnalysisResult result = core::analyze_threaded(cfg, topt);
   out << "analyzed " << dataset << " in " << result.stats.total_seconds << "s wall, "
@@ -576,7 +581,6 @@ int cmd_serve(const Args& args, std::ostream& out) {
   wl.est_scale = args.get_int("est-ms", 0) / 1000.0;
   wl.simulate = args.get("mode", "threaded") == "sim";
   wl.base.config = pipeline_from_args(args, dataset);
-  wl.base.threaded.queue = fs::queue_impl_from_name(args.get("queue", "locked"));
   wl.base.threaded.supervise = supervisor_from_args(args);
   if (wl.simulate) {
     const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
@@ -663,7 +667,6 @@ int cmd_jobs(const Args& args, std::ostream& out) {
 
   svc::JobSpec base;
   base.config = pipeline_from_args(args, dataset);
-  base.threaded.queue = fs::queue_impl_from_name(args.get("queue", "locked"));
   base.threaded.supervise = supervisor_from_args(args);
   const bool any_sim = args.get("mode", "threaded") == "sim";
   if (any_sim) {
@@ -718,14 +721,13 @@ int usage(std::ostream& err) {
          "  info     DATASET_DIR\n"
          "  analyze  DATASET_DIR [--out DIR] [--variant hmp|split] [--workers N]\n"
          "           [--roi X,Y,Z,T] [--levels N] [--features paper|all]\n"
-         "           [--repr full|sparse] [--dirs all|axis] [--sliding on|off]\n"
+         "           [--repr full|sparse] [--dirs all|axis]\n"
          "           [--sweep strict|fast] [--chunk X,Y,Z,T] [--plan fixed|auto]\n"
          "           [--faults SPEC] [--retry N] [--on-corrupt fail|retry|skip]\n"
          "           [--checksums on|off] [--fill V] [--dead-nodes N,M]\n"
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"
          "           [--poison N] [--watchdog-ms N]\n"
          "           [--checkpoint FILE] [--resume on|off]\n"
-         "           [--queue locked|mpmc]\n"
          "           [--tile-cache-mb N] [--tile-shape W,H]\n"
          "           [--prefetch-depth N] [--cache-policy lru|clock|cost]\n"
          "           [--read-deadline-ms auto|N] [--hedge-pct P]\n"
@@ -809,15 +811,6 @@ int usage(std::ostream& err) {
          "                      (bit-identical to the reference feature pass;\n"
          "                      ~3% slower, for cross-checking reference\n"
          "                      values bit-for-bit)\n"
-         "\n"
-         "runtime (see DESIGN.md sec. 13):\n"
-         "  --queue MODE        inbox implementation between filter copies:\n"
-         "                      locked (default, mutex+condvar) | mpmc\n"
-         "                      (lock-free array queue with per-slot sequence\n"
-         "                      numbers and a parking layer); identical\n"
-         "                      semantics and byte-identical maps, the chosen\n"
-         "                      impl and stall counters land in the metrics\n"
-         "                      \"execution\" section\n"
          "\n"
          "tile cache (see docs/CACHE.md):\n"
          "  --tile-cache-mb N   memory budget of the shared out-of-core tile\n"

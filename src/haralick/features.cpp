@@ -55,8 +55,7 @@ struct MaxCorrScratch {
 /// f14: sqrt of the second-largest eigenvalue of Q. Q is similar to A A^T
 /// with A = Dx^{-1/2} P Dy^{-1/2}; compute A restricted to levels with
 /// px > 0 and solve the symmetric problem. Householder + Sturm bisection
-/// computes only the lambda_2 f14 needs; the Jacobi oracle path stays in
-/// eigen.cpp for the property tests.
+/// computes only the lambda_2 f14 needs (eigen.hpp).
 double maximal_correlation(const Gathered& g, const Glcm* dense, const SparseGlcm* sparse,
                            WorkCounters* wc) {
   thread_local MaxCorrScratch scr;

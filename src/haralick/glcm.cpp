@@ -1,7 +1,6 @@
 #include "haralick/glcm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "haralick/kernel.hpp"
@@ -101,30 +100,6 @@ std::int64_t Glcm::accumulate_reference(Vol4View<const Level> vol, const Region4
     }
   }
   return updates;
-}
-
-void Glcm::adjust_pair(Level a, Level b, int sign) {
-  (void)adjust_pair_counted(a, b, sign);
-}
-
-std::uint32_t Glcm::adjust_pair_counted(Level a, Level b, int sign) {
-  auto& fwd = counts_[static_cast<std::size_t>(a) * static_cast<std::size_t>(ng_) + b];
-  auto& bwd = counts_[static_cast<std::size_t>(b) * static_cast<std::size_t>(ng_) + a];
-  assert(sign > 0 || (fwd > 0 && bwd > 0));
-  const std::uint32_t before = fwd;
-  fwd = static_cast<std::uint32_t>(static_cast<std::int64_t>(fwd) + sign);
-  if (a != b) {
-    bwd = static_cast<std::uint32_t>(static_cast<std::int64_t>(bwd) + sign);
-  } else {
-    fwd = static_cast<std::uint32_t>(static_cast<std::int64_t>(fwd) + sign);
-  }
-  if (sign > 0) {
-    // Removal keeps the bits set: occupancy is a conservative superset.
-    mark_row(a);
-    mark_row(b);
-  }
-  total_ += 2 * sign;
-  return before;
 }
 
 std::int64_t Glcm::nonzero_upper() const {

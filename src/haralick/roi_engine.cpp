@@ -6,7 +6,6 @@
 
 #include "haralick/directions.hpp"
 #include "haralick/kernel.hpp"
-#include "haralick/sliding.hpp"
 #include "nd/raster.hpp"
 
 namespace h4d::haralick {
@@ -52,25 +51,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   }
   if (n == 0) return blocks;
 
-  if (cfg.sliding_window && cfg.direction_mode != DirectionMode::Pooled) {
-    throw std::invalid_argument(
-        "analyze_chunk: sliding_window requires DirectionMode::Pooled");
-  }
-
-  // Helper computing the per-ROI feature vector from one matrix.
-  const auto features_of = [&cfg, wc](const Glcm& g) {
-    if (cfg.representation == Representation::Sparse) {
-      const SparseGlcm sparse = SparseGlcm::from_dense(g);
-      if (wc != nullptr) {
-        wc->sparse_entries_emitted += static_cast<std::int64_t>(sparse.nnz());
-        wc->sparse_compress_cells +=
-            static_cast<std::int64_t>(cfg.num_levels) * cfg.num_levels;
-      }
-      return compute_features(sparse, cfg.features, wc);
-    }
-    return compute_features(g, cfg.features, cfg.zero_policy, wc);
-  };
-
   // Kernel working state: the caller's per-thread scratch when given, else a
   // local one for this chunk.
   std::optional<KernelScratch> local_scratch;
@@ -85,15 +65,11 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   // Per-ROI matrix + feature evaluation through the kernel: accumulate the
   // upper-triangle tile, then either fold to the dense table (Full) or run
   // the fused non-zero sweep which also stands in for the sparse conversion
-  // (Sparse). On this (non-sliding) kernel path, SweepMode::Strict is
-  // bit-identical to features_of on a reference-built Glcm (property-tested
-  // in test_kernel); the Fast default agrees to ~1e-10 relative. The
-  // sliding branch below finalizes from count-space accumulators instead
-  // and matches the reference pass to ~1e-9 in either mode (see
-  // sliding.hpp).
+  // (Sparse). SweepMode::Strict is bit-identical to the reference feature
+  // pass on a reference-built Glcm (property-tested in test_kernel); the
+  // Fast default agrees to ~1e-10 relative.
   Glcm dense_scratch(cfg.num_levels);
-  const auto kernel_features_of_roi = [&](const Region4& roi,
-                                          const std::vector<Vec4>& dv) {
+  const auto features_of_roi = [&](const Region4& roi, const std::vector<Vec4>& dv) {
     const std::int64_t updates = ks.accumulate(chunk_view, roi, dv);
     if (wc != nullptr) {
       wc->glcm_pair_updates += updates;
@@ -107,14 +83,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
     return compute_features(dense_scratch, cfg.features, cfg.zero_policy, wc);
   };
 
-  std::optional<SlidingGlcm> sliding;
-  if (cfg.sliding_window) {
-    sliding.emplace(chunk_view, cfg.roi_dims, dirs, cfg.num_levels);
-  }
-  std::int64_t sliding_updates_before = 0;
-
   std::int64_t k = 0;
-  Vec4 prev_origin{-2, -2, -2, -2};
   for (const Vec4& origin : raster(owned_origins)) {
     // ROI in chunk-local coordinates.
     const Region4 roi{origin - chunk_region.origin, cfg.roi_dims};
@@ -125,25 +94,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
 
     FeatureVector fv;
     if (cfg.direction_mode == DirectionMode::Pooled) {
-      if (sliding) {
-        const Vec4 step = origin - prev_origin;
-        if (sliding->positioned() && step == Vec4{1, 0, 0, 0}) {
-          sliding->slide(0);
-        } else {
-          sliding->reset(roi.origin);
-        }
-        if (wc != nullptr) {
-          wc->glcm_pair_updates += sliding->updates_performed() - sliding_updates_before;
-          wc->matrices_built += 1;
-        }
-        sliding_updates_before = sliding->updates_performed();
-        // Finalize from the incrementally maintained count-space
-        // accumulators — O(Ng) plus the entropy occupancy scan — instead
-        // of re-walking the matrix through features_of.
-        fv = sliding->features(cfg.features, wc, cfg.sweep_mode);
-      } else {
-        fv = kernel_features_of_roi(roi, dirs);
-      }
+      fv = features_of_roi(roi, dirs);
     } else {
       // One matrix per direction; aggregate the per-direction features.
       FeatureVector lo, hi, sum;
@@ -151,7 +102,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
       std::vector<Vec4> one_dir(1);
       for (const Vec4& d : dirs) {
         one_dir[0] = d;
-        const FeatureVector f = kernel_features_of_roi(roi, one_dir);
+        const FeatureVector f = features_of_roi(roi, one_dir);
         for (int s = 0; s < kNumFeatures; ++s) {
           const auto idx = static_cast<std::size_t>(s);
           sum.value[idx] += f.value[idx];
@@ -173,7 +124,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
                             : hi.value[idx] - lo.value[idx];
       }
     }
-    prev_origin = origin;
     for (std::size_t s = 0; s < selected.size(); ++s) {
       blocks[s].values[static_cast<std::size_t>(k)] = static_cast<float>(fv[selected[s]]);
     }

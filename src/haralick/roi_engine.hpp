@@ -41,14 +41,6 @@ struct EngineConfig {
   Representation representation = Representation::Full;
   ZeroPolicy zero_policy = ZeroPolicy::SkipZeros;
 
-  /// Maintain the co-occurrence matrix incrementally as the ROI slides
-  /// along x instead of rebuilding it per position (see sliding.hpp).
-  /// ~|ROI_x| fewer pair updates on long scan rows; the matrix is
-  /// bit-identical and features are walk-independent, but the count-space
-  /// finalize agrees with the kernel path to ~1e-9 relative, not
-  /// bit-for-bit. Only valid with DirectionMode::Pooled.
-  bool sliding_window = false;
-
   /// Per-direction aggregation. Non-pooled modes build one matrix per
   /// direction (|dirs| times the construction work).
   DirectionMode direction_mode = DirectionMode::Pooled;

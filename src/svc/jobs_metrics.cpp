@@ -66,9 +66,7 @@ void write_exec(std::ostream& os, const fs::ExecutionReport& e) {
      << ", \"chunks_resumed\": " << e.chunks_resumed
      << ", \"replica_failovers\": " << e.replica_failovers
      << ", \"nodes_evicted\": " << e.nodes_evicted
-     << ", \"queue_impl\": ";
-  jstr(os, e.queue_impl);
-  os << ", \"queue_stalled_pushes\": " << e.queue_stalled_pushes
+     << ", \"queue_stalled_pushes\": " << e.queue_stalled_pushes
      << ", \"queue_stall_seconds\": ";
   jnum(os, e.queue_stall_seconds);
   os << ", \"queue_max_depth\": " << e.queue_max_depth << "}";

@@ -1,8 +1,8 @@
-// Reusable concurrency stress harness for the bounded queue implementations
-// (fs/queue.hpp, fs/mpmc_queue.hpp). A test builds a Plan — N producers, M
-// consumers, optional mid-stream close, timed-push storms, watchdog-style
-// try_pop drainers, seeded jitter — runs it against a concrete queue, and
-// checks the two invariants every inbox implementation must keep:
+// Reusable concurrency stress harness for the bounded inbox queue
+// (fs/queue.hpp). A test builds a Plan — N producers, M consumers, optional
+// mid-stream close, timed-push storms, watchdog-style try_pop drainers,
+// seeded jitter — runs it against a concrete queue, and checks the two
+// invariants an inbox must keep:
 //
 //   * exact item conservation — every item whose push was accepted (push()
 //     returned true / push_for() returned Ok) is popped exactly once, and
@@ -11,9 +11,9 @@
 //     producer's items in the order that producer pushed them.
 //
 // Items encode (producer id, sequence number) in one uint64 so both checks
-// are exact, not statistical. The harness is deliberately queue-agnostic:
-// test_queue_stress.cpp instantiates it for BoundedQueue and MpmcQueue and
-// the whole suite runs under ThreadSanitizer in CI (see .github/workflows).
+// are exact, not statistical. test_queue_stress.cpp instantiates it for
+// BoundedQueue and the whole suite runs under ThreadSanitizer in CI (see
+// .github/workflows).
 #pragma once
 
 #include <gtest/gtest.h>

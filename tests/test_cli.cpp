@@ -107,23 +107,23 @@ TEST_F(CliTest, SimulateReportsVirtualTime) {
   EXPECT_NE(stdout_text().find("HMP"), std::string::npos);
 }
 
-TEST_F(CliTest, AnalyzeQueueFlagSelectsImplementation) {
+TEST_F(CliTest, AnalyzeRejectsRemovedFlags) {
   const std::string ds = (dir_ / "ds").string();
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,16,6,4", "--nodes", "2"}), 0);
-  const std::string maps = (dir_ / "maps").string();
   const std::string metrics = (dir_ / "metrics.json").string();
-  EXPECT_EQ(invoke({"analyze", ds, "--out", maps, "--roi", "5,5,3,3", "--workers", "2",
-                    "--dirs", "axis", "--chunk", "12,12,6,4", "--queue", "mpmc",
-                    "--metrics", metrics}),
+  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--workers", "2", "--dirs", "axis",
+                    "--chunk", "12,12,6,4", "--metrics", metrics}),
             0);
   std::ifstream in(metrics);
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("\"queue_impl\": \"mpmc\""), std::string::npos);
   EXPECT_NE(text.find("\"queue_max_depth\""), std::string::npos);
 
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--queue", "bogus"}), 1);
-  EXPECT_NE(stderr_text().find("unknown queue implementation"), std::string::npos);
+  for (const char* flag : {"--queue", "--sliding"}) {
+    EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", flag, "on"}), 1) << flag;
+    EXPECT_NE(stderr_text().find(std::string(flag) + " was removed"), std::string::npos)
+        << flag;
+  }
 }
 
 TEST_F(CliTest, AnalyzeSweepFlagSelectsMode) {

@@ -1,8 +1,8 @@
-// Concurrency stress suite for both inbox implementations, built on the
+// Concurrency stress suite for the filter-inbox queue, built on the
 // stress_queue.hpp harness. Every scenario checks exact item conservation
-// and per-producer FIFO order; the suite is part of the TSan CI tier, which
-// is what actually proves the MpmcQueue slot protocol and parking layer are
-// race-free (see DESIGN §13).
+// and per-producer FIFO order; the suite is part of the TSan CI tier. It
+// stays typed (one type, named "locked") so its test names keep the
+// QueueStress/locked form.
 #include "stress_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "fs/mpmc_queue.hpp"
 #include "fs/queue.hpp"
 
 namespace h4d::fs {
@@ -22,11 +21,11 @@ class QueueStress : public ::testing::Test {};
 struct ImplName {
   template <typename Q>
   static std::string GetName(int) {
-    return std::string(queue_impl_name(Q::kImpl));
+    return "locked";
   }
 };
 
-using Impls = ::testing::Types<BoundedQueue<std::uint64_t>, MpmcQueue<std::uint64_t>>;
+using Impls = ::testing::Types<BoundedQueue<std::uint64_t>>;
 TYPED_TEST_SUITE(QueueStress, Impls, ImplName);
 
 TYPED_TEST(QueueStress, ConservationManyProducersManyConsumers) {
@@ -127,15 +126,10 @@ TYPED_TEST(QueueStress, WatchdogDrainersRaceBlockingConsumers) {
 }
 
 TYPED_TEST(QueueStress, NonPowerOfTwoCapacityBlockingPushes) {
-  // Non-power-of-two capacities leave the ring larger than the logical
-  // capacity, so a parked producer can be waiting on a slot recycle (the
-  // dif<0 path) rather than on backpressure: the pop that frees its slot
-  // observes enq - pos == ring_, not == capacity_. A wake gate that tests
-  // exact equality with capacity_ misses that edge (and the racing-claim
-  // capacity_+1 read) and leaves a blocking push() parked forever — this
-  // plan uses blocking pushes so a lost wakeup is a hang, not a flake.
-  // Jitter widens the consumer's deq-CAS -> seq-store window where the
-  // racing producer claim lands.
+  // Odd capacities with many blocking producers: every full -> not-full
+  // edge must wake a parked push. The plan uses blocking pushes so a lost
+  // wakeup is a hang, not a flake; jitter varies where pops land relative
+  // to the parked producers.
   for (const std::size_t capacity : {3u, 5u, 6u, 7u}) {
     stress::Plan plan;
     plan.producers = 6;
@@ -148,7 +142,7 @@ TYPED_TEST(QueueStress, NonPowerOfTwoCapacityBlockingPushes) {
     TypeParam q(plan.capacity);
     const stress::Outcome out = stress::run_plan(q, plan);
     stress::check_all(out);
-    EXPECT_LE(q.stats().max_depth, plan.capacity);  // logical, not ring, bound
+    EXPECT_LE(q.stats().max_depth, plan.capacity);  // backpressure is exact
   }
 }
 

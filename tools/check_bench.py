@@ -2,26 +2,15 @@
 """Perf-baseline guard for the committed micro-benchmarks (no third-party deps).
 
 Works on `h4d-bench-metrics-v1` documents whose runs carry flat
-`h4d-micro-v1` metrics, as emitted by `bench/micro_glcm --json`,
-`bench/micro_features --json` and `bench/micro_queue --json`
-(see bench/micro_common.hpp). The document's `figure` names the baseline
-family and selects which invariants apply:
+`h4d-micro-v1` metrics, as emitted by `bench/micro_glcm --json` and
+`bench/micro_features --json` (see bench/micro_common.hpp). The document's
+`figure` names the baseline family and selects which invariants apply:
 
   bench_kernel   (BENCH_kernel.json)
       * kernel pair-update throughput >= 3x the reference on the paper
         configuration;
       * the fused end-to-end ROI path is not slower than the reference
-        sparse path;
-      * the incremental sliding row (roi_sliding_incremental) is >= 5x
-        faster than the frozen pre-rework fused figure (PR4_FUSED_NS, the
-        roi_kernel_fused number committed before the SoA/SIMD sweep,
-        fast-log and boundary-delta feature accumulators landed). The
-        anchor is a constant here rather than a baseline row so that
-        regenerating BENCH_kernel.json with --merge cannot silently
-        erase it.
-  bench_queue    (BENCH_queue.json)
-      * the lock-free MPMC inbox moves >= 2x the items/sec of the
-        mutex+condvar queue at 4 producers / 4 consumers.
+        sparse path.
   bench_cache    (BENCH_cache.json)
       * a warm re-analysis through the shared tile cache reads at most
         0.5x the disk bytes of the cold run;
@@ -45,11 +34,10 @@ Modes:
       Check the committed baseline's figure-specific invariants.
       With --fresh, additionally compare a just-measured run against the
       baseline: any label present in both must not be slower than
-      baseline * regression-factor (on ns_per_roi or ns_per_op, whichever
-      the baseline row carries). The factor is deliberately generous
-      (default 2x) because CI machines are noisy; the point is to catch a
-      real regression (kernel silently falling back to the slow path),
-      not a 20% wobble.
+      baseline * regression-factor on ns_per_roi. The factor is
+      deliberately generous (default 2x) because CI machines are noisy;
+      the point is to catch a real regression (kernel silently falling
+      back to the slow path), not a 20% wobble.
 
 Exit status: 0 when every check passes, 1 otherwise.
 """
@@ -64,18 +52,6 @@ GATE_LABELS = (f"glcm_reference/{PAPER_CONFIG}", f"glcm_kernel/{PAPER_CONFIG}")
 FUSED_LABELS = (f"roi_reference_sparse/{PAPER_CONFIG}",
                 f"roi_kernel_fused/{PAPER_CONFIG}")
 MIN_SPEEDUP = 3.0
-
-# roi_kernel figure: the committed end-to-end ns/ROI of the fused path
-# before the feature-pass rework (eigensolver, SoA/SIMD sweep, incremental
-# sliding finalize). The incremental row must beat it by >= 5x.
-PR4_FUSED_NS = 95597.8
-INCREMENTAL_LABEL = f"roi_sliding_incremental/{PAPER_CONFIG}"
-ROI_KERNEL_MIN_SPEEDUP = 5.0
-
-# bench_queue: committed shape the MPMC-vs-locked gate applies to (the bench
-# also emits 1p1c/2p2c rows; those are informational).
-QUEUE_GATE_SHAPE = "4p4c"
-QUEUE_MIN_SPEEDUP = 2.0
 
 # bench_cache: warm-over-cold gates for the shared tile cache
 # (bench/micro_tile_cache). Disk traffic must at least halve and the demand
@@ -92,9 +68,8 @@ TAIL_UNHEDGED_LABEL = "unhedged"
 TAIL_HEDGED_LABEL = "hedged"
 TAIL_MIN_P99_RATIO = 2.0
 
-# Time-per-unit metrics (lower is better) eligible for --fresh regression
-# comparison, in preference order per label.
-REGRESSION_METRICS = ("ns_per_roi", "ns_per_op")
+# Time-per-unit metric (lower is better) compared by --fresh.
+REGRESSION_METRIC = "ns_per_roi"
 
 ERRORS: list[str] = []
 
@@ -196,55 +171,6 @@ def check_baseline_invariants(runs: dict[str, dict[str, float]],
             if f_ns > r_ns:
                 err(f"{path}: fused end-to-end path slower than reference "
                     f"({f_ns:.0f} ns vs {r_ns:.0f} ns)")
-    inc = runs.get(INCREMENTAL_LABEL)
-    if inc is None:
-        err(f"{path}: missing roi_kernel gate row {INCREMENTAL_LABEL!r}")
-    else:
-        inc_ns = inc.get("ns_per_roi", 0.0)
-        if inc_ns <= 0:
-            err(f"{path}: {INCREMENTAL_LABEL} missing ns_per_roi")
-        else:
-            speedup = PR4_FUSED_NS / inc_ns
-            print(f"  roi_kernel: incremental {inc_ns:.0f} ns vs frozen PR 4 "
-                  f"fused {PR4_FUSED_NS:.0f} ns per ROI -> {speedup:.2f}x "
-                  f"(need >= {ROI_KERNEL_MIN_SPEEDUP}x)")
-            if speedup < ROI_KERNEL_MIN_SPEEDUP:
-                err(f"{path}: incremental roi_kernel speedup {speedup:.2f}x "
-                    f"< {ROI_KERNEL_MIN_SPEEDUP}x on {PAPER_CONFIG}")
-
-
-def check_queue_invariants(runs: dict[str, dict[str, float]],
-                           path: str) -> None:
-    """BENCH_queue.json: mpmc must move >= 2x locked's items/sec at 4p/4c.
-
-    Labels carry the committed capacity (queue_mpmc/4p4c_cap1024), so the
-    gate pair is located by shape prefix rather than a hardcoded capacity —
-    retuning the committed configuration does not require editing this file.
-    """
-    def gate_row(impl: str) -> tuple[str, dict[str, float]] | None:
-        prefix = f"queue_{impl}/{QUEUE_GATE_SHAPE}"
-        hits = [(lb, m) for lb, m in sorted(runs.items())
-                if lb.startswith(prefix)]
-        if len(hits) != 1:
-            err(f"{path}: expected exactly one {prefix}* row, got {len(hits)}")
-            return None
-        return hits[0]
-
-    locked = gate_row("locked")
-    mpmc = gate_row("mpmc")
-    if locked is None or mpmc is None:
-        return
-    locked_ops = locked[1].get("ops_per_sec", 0.0)
-    mpmc_ops = mpmc[1].get("ops_per_sec", 0.0)
-    if locked_ops <= 0 or mpmc_ops <= 0:
-        err(f"{path}: queue gate rows missing ops_per_sec")
-        return
-    speedup = mpmc_ops / locked_ops
-    print(f"  gate: {mpmc[0]} {mpmc_ops:.3e} vs {locked[0]} {locked_ops:.3e} "
-          f"items/s -> {speedup:.2f}x (need >= {QUEUE_MIN_SPEEDUP}x)")
-    if speedup < QUEUE_MIN_SPEEDUP:
-        err(f"{path}: mpmc speedup {speedup:.2f}x < {QUEUE_MIN_SPEEDUP}x "
-            f"at {QUEUE_GATE_SHAPE}")
 
 
 def check_cache_invariants(runs: dict[str, dict[str, float]],
@@ -314,10 +240,10 @@ def check_regression(baseline: dict[str, dict[str, float]],
                      fresh: dict[str, dict[str, float]], fresh_path: str,
                      factor: float) -> None:
     compared = 0
+    metric = REGRESSION_METRIC
     for label, base_m in sorted(baseline.items()):
-        metric = next((m for m in REGRESSION_METRICS if m in base_m), None)
         fresh_m = fresh.get(label)
-        if metric is None or fresh_m is None:
+        if metric not in base_m or fresh_m is None:
             continue
         base_ns = base_m[metric]
         fresh_ns = fresh_m.get(metric)
@@ -371,9 +297,7 @@ def main(argv: list[str]) -> int:
     figure, baseline = load_runs(baseline_path)
     if baseline:
         print(f"baseline {baseline_path} (figure {figure}, {len(baseline)} runs):")
-        if figure == "bench_queue":
-            check_queue_invariants(baseline, baseline_path)
-        elif figure == "bench_cache":
+        if figure == "bench_cache":
             check_cache_invariants(baseline, baseline_path)
         elif figure == "bench_tail":
             check_tail_invariants(baseline, baseline_path)

@@ -324,10 +324,7 @@ def check_metrics_object(doc: object, path: str, where: str = "") -> None:
     if require(isinstance(ex, dict), path, f"{where}: missing execution object"):
         for k in EXECUTION_COUNTER_KEYS:
             require(isinstance(ex.get(k), int), path, f"{where}: execution.{k} missing")
-        # Hot-queue accounting (--queue flag; "none" for the simulated engine).
-        impl = ex.get("queue_impl")
-        require(impl in ("none", "locked", "mpmc"), path,
-                f"{where}: execution.queue_impl invalid ({impl!r})")
+        # Inbox accounting (all zero for the simulated engine).
         for k in ("queue_stalled_pushes", "queue_max_depth"):
             require(isinstance(ex.get(k), int), path, f"{where}: execution.{k} missing")
         require(isinstance(ex.get("queue_stall_seconds"), (int, float)), path,
@@ -423,8 +420,6 @@ def check_jobs_object(doc: dict, path: str) -> None:
     if require(isinstance(ex, dict), path, "exec: missing object"):
         for k in EXECUTION_COUNTER_KEYS:
             require(isinstance(ex.get(k), int), path, f"exec.{k} missing")
-        require(ex.get("queue_impl") in ("none", "locked", "mpmc"), path,
-                f"exec.queue_impl invalid ({ex.get('queue_impl')!r})")
 
     if "cache" in doc:
         check_cache_object(doc.get("cache"), path, "cache")
