@@ -44,7 +44,6 @@ haralick::EngineConfig Workload::engine(haralick::Representation repr) const {
   e.num_levels = 32;  // paper Sec. 5.1
   e.features = haralick::FeatureSet::paper_eval();
   e.representation = repr;
-  e.zero_policy = haralick::ZeroPolicy::SkipZeros;
   // The paper's measured per-ROI cost implies a small direction set (its
   // 1-node runs are far too fast for all 40 unique 4D directions); the
   // benchmarks use the four axis directions. The library defaults to the

@@ -1,7 +1,7 @@
-// Micro-benchmark of the feature pass (the HFC stage's inner loop): the three
-// reference paths (dense VisitAll, dense SkipZeros, sparse from_dense +
-// compute) against the kernel's fused single sweep, which produces the sparse
-// entry list and all fourteen features in one pass over the non-zero cells.
+// Micro-benchmark of the feature pass (the HPC stage's inner loop): the three
+// reference passes of tests/oracle (dense VisitAll, dense SkipZeros, sparse
+// from_dense + compute) against the kernel's feature sweep, which gathers the
+// sparse entry list from the tile and reduces all fourteen features from it.
 //
 // Two modes, matching micro_glcm:
 //   * default: google-benchmark tables;
@@ -13,6 +13,7 @@
 #include "haralick/features.hpp"
 #include "haralick/kernel.hpp"
 #include "micro_common.hpp"
+#include "oracle/reference.hpp"
 
 namespace {
 
@@ -25,16 +26,16 @@ using h4d::bench::mri_like;
 haralick::Glcm paper_glcm() {
   const auto v = mri_like({11, 11, 7, 7}, 32);
   haralick::Glcm g(32);
-  g.accumulate_reference(v.view(), Region4{{2, 2, 2, 2}, {7, 7, 3, 3}},
-                         haralick::unique_directions(ActiveDims::spatial3()));
+  oracle::accumulate_reference(g, v.view(), Region4{{2, 2, 2, 2}, {7, 7, 3, 3}},
+                               haralick::unique_directions(ActiveDims::spatial3()));
   return g;
 }
 
 void BM_Features_DenseVisitAll(benchmark::State& state) {
   const haralick::Glcm g = paper_glcm();
   for (auto _ : state) {
-    auto fv = haralick::compute_features(g, haralick::FeatureSet::all(),
-                                         haralick::ZeroPolicy::VisitAll);
+    auto fv = oracle::compute_features(g, haralick::FeatureSet::all(),
+                                       oracle::ZeroPolicy::VisitAll);
     benchmark::DoNotOptimize(fv);
   }
 }
@@ -43,8 +44,8 @@ BENCHMARK(BM_Features_DenseVisitAll);
 void BM_Features_DenseSkipZeros(benchmark::State& state) {
   const haralick::Glcm g = paper_glcm();
   for (auto _ : state) {
-    auto fv = haralick::compute_features(g, haralick::FeatureSet::all(),
-                                         haralick::ZeroPolicy::SkipZeros);
+    auto fv = oracle::compute_features(g, haralick::FeatureSet::all(),
+                                       oracle::ZeroPolicy::SkipZeros);
     benchmark::DoNotOptimize(fv);
   }
 }
@@ -56,7 +57,7 @@ void BM_Features_SparseReference(benchmark::State& state) {
   const haralick::Glcm g = paper_glcm();
   for (auto _ : state) {
     const auto sp = haralick::SparseGlcm::from_dense(g);
-    auto fv = haralick::compute_features(sp, haralick::FeatureSet::all());
+    auto fv = oracle::compute_features(sp, haralick::FeatureSet::all());
     benchmark::DoNotOptimize(fv);
   }
 }
@@ -94,16 +95,16 @@ int run_json(const std::string& path) {
 
   // Feature pass alone, from a prebuilt dense matrix.
   const double visitall_ns = h4d::bench::measure_ns_per_op([&] {
-    auto fv = haralick::compute_features(g, set, haralick::ZeroPolicy::VisitAll);
+    auto fv = oracle::compute_features(g, set, oracle::ZeroPolicy::VisitAll);
     benchmark::DoNotOptimize(fv);
   });
   const double skipzeros_ns = h4d::bench::measure_ns_per_op([&] {
-    auto fv = haralick::compute_features(g, set, haralick::ZeroPolicy::SkipZeros);
+    auto fv = oracle::compute_features(g, set, oracle::ZeroPolicy::SkipZeros);
     benchmark::DoNotOptimize(fv);
   });
   const double sparse_ns = h4d::bench::measure_ns_per_op([&] {
     const auto sp = haralick::SparseGlcm::from_dense(g);
-    auto fv = haralick::compute_features(sp, set);
+    auto fv = oracle::compute_features(sp, set);
     benchmark::DoNotOptimize(fv);
   });
 
@@ -119,9 +120,9 @@ int run_json(const std::string& path) {
   haralick::Glcm ref_g(32);
   const double ref_e2e_ns = h4d::bench::measure_ns_per_op([&] {
     ref_g.clear();
-    ref_g.accumulate_reference(v.view(), roi, dirs);
+    oracle::accumulate_reference(ref_g, v.view(), roi, dirs);
     const auto sp = haralick::SparseGlcm::from_dense(ref_g);
-    auto fv = haralick::compute_features(sp, set);
+    auto fv = oracle::compute_features(sp, set);
     benchmark::DoNotOptimize(fv);
   });
   haralick::KernelScratch scratch(32);

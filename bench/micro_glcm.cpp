@@ -1,6 +1,6 @@
 // Micro-benchmark of the co-occurrence construction kernel (the HCC filter's
 // inner loop): the cache-aware kernel (haralick/kernel.hpp) A/B'd against the
-// reference dual-store loop, across ROI sizes and direction counts, measured
+// reference dual-store loop (tests/oracle), across ROI sizes and direction counts, measured
 // for real on this machine.
 //
 // Two modes:
@@ -15,6 +15,7 @@
 #include "haralick/kernel.hpp"
 #include "haralick/roi_engine.hpp"
 #include "micro_common.hpp"
+#include "oracle/reference.hpp"
 
 namespace {
 
@@ -30,7 +31,7 @@ void BM_GlcmAccumulate_Reference_AllDirections(benchmark::State& state) {
   haralick::Glcm g(32);
   for (auto _ : state) {
     g.clear();
-    g.accumulate_reference(v.view(), Region4{{2, 2, 2, 2}, roi}, dirs);
+    oracle::accumulate_reference(g, v.view(), Region4{{2, 2, 2, 2}, roi}, dirs);
     benchmark::DoNotOptimize(g);
   }
   state.counters["pair_updates_per_roi"] = static_cast<double>(g.total());
@@ -95,12 +96,13 @@ void json_glcm_pair(std::vector<h4d::bench::MicroRun>& runs, const std::string& 
                     const Volume4<Level>& v, const Region4& roi,
                     const std::vector<Vec4>& dirs, int ng) {
   haralick::Glcm g(ng);
-  const double pairs = static_cast<double>(g.accumulate_reference(v.view(), roi, dirs));
+  const double pairs =
+      static_cast<double>(oracle::accumulate_reference(g, v.view(), roi, dirs));
 
   g.clear();
   const double ref_ns = h4d::bench::measure_ns_per_op([&] {
     g.clear();
-    g.accumulate_reference(v.view(), roi, dirs);
+    oracle::accumulate_reference(g, v.view(), roi, dirs);
   });
 
   haralick::KernelScratch scratch(ng);

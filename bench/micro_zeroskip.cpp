@@ -8,6 +8,7 @@
 
 #include "haralick/directions.hpp"
 #include "haralick/features.hpp"
+#include "oracle/reference.hpp"
 
 namespace {
 
@@ -16,7 +17,7 @@ using haralick::Feature;
 using haralick::FeatureSet;
 using haralick::Glcm;
 using haralick::SparseGlcm;
-using haralick::ZeroPolicy;
+using oracle::ZeroPolicy;
 
 /// A GLCM with the paper's sparsity profile: smooth MRI-like ROI, Ng=32.
 Glcm sparse_mri_like_glcm(int ng) {
@@ -42,7 +43,7 @@ const FeatureSet kPaperFeatures = FeatureSet::paper_eval();
 void BM_Features_DenseVisitAll(benchmark::State& state) {
   const Glcm g = sparse_mri_like_glcm(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto fv = haralick::compute_features(g, kPaperFeatures, ZeroPolicy::VisitAll);
+    auto fv = oracle::compute_features(g, kPaperFeatures, ZeroPolicy::VisitAll);
     benchmark::DoNotOptimize(fv);
   }
   state.counters["nnz"] = static_cast<double>(g.nonzero_upper());
@@ -52,7 +53,7 @@ BENCHMARK(BM_Features_DenseVisitAll)->Arg(32)->Arg(64)->Arg(128);
 void BM_Features_DenseSkipZeros(benchmark::State& state) {
   const Glcm g = sparse_mri_like_glcm(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto fv = haralick::compute_features(g, kPaperFeatures, ZeroPolicy::SkipZeros);
+    auto fv = oracle::compute_features(g, kPaperFeatures, ZeroPolicy::SkipZeros);
     benchmark::DoNotOptimize(fv);
   }
 }
@@ -61,7 +62,7 @@ BENCHMARK(BM_Features_DenseSkipZeros)->Arg(32)->Arg(64)->Arg(128);
 void BM_Features_Sparse(benchmark::State& state) {
   const SparseGlcm s = SparseGlcm::from_dense(sparse_mri_like_glcm(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    auto fv = haralick::compute_features(s, kPaperFeatures);
+    auto fv = oracle::compute_features(s, kPaperFeatures);
     benchmark::DoNotOptimize(fv);
   }
 }

@@ -805,9 +805,14 @@ int usage(std::ostream& err) {
          "                      (e.g. seed=7,crash=0.05,policy=quarantine)\n"
          "\n"
          "kernel (see docs/KERNEL.md):\n"
-         "  --sweep MODE        floating-point mode of the fused feature\n"
-         "                      sweep: fast (default, SoA/SIMD reductions +\n"
-         "                      fast_log, ~1e-10 relative agreement) | strict\n"
+         "  --repr MODE         wire format + cost model: full (default, Ng^2\n"
+         "                      dense counts on the HCC->HPC stream) | sparse\n"
+         "                      (non-zero upper-triangle entries). Features\n"
+         "                      are the same; both go through one sweep\n"
+         "  --sweep MODE        floating-point mode of the feature sweep, for\n"
+         "                      every variant and representation: fast\n"
+         "                      (default, SoA/SIMD reductions + fast_log,\n"
+         "                      ~1e-10 relative agreement) | strict\n"
          "                      (bit-identical to the reference feature pass;\n"
          "                      ~3% slower, for cross-checking reference\n"
          "                      values bit-for-bit)\n"

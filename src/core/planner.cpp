@@ -5,14 +5,13 @@
 #include <tuple>
 #include <stdexcept>
 
+#include "filters/payloads.hpp"
 #include "nd/quantize.hpp"
 #include "nd/raster.hpp"
 
 namespace h4d::core {
 
 using haralick::Glcm;
-using haralick::Representation;
-using haralick::SparseGlcm;
 
 std::pair<int, int> apportion_split(double cost_ratio, int texture_nodes) {
   if (!(cost_ratio > 0.0)) throw std::invalid_argument("apportion_split: ratio must be > 0");
@@ -36,27 +35,25 @@ SplitPlan plan_split(const Volume4<Level>& probe, const haralick::EngineConfig& 
   const std::int64_t total = origins.volume();
   const std::int64_t stride = std::max<std::int64_t>(1, total / max_probe_rois);
 
+  // Probe through the calls the filters make: HCC builds each matrix and
+  // packs it in the configured wire format (crediting the compression), and
+  // HPC reads the packet back and runs the feature sweep.
   fs::WorkMeter hcc_meter, hpc_meter;
+  haralick::KernelScratch scratch(engine.num_levels);
+  filters::MatrixPacketWriter writer(engine.representation, engine.num_levels);
   std::int64_t probed = 0;
   std::int64_t index = 0;
   for (const Vec4& origin : raster(origins)) {
     if (index++ % stride != 0) continue;
     ++probed;
-
-    // HCC stage: matrix construction (+ sparse compression when configured).
-    Glcm g(engine.num_levels);
-    hcc_meter.work.glcm_pair_updates +=
-        g.accumulate(probe.view(), Region4{origin, engine.roi_dims}, dirs);
-    hcc_meter.work.matrices_built += 1;
-    if (engine.representation == Representation::Sparse) {
-      const SparseGlcm s = SparseGlcm::from_dense(g);
-      hcc_meter.work.sparse_compress_cells +=
-          static_cast<std::int64_t>(engine.num_levels) * engine.num_levels;
-      hcc_meter.work.sparse_entries_emitted += static_cast<std::int64_t>(s.nnz());
-      // HPC stage, sparse path.
-      haralick::compute_features(s, engine.features, &hpc_meter.work);
-    } else {
-      haralick::compute_features(g, engine.features, engine.zero_policy, &hpc_meter.work);
+    const Glcm g = haralick::glcm_for_roi(probe.view(), Region4{origin, engine.roi_dims}, dirs,
+                                          engine.num_levels, &hcc_meter.work, &scratch);
+    writer.add(origin, g, &hcc_meter.work);
+    const fs::BufferPtr packet = writer.take(/*chunk_id=*/0, /*seq=*/probed);
+    filters::MatrixPacketReader reader(*packet, engine.num_levels);
+    while (reader.next()) {
+      scratch.features_of(reader.matrix(), engine.features, &hpc_meter.work,
+                          engine.sweep_mode, reader.representation());
     }
   }
 

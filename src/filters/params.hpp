@@ -159,12 +159,16 @@ struct PipelineParams {
     p.fault_sink = std::make_shared<io::FaultReportSink>();
 
     // Tail layer: solo runs build private instances; the service layer
-    // passes shared ones in (cross-job node reputation, one helper pool).
+    // passes shared ones in (cross-job node reputation, one helper pool). A
+    // fault-injected run never shares the pool: an abandoned fetch can
+    // outlive the run on a shared pool's thread while it still holds this
+    // run's raw injector pointer. A private pool, declared after the
+    // injector, joins its threads before the injector is destroyed.
     if (p.tail.enabled()) {
       if (!p.latency) {
         p.latency = std::make_shared<io::LatencyTracker>(p.meta.storage_nodes);
       }
-      if (!p.io_pool) {
+      if (!p.io_pool || p.fault_injector) {
         p.io_pool =
             std::make_shared<io::SliceFetchPool>(std::max(1, p.tail.helper_threads));
       }

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace h4d::filters {
 
@@ -20,7 +21,7 @@ void append_origin(std::vector<std::byte>& out, const Vec4& origin) {
 
 Vec4 read_origin(const std::byte*& cursor, std::size_t& remaining) {
   if (remaining < 4 * sizeof(std::int64_t)) {
-    throw std::runtime_error("MatrixPacket: truncated origin");
+    throw haralick::MalformedMatrixError("MatrixPacket: truncated origin");
   }
   std::int64_t o[4];
   std::memcpy(o, cursor, sizeof(o));
@@ -31,13 +32,20 @@ Vec4 read_origin(const std::byte*& cursor, std::size_t& remaining) {
 
 }  // namespace
 
-void MatrixPacketWriter::add(const Vec4& origin, const haralick::Glcm& glcm) {
+void MatrixPacketWriter::add(const Vec4& origin, const haralick::Glcm& glcm,
+                             haralick::WorkCounters* wc) {
   if (glcm.num_levels() != ng_) {
     throw std::invalid_argument("MatrixPacketWriter: Ng mismatch");
   }
   append_origin(bytes_, origin);
   if (repr_ == haralick::Representation::Sparse) {
-    haralick::SparseGlcm::from_dense(glcm).serialize(bytes_);
+    const haralick::SparseGlcm sparse = haralick::SparseGlcm::from_dense(glcm);
+    if (wc != nullptr) {
+      // Compression cost: scan the dense matrix, emit the non-zeros.
+      wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
+      wc->sparse_entries_emitted += static_cast<std::int64_t>(sparse.nnz());
+    }
+    sparse.serialize(bytes_);
   } else {
     const auto ng32 = static_cast<std::uint32_t>(ng_);
     const auto tot64 = static_cast<std::uint64_t>(glcm.total());
@@ -67,16 +75,17 @@ fs::BufferPtr MatrixPacketWriter::take(std::int64_t chunk_id, std::int64_t seq) 
   return fs::make_buffer(h, std::move(payload));
 }
 
-MatrixPacketReader::MatrixPacketReader(const fs::DataBuffer& buffer)
+MatrixPacketReader::MatrixPacketReader(const fs::DataBuffer& buffer, int num_levels)
     : repr_(buffer.header.aux == 1 ? haralick::Representation::Sparse
-                                   : haralick::Representation::Full) {
+                                   : haralick::Representation::Full),
+      ng_(num_levels) {
   if (buffer.header.kind != fs::BufferKind::MatrixPacket) {
     throw std::invalid_argument("MatrixPacketReader: not a MatrixPacket buffer");
   }
   cursor_ = buffer.payload.data();
   remaining_ = buffer.payload.size();
   if (remaining_ < sizeof(std::uint32_t)) {
-    throw std::runtime_error("MatrixPacket: missing count");
+    throw haralick::MalformedMatrixError("MatrixPacket: missing count");
   }
   std::memcpy(&count_, cursor_, sizeof(count_));
   cursor_ += sizeof(count_);
@@ -89,33 +98,65 @@ bool MatrixPacketReader::next() {
   origin_ = read_origin(cursor_, remaining_);
   if (repr_ == haralick::Representation::Sparse) {
     std::size_t used = 0;
-    sparse_ = haralick::SparseGlcm::deserialize(cursor_, remaining_, used);
+    matrix_ = haralick::SparseGlcm::deserialize(cursor_, remaining_, used);
     cursor_ += used;
     remaining_ -= used;
   } else {
-    std::uint32_t ng32 = 0;
-    std::uint64_t tot64 = 0;
-    if (remaining_ < sizeof(ng32) + sizeof(tot64)) {
-      throw std::runtime_error("MatrixPacket: truncated dense header");
-    }
-    std::memcpy(&ng32, cursor_, sizeof(ng32));
-    cursor_ += sizeof(ng32);
-    remaining_ -= sizeof(ng32);
-    std::memcpy(&tot64, cursor_, sizeof(tot64));
-    cursor_ += sizeof(tot64);
-    remaining_ -= sizeof(tot64);
-    const std::size_t cells = static_cast<std::size_t>(ng32) * ng32;
-    if (remaining_ < cells * sizeof(std::uint32_t)) {
-      throw std::runtime_error("MatrixPacket: truncated dense counts");
-    }
-    std::vector<std::uint32_t> table(cells);
-    std::memcpy(table.data(), cursor_, cells * sizeof(std::uint32_t));
-    cursor_ += cells * sizeof(std::uint32_t);
-    remaining_ -= cells * sizeof(std::uint32_t);
-    dense_ = haralick::Glcm(static_cast<int>(ng32));
-    dense_.set_raw(std::move(table), static_cast<std::int64_t>(tot64));
+    read_dense();
+  }
+  if (matrix_.num_levels() != ng_) {
+    throw haralick::MalformedMatrixError("MatrixPacket: matrix Ng " +
+                                         std::to_string(matrix_.num_levels()) +
+                                         " differs from the receiver's " + std::to_string(ng_));
   }
   return true;
+}
+
+void MatrixPacketReader::read_dense() {
+  std::uint32_t ng32 = 0;
+  std::uint64_t tot64 = 0;
+  if (remaining_ < sizeof(ng32) + sizeof(tot64)) {
+    throw haralick::MalformedMatrixError("MatrixPacket: truncated dense header");
+  }
+  std::memcpy(&ng32, cursor_, sizeof(ng32));
+  cursor_ += sizeof(ng32);
+  remaining_ -= sizeof(ng32);
+  std::memcpy(&tot64, cursor_, sizeof(tot64));
+  cursor_ += sizeof(tot64);
+  remaining_ -= sizeof(tot64);
+  // Bounding Ng first keeps the size math below far from overflow.
+  haralick::SparseGlcm::check_num_levels(ng32);
+  const std::size_t ng = ng32;
+  const std::size_t bytes = ng * ng * sizeof(std::uint32_t);
+  if (remaining_ < bytes) {
+    throw haralick::MalformedMatrixError("MatrixPacket: truncated dense counts");
+  }
+  table_.resize(ng * ng);
+  std::memcpy(table_.data(), cursor_, bytes);
+  cursor_ += bytes;
+  remaining_ -= bytes;
+
+  // The upper triangle in row-major order, exactly SparseGlcm::from_dense.
+  std::vector<haralick::SparseEntry> entries;
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < ng; ++i) {
+    for (std::size_t j = i; j < ng; ++j) {
+      const std::uint32_t c = table_[i * ng + j];
+      if (c != table_[j * ng + i]) {
+        throw haralick::MalformedMatrixError("MatrixPacket: dense table is not symmetric");
+      }
+      if (c == 0) continue;
+      entries.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
+      sum += i == j ? std::uint64_t{c} : 2 * std::uint64_t{c};
+    }
+  }
+  if (sum != tot64) {
+    throw haralick::MalformedMatrixError("MatrixPacket: dense counts sum to " +
+                                         std::to_string(sum) + ", total says " +
+                                         std::to_string(tot64));
+  }
+  matrix_ = haralick::SparseGlcm(static_cast<int>(ng), static_cast<std::int64_t>(tot64),
+                                 std::move(entries));
 }
 
 }  // namespace h4d::filters

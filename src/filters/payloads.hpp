@@ -50,7 +50,10 @@ class MatrixPacketWriter {
   MatrixPacketWriter(haralick::Representation repr, int num_levels)
       : repr_(repr), ng_(num_levels) {}
 
-  void add(const Vec4& origin, const haralick::Glcm& glcm);
+  /// Append one matrix. In sparse representation `wc`, when non-null, is
+  /// credited with the compression (Ng^2 cells scanned, entries emitted).
+  void add(const Vec4& origin, const haralick::Glcm& glcm,
+           haralick::WorkCounters* wc = nullptr);
 
   std::uint32_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -65,29 +68,35 @@ class MatrixPacketWriter {
   std::vector<std::byte> bytes_;
 };
 
-/// Iterates the matrices of a MatrixPacket payload.
+/// Iterates the matrices of a MatrixPacket payload. Either wire format is
+/// read into the same SparseGlcm (a dense table in SparseGlcm::from_dense
+/// order), so the feature sweep has one input. Everything read is
+/// validated; a malformed packet, or one whose Ng differs from the
+/// receiver's `num_levels`, throws haralick::MalformedMatrixError.
 class MatrixPacketReader {
  public:
-  explicit MatrixPacketReader(const fs::DataBuffer& buffer);
+  MatrixPacketReader(const fs::DataBuffer& buffer, int num_levels);
 
   haralick::Representation representation() const { return repr_; }
   std::uint32_t count() const { return count_; }
   bool next();  ///< advance; false when exhausted
 
   const Vec4& origin() const { return origin_; }
-  /// Valid after next() in the matching representation.
-  const haralick::Glcm& dense() const { return dense_; }
-  const haralick::SparseGlcm& sparse() const { return sparse_; }
+  /// The current matrix; valid after next().
+  const haralick::SparseGlcm& matrix() const { return matrix_; }
 
  private:
+  void read_dense();
+
   haralick::Representation repr_;
+  int ng_;
   std::uint32_t count_ = 0;
   std::uint32_t index_ = 0;
   const std::byte* cursor_ = nullptr;
   std::size_t remaining_ = 0;
   Vec4 origin_;
-  haralick::Glcm dense_{2};
-  haralick::SparseGlcm sparse_;
+  haralick::SparseGlcm matrix_;
+  std::vector<std::uint32_t> table_;  // dense counts of the current matrix
 };
 
 }  // namespace h4d::filters

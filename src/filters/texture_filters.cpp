@@ -9,7 +9,6 @@ namespace h4d::filters {
 using haralick::Feature;
 using haralick::FeatureVector;
 using haralick::Glcm;
-using haralick::Representation;
 
 namespace {
 
@@ -88,13 +87,7 @@ void HaralickCoMatrixCalculator::process(int port, const fs::BufferPtr& buffer,
     const Region4 roi{origin - region.origin, p_->engine.roi_dims};
     const Glcm g = haralick::glcm_for_roi(view, roi, dirs, p_->engine.num_levels,
                                           &ctx.meter().work, &scratch_);
-    if (p_->engine.representation == Representation::Sparse) {
-      // Compression cost: scan the dense matrix, emit the non-zeros.
-      ctx.meter().work.sparse_compress_cells +=
-          static_cast<std::int64_t>(p_->engine.num_levels) * p_->engine.num_levels;
-      ctx.meter().work.sparse_entries_emitted += g.nonzero_upper();
-    }
-    writer_.add(origin, g);
+    writer_.add(origin, g, &ctx.meter().work);
     if (++since_flush >= per_packet) {
       ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++));
       since_flush = 0;
@@ -114,16 +107,11 @@ void HaralickCoMatrixCalculator::flush(fs::FilterContext& ctx) {
 void HaralickParameterCalculator::process(int port, const fs::BufferPtr& buffer,
                                           fs::FilterContext& ctx) {
   if (port != kPortMatrices) throw std::runtime_error("HPC: unexpected port");
-  MatrixPacketReader reader(*buffer);
+  MatrixPacketReader reader(*buffer, p_->engine.num_levels);
   while (reader.next()) {
-    FeatureVector fv;
-    if (reader.representation() == Representation::Sparse) {
-      fv = haralick::compute_features(reader.sparse(), p_->engine.features,
-                                      &ctx.meter().work);
-    } else {
-      fv = haralick::compute_features(reader.dense(), p_->engine.features,
-                                      p_->engine.zero_policy, &ctx.meter().work);
-    }
+    const FeatureVector fv =
+        scratch_.features_of(reader.matrix(), p_->engine.features, &ctx.meter().work,
+                             p_->engine.sweep_mode, reader.representation());
     for (int f = 0; f < haralick::kNumFeatures; ++f) {
       const Feature feat = static_cast<Feature>(f);
       if (p_->engine.features.has(feat)) {

@@ -5,6 +5,8 @@
 //     filter (no intermediate communication);
 //   * HCC + HPC split them into two pipelined filters; matrices travel on a
 //     stream in full or sparse representation.
+// Both compute features through the one sweep of haralick/kernel.hpp, so
+// they produce byte-identical maps for either representation.
 #pragma once
 
 #include <array>
@@ -85,6 +87,7 @@ class HaralickParameterCalculator final : public fs::Filter {
  private:
   ParamsPtr p_;
   FeatureEmitter out_;
+  haralick::KernelScratch scratch_{2};  // per-copy feature-sweep buffers
 };
 
 }  // namespace h4d::filters

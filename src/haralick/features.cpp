@@ -45,69 +45,19 @@ void Gathered::reset(int num_levels) {
 struct MaxCorrScratch {
   std::vector<int> support;
   std::vector<int> inv;
-  std::vector<double> scale;
   std::vector<double> a;
   std::vector<double> s;
   std::vector<double> d;
   std::vector<double> e;
 };
 
-/// f14: sqrt of the second-largest eigenvalue of Q. Q is similar to A A^T
-/// with A = Dx^{-1/2} P Dy^{-1/2}; compute A restricted to levels with
-/// px > 0 and solve the symmetric problem. Householder + Sturm bisection
-/// computes only the lambda_2 f14 needs (eigen.hpp).
-double maximal_correlation(const Gathered& g, const Glcm* dense, const SparseGlcm* sparse,
-                           WorkCounters* wc) {
+MaxCorrScratch& max_corr_scratch() {
   thread_local MaxCorrScratch scr;
-  scr.support.clear();
-  for (int i = 0; i < g.ng; ++i) {
-    if (g.px[static_cast<std::size_t>(i)] > kEps) scr.support.push_back(i);
-  }
-  const std::vector<int>& support = scr.support;
-  const int m = static_cast<int>(support.size());
-  if (m < 2) return 0.0;
+  return scr;
+}
 
-  std::vector<double>& a = scr.a;
-  a.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(m), 0.0);
-  auto sqrt_px = [&g](int lvl) { return std::sqrt(g.px[static_cast<std::size_t>(lvl)]); };
-  if (dense != nullptr) {
-    // Hoist the per-cell division and sqrt calls: one reciprocal scale per
-    // support level, then the m^2 cell loop is a count load and two
-    // multiplies. Support levels have px > kEps, so total() > 0.
-    scr.scale.resize(static_cast<std::size_t>(m));
-    for (int r = 0; r < m; ++r) {
-      scr.scale[static_cast<std::size_t>(r)] =
-          1.0 / sqrt_px(support[static_cast<std::size_t>(r)]);
-    }
-    const double inv_total = 1.0 / static_cast<double>(dense->total());
-    const int ng = dense->num_levels();
-    for (int r = 0; r < m; ++r) {
-      const std::uint32_t* row =
-          dense->counts() + static_cast<std::size_t>(support[static_cast<std::size_t>(r)]) *
-                                static_cast<std::size_t>(ng);
-      double* arow = a.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(m);
-      const double sr = scr.scale[static_cast<std::size_t>(r)] * inv_total;
-      for (int c = 0; c < m; ++c) {
-        const std::uint32_t cnt = row[support[static_cast<std::size_t>(c)]];
-        if (cnt != 0) {
-          arow[c] = static_cast<double>(cnt) * sr * scr.scale[static_cast<std::size_t>(c)];
-        }
-      }
-    }
-  } else {
-    scr.inv.assign(static_cast<std::size_t>(g.ng), -1);
-    for (int r = 0; r < m; ++r) {
-      scr.inv[static_cast<std::size_t>(support[static_cast<std::size_t>(r)])] = r;
-    }
-    for (const SparseEntry& e : sparse->entries()) {
-      const int r = scr.inv[e.i];
-      const int c = scr.inv[e.j];
-      const double v = sparse->p_of(e) / (sqrt_px(e.i) * sqrt_px(e.j));
-      a[static_cast<std::size_t>(r) * static_cast<std::size_t>(m) + c] = v;
-      a[static_cast<std::size_t>(c) * static_cast<std::size_t>(m) + r] = v;
-    }
-  }
-
+double maximal_correlation_of(const std::vector<double>& a, int m, WorkCounters* wc) {
+  MaxCorrScratch& scr = max_corr_scratch();
   // S = A A^T, symmetric PSD with largest eigenvalue 1.
   std::vector<double>& s = scr.s;
   s.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
@@ -129,8 +79,44 @@ double maximal_correlation(const Gathered& g, const Glcm* dense, const SparseGlc
   return std::sqrt(std::clamp(lambda2, 0.0, 1.0));
 }
 
-FeatureVector finalize(const Gathered& g, FeatureSet set, const Glcm* dense,
-                       const SparseGlcm* sparse, WorkCounters* wc) {
+/// f14: sqrt of the second-largest eigenvalue of Q. Q is similar to A A^T
+/// with A = Dx^{-1/2} P Dy^{-1/2}; compute A restricted to levels with
+/// px > 0 from the upper-triangle entry list and solve the symmetric
+/// problem. Householder + Sturm bisection computes only the lambda_2 f14
+/// needs (eigen.hpp).
+double maximal_correlation(const Gathered& g, std::span<const SparseEntry> entries,
+                           std::int64_t total, WorkCounters* wc) {
+  MaxCorrScratch& scr = max_corr_scratch();
+  scr.support.clear();
+  for (int i = 0; i < g.ng; ++i) {
+    if (g.px[static_cast<std::size_t>(i)] > kEps) scr.support.push_back(i);
+  }
+  const std::vector<int>& support = scr.support;
+  const int m = static_cast<int>(support.size());
+  if (m < 2) return 0.0;
+
+  std::vector<double>& a = scr.a;
+  a.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(m), 0.0);
+  auto sqrt_px = [&g](int lvl) { return std::sqrt(g.px[static_cast<std::size_t>(lvl)]); };
+  scr.inv.assign(static_cast<std::size_t>(g.ng), -1);
+  for (int r = 0; r < m; ++r) {
+    scr.inv[static_cast<std::size_t>(support[static_cast<std::size_t>(r)])] = r;
+  }
+  // m >= 2 support levels imply total > 0.
+  const double dtotal = static_cast<double>(total);
+  for (const SparseEntry& e : entries) {
+    const int r = scr.inv[e.i];
+    const int c = scr.inv[e.j];
+    if (r < 0 || c < 0) continue;  // a level below kEps is outside the support
+    const double v = (static_cast<double>(e.count) / dtotal) / (sqrt_px(e.i) * sqrt_px(e.j));
+    a[static_cast<std::size_t>(r) * static_cast<std::size_t>(m) + c] = v;
+    a[static_cast<std::size_t>(c) * static_cast<std::size_t>(m) + r] = v;
+  }
+  return maximal_correlation_of(a, m, wc);
+}
+
+FeatureVector finalize(const Gathered& g, FeatureSet set, std::span<const SparseEntry> entries,
+                       std::int64_t total, WorkCounters* wc) {
   FeatureVector out;
   const int ng = g.ng;
 
@@ -222,19 +208,13 @@ FeatureVector finalize(const Gathered& g, FeatureSet set, const Glcm* dense,
   }
 
   if (set.has(Feature::MaximalCorrelationCoeff)) {
-    out[Feature::MaximalCorrelationCoeff] = maximal_correlation(g, dense, sparse, wc);
+    out[Feature::MaximalCorrelationCoeff] = maximal_correlation(g, entries, total, wc);
   }
 
   return out;
 }
 
 }  // namespace detail
-
-using detail::analyse;
-using detail::finalize;
-using detail::Gathered;
-using detail::Needs;
-using detail::xlogx;
 
 std::string_view feature_name(Feature f) {
   switch (f) {
@@ -274,86 +254,6 @@ std::string_view feature_slug(Feature f) {
     case Feature::MaximalCorrelationCoeff: return "max_corr_coeff";
   }
   return "?";
-}
-
-FeatureVector compute_features(const Glcm& g, FeatureSet set, ZeroPolicy policy,
-                               WorkCounters* wc) {
-  const Needs needs = analyse(set);
-  const int ng = g.num_levels();
-
-  Gathered acc;
-  acc.ng = ng;
-  acc.px.assign(static_cast<std::size_t>(ng), 0.0);
-  acc.psum.assign(static_cast<std::size_t>(2 * ng - 1), 0.0);
-  acc.pdiff.assign(static_cast<std::size_t>(ng), 0.0);
-
-  std::int64_t cells_scanned = 0;
-  std::int64_t cells_computed = 0;
-
-  for (int i = 0; i < ng; ++i) {
-    for (int j = 0; j < ng; ++j) {
-      ++cells_scanned;
-      const std::uint32_t c = g.count(i, j);
-      if (policy == ZeroPolicy::SkipZeros && c == 0) continue;
-      const double p = g.p(i, j);
-      ++cells_computed;
-      acc.px[static_cast<std::size_t>(i)] += p;
-      if (needs.marg_sum) acc.psum[static_cast<std::size_t>(i + j)] += p;
-      if (needs.marg_diff) acc.pdiff[static_cast<std::size_t>(std::abs(i - j))] += p;
-      if (needs.cell_asm) acc.asm_sum += p * p;
-      if (needs.cell_ixj) acc.ixj += static_cast<double>(i) * j * p;
-      if (needs.cell_idm) {
-        const double d = static_cast<double>(i - j);
-        acc.idm += p / (1.0 + d * d);
-      }
-      if (needs.cell_entropy) acc.entropy -= xlogx(p);
-    }
-  }
-
-  if (wc != nullptr) {
-    wc->feature_cells_scanned += cells_scanned;
-    wc->feature_cell_ops += cells_computed * (needs.cell_terms > 0 ? needs.cell_terms : 1);
-  }
-  return finalize(acc, set, &g, nullptr, wc);
-}
-
-FeatureVector compute_features(const SparseGlcm& g, FeatureSet set, WorkCounters* wc) {
-  const Needs needs = analyse(set);
-  const int ng = g.num_levels();
-
-  Gathered acc;
-  acc.ng = ng;
-  acc.px.assign(static_cast<std::size_t>(ng), 0.0);
-  acc.psum.assign(static_cast<std::size_t>(2 * ng - 1), 0.0);
-  acc.pdiff.assign(static_cast<std::size_t>(ng), 0.0);
-
-  std::int64_t cells_computed = 0;
-
-  for (const SparseEntry& e : g.entries()) {
-    const double p = g.p_of(e);
-    const int i = e.i;
-    const int j = e.j;
-    // Each stored upper-triangular entry stands for cells (i,j) and (j,i).
-    const double w = (i == j) ? 1.0 : 2.0;
-    cells_computed += (i == j) ? 1 : 2;
-    acc.px[static_cast<std::size_t>(i)] += p;
-    if (i != j) acc.px[static_cast<std::size_t>(j)] += p;
-    if (needs.marg_sum) acc.psum[static_cast<std::size_t>(i + j)] += w * p;
-    if (needs.marg_diff) acc.pdiff[static_cast<std::size_t>(j - i)] += w * p;
-    if (needs.cell_asm) acc.asm_sum += w * p * p;
-    if (needs.cell_ixj) acc.ixj += w * static_cast<double>(i) * j * p;
-    if (needs.cell_idm) {
-      const double d = static_cast<double>(i - j);
-      acc.idm += w * p / (1.0 + d * d);
-    }
-    if (needs.cell_entropy) acc.entropy -= w * xlogx(p);
-  }
-
-  if (wc != nullptr) {
-    wc->feature_cells_scanned += static_cast<std::int64_t>(g.nnz());
-    wc->feature_cell_ops += cells_computed * (needs.cell_terms > 0 ? needs.cell_terms : 1);
-  }
-  return finalize(acc, set, nullptr, &g, wc);
 }
 
 }  // namespace h4d::haralick

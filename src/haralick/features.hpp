@@ -1,22 +1,14 @@
 // The fourteen Haralick textural features (Haralick, Shanmugam & Dinstein,
-// 1973), computed from a symmetric co-occurrence matrix via three code paths:
-//
-//   * VisitAll  — dense loops touching every Ng^2 cell (the unoptimized
-//                 baseline in paper Sec. 4.4.1);
-//   * SkipZeros — dense loops that branch past zero cells (the paper's
-//                 "one-fourth the time" optimization);
-//   * sparse    — loops over the non-zero upper-triangular entry list only.
-//
-// All three produce identical values (property-tested); they differ only in
-// the work performed, which feeds the performance model.
+// 1973) of a symmetric co-occurrence matrix: their identities and selection
+// sets. Every filter computes them through the one feature sweep in
+// kernel.hpp (KernelScratch::features_fused / features_of); the dense and
+// sparse reference passes of paper Sec. 4.4.1 live in tests/oracle.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
-
-#include "haralick/glcm.hpp"
-#include "haralick/glcm_sparse.hpp"
 
 namespace h4d::haralick {
 
@@ -84,19 +76,5 @@ struct FeatureVector {
   double operator[](Feature f) const { return value[static_cast<std::size_t>(f)]; }
   double& operator[](Feature f) { return value[static_cast<std::size_t>(f)]; }
 };
-
-/// Zero-entry handling for the dense path.
-enum class ZeroPolicy {
-  VisitAll,   ///< touch every cell, zeros included (baseline)
-  SkipZeros,  ///< branch past zero cells (paper's optimization)
-};
-
-/// Dense-path feature computation. `wc`, when non-null, is credited with the
-/// per-cell operations performed (used to calibrate the simulator).
-FeatureVector compute_features(const Glcm& g, FeatureSet set, ZeroPolicy policy,
-                               WorkCounters* wc = nullptr);
-
-/// Sparse-path feature computation over the non-zero entry list.
-FeatureVector compute_features(const SparseGlcm& g, FeatureSet set, WorkCounters* wc = nullptr);
 
 }  // namespace h4d::haralick

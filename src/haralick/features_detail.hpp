@@ -1,12 +1,15 @@
-// Internal feature-computation machinery shared between the reference paths
-// (features.cpp) and the fused kernel sweep (kernel.cpp). Not part of the
-// public haralick API; include features.hpp instead.
+// Internal feature-computation machinery: the gathered sums of the feature
+// sweep (kernel.cpp) and their finalization into features (features.cpp).
+// The reference passes in tests/oracle reuse it. Not part of the public
+// haralick API; include features.hpp instead.
 #pragma once
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "haralick/features.hpp"
+#include "haralick/glcm_sparse.hpp"
 
 namespace h4d::haralick::detail {
 
@@ -42,10 +45,15 @@ struct Gathered {
   void reset(int num_levels);
 };
 
-/// Turn the gathered sums into the selected features. Exactly one of
-/// `dense`/`sparse` may be null; the non-null one is only consulted for the
-/// maximal correlation coefficient (f14).
-FeatureVector finalize(const Gathered& g, FeatureSet set, const Glcm* dense,
-                       const SparseGlcm* sparse, WorkCounters* wc);
+/// f14 from A = Dx^{-1/2} P Dy^{-1/2} restricted to the m levels with
+/// px > kEps (row-major m x m): sqrt of the second-largest eigenvalue of
+/// A A^T. Credits `wc` with the m^3/2 Gram-matrix ops.
+double maximal_correlation_of(const std::vector<double>& a, int m, WorkCounters* wc);
+
+/// Turn the gathered sums into the selected features. `entries` (the
+/// matrix's upper-triangle entry list) and `total` are only consulted for
+/// the maximal correlation coefficient (f14).
+FeatureVector finalize(const Gathered& g, FeatureSet set, std::span<const SparseEntry> entries,
+                       std::int64_t total, WorkCounters* wc);
 
 }  // namespace h4d::haralick::detail

@@ -71,17 +71,11 @@ class Glcm {
   /// (for the cost model).
   ///
   /// Runs the cache-aware kernel (kernel.hpp): upper-triangle uint16 tile,
-  /// folded symmetrically at the end — bit-identical to
-  /// accumulate_reference. Pass a per-thread `scratch` in hot loops to avoid
-  /// re-allocating the tile per call.
+  /// folded symmetrically at the end — bit-identical to the straightforward
+  /// dual-store loop (the oracle in tests/oracle). Pass a per-thread
+  /// `scratch` in hot loops to avoid re-allocating the tile per call.
   std::int64_t accumulate(Vol4View<const Level> vol, const Region4& roi,
                           const std::vector<Vec4>& dirs, KernelScratch* scratch = nullptr);
-
-  /// The straightforward dual-store loop the kernel is property-tested
-  /// against (and A/B-benchmarked in bench/micro_glcm). Same results, same
-  /// return value, ~3x slower on the paper configuration.
-  std::int64_t accumulate_reference(Vol4View<const Level> vol, const Region4& roi,
-                                    const std::vector<Vec4>& dirs);
 
   /// Number of non-zero entries on or above the diagonal (the unique entries
   /// under symmetry) — the payload size of the sparse representation.
@@ -89,8 +83,7 @@ class Glcm {
 
   /// Conservative row-occupancy test: false guarantees row `i` (and by
   /// symmetry column `i`) is all zeros; true means it may hold counts.
-  /// Lets SparseGlcm::from_dense and the feature sweeps skip empty rows
-  /// without scanning them.
+  /// Lets SparseGlcm::from_dense skip empty rows without scanning them.
   bool row_possibly_occupied(int i) const {
     return (row_bits_[static_cast<std::size_t>(i) >> 6] >>
             (static_cast<std::size_t>(i) & 63)) & 1u;

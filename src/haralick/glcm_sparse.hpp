@@ -8,11 +8,21 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "haralick/glcm.hpp"
 
 namespace h4d::haralick {
+
+/// A co-occurrence matrix read off the wire breaks the format: Ng outside
+/// [2, 256] (or not the receiver's), entries not strictly row-major with
+/// i <= j < Ng and count > 0, counts that do not sum to the total, an
+/// asymmetric dense table, or a buffer too short for its declared size.
+class MalformedMatrixError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// One stored entry: levels i <= j and the pair count at (i, j).
 struct SparseEntry {
@@ -58,9 +68,14 @@ class SparseGlcm {
                sizeof(std::uint32_t);
   }
 
-  /// Append the serialized form to `out`; parse with deserialize().
+  /// Append the serialized form to `out`; parse with deserialize(), which
+  /// validates everything it reads and throws MalformedMatrixError, so the
+  /// feature sweep can index by the entries' levels without checks.
   void serialize(std::vector<std::byte>& out) const;
   static SparseGlcm deserialize(const std::byte* data, std::size_t size, std::size_t& consumed);
+
+  /// Throws MalformedMatrixError unless `num_levels` is in [2, 256].
+  static void check_num_levels(std::uint64_t num_levels);
 
   static constexpr std::size_t kWireHeader = sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
 

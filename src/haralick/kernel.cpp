@@ -262,18 +262,8 @@ void KernelScratch::finalize_add(Glcm& g) {
   pairs_since_reset_ = 0;
 }
 
-FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
-                                            SparseGlcm* sparse_out, SweepMode mode) {
-  const detail::Needs needs = detail::analyse(set);
-  if (!gathered_) gathered_ = std::make_unique<detail::Gathered>();
-  detail::Gathered& acc = *gathered_;
-  acc.reset(ng_);
-
+void KernelScratch::gather_tile() {
   entries_.clear();
-  const std::int64_t total = total_;
-  const double dtotal = static_cast<double>(total);
-  std::int64_t cells_computed = 0;
-
   const auto cells = static_cast<std::size_t>(ng_) * static_cast<std::size_t>(ng_);
   std::uint16_t* const t0 = tile_.data();
   std::uint16_t* const t1 = t0 + cells;
@@ -281,7 +271,7 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
   // Occupancy prepass: canonical upper row i can only be non-empty if level
   // i appeared as an anchor (a bank row) or a partner (a bank column). One
   // sequential pass over both banks — vectorizable OR reductions — finds
-  // that superset, so the ordered sweep below never walks a dead row's
+  // that superset, so the ordered gather below never walks a dead row's
   // cache-hostile (j, i) column loads.
   std::array<std::uint64_t, 4> occ{};
   {
@@ -314,81 +304,103 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
     }
   }
 
+  // The non-zero upper cells in the exact row-major order
+  // SparseGlcm::from_dense emits them. The tile is zeroed as it is read,
+  // leaving the scratch ready for the next ROI.
+  for (int i = 0; i < ng_; ++i) {
+    if (!((occ[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1u)) continue;
+    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(ng_);
+    for (int j = i; j < ng_; ++j) {
+      const std::uint32_t u = cell(i, j);
+      const std::size_t ij = base + static_cast<std::size_t>(j);
+      const std::size_t ji = static_cast<std::size_t>(j) * static_cast<std::size_t>(ng_) + i;
+      t0[ij] = 0;
+      t1[ij] = 0;
+      t0[ji] = 0;
+      t1[ji] = 0;
+      if (u == 0) continue;
+      // The dense matrix holds the pair count off-diagonal and twice it on
+      // the diagonal; the stored entry carries the dense cell value.
+      const std::uint32_t c = i == j ? 2 * u : u;
+      entries_.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
+    }
+  }
+  clear_side_state();
+}
+
+FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
+                                            SparseGlcm* sparse_out, SweepMode mode,
+                                            Representation repr) {
+  const std::int64_t total = total_;
+  gather_tile();
+  if (wc != nullptr && repr == Representation::Sparse) {
+    // The modeled compression still scans Ng^2 dense cells.
+    wc->sparse_entries_emitted += static_cast<std::int64_t>(entries_.size());
+    wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
+  }
+  const FeatureVector out = sweep(ng_, total, entries_, set, wc, mode, repr);
+  if (sparse_out != nullptr) *sparse_out = SparseGlcm(ng_, total, entries_);
+  return out;
+}
+
+FeatureVector KernelScratch::features_of(const SparseGlcm& m, FeatureSet set, WorkCounters* wc,
+                                         SweepMode mode, Representation repr) {
+  return sweep(m.num_levels(), m.total(), m.entries(), set, wc, mode, repr);
+}
+
+FeatureVector KernelScratch::sweep(int ng, std::int64_t total,
+                                   std::span<const SparseEntry> entries, FeatureSet set,
+                                   WorkCounters* wc, SweepMode mode, Representation repr) {
+  const detail::Needs needs = detail::analyse(set);
+  if (!gathered_) gathered_ = std::make_unique<detail::Gathered>();
+  detail::Gathered& acc = *gathered_;
+  acc.reset(ng);
+
+  const double dtotal = static_cast<double>(total);
+  std::int64_t cells_computed = 0;
+  const std::size_t nnz = entries.size();
+
   if (mode == SweepMode::Strict) {
-    // One sweep over the non-zero upper cells, in the exact row-major order
-    // SparseGlcm::from_dense emits them, doing what from_dense and the
-    // sparse compute_features would do in sequence — same operations, same
-    // floating-point accumulation order, one pass. The tile is zeroed as it
-    // is swept, leaving the scratch ready for the next ROI.
-    for (int i = 0; i < ng_; ++i) {
-      if (!((occ[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1u)) continue;
-      const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(ng_);
-      for (int j = i; j < ng_; ++j) {
-        const std::uint32_t u = cell(i, j);
-        const std::size_t ij = base + static_cast<std::size_t>(j);
-        const std::size_t ji =
-            static_cast<std::size_t>(j) * static_cast<std::size_t>(ng_) + i;
-        t0[ij] = 0;
-        t1[ij] = 0;
-        t0[ji] = 0;
-        t1[ji] = 0;
-        if (u == 0) continue;
-        // The dense matrix holds the pair count off-diagonal and twice it on
-        // the diagonal; the stored entry carries the dense cell value.
-        const std::uint32_t c = i == j ? 2 * u : u;
-        entries_.push_back(
-            {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
-        // Exactly SparseGlcm::p_of — a true division keeps the bits identical.
-        const double p = total == 0 ? 0.0 : static_cast<double>(c) / dtotal;
-        const double w = (i == j) ? 1.0 : 2.0;
-        cells_computed += (i == j) ? 1 : 2;
-        acc.px[static_cast<std::size_t>(i)] += p;
-        if (i != j) acc.px[static_cast<std::size_t>(j)] += p;
-        if (needs.marg_sum) acc.psum[static_cast<std::size_t>(i + j)] += w * p;
-        if (needs.marg_diff) acc.pdiff[static_cast<std::size_t>(j - i)] += w * p;
-        if (needs.cell_asm) acc.asm_sum += w * p * p;
-        if (needs.cell_ixj) acc.ixj += w * static_cast<double>(i) * j * p;
-        if (needs.cell_idm) {
-          const double d = static_cast<double>(i - j);
-          acc.idm += w * p / (1.0 + d * d);
-        }
-        if (needs.cell_entropy) acc.entropy -= w * detail::xlogx(p);
+    // Each stored upper-triangular entry stands for cells (i,j) and (j,i):
+    // one interleaved loop, in entry order, with the reference pass's exact
+    // operations and floating-point accumulation order.
+    for (const SparseEntry& e : entries) {
+      const int i = e.i;
+      const int j = e.j;
+      // Exactly SparseGlcm::p_of — a true division keeps the bits identical.
+      const double p = total == 0 ? 0.0 : static_cast<double>(e.count) / dtotal;
+      const double w = (i == j) ? 1.0 : 2.0;
+      cells_computed += (i == j) ? 1 : 2;
+      acc.px[static_cast<std::size_t>(i)] += p;
+      if (i != j) acc.px[static_cast<std::size_t>(j)] += p;
+      if (needs.marg_sum) acc.psum[static_cast<std::size_t>(i + j)] += w * p;
+      if (needs.marg_diff) acc.pdiff[static_cast<std::size_t>(j - i)] += w * p;
+      if (needs.cell_asm) acc.asm_sum += w * p * p;
+      if (needs.cell_ixj) acc.ixj += w * static_cast<double>(i) * j * p;
+      if (needs.cell_idm) {
+        const double d = static_cast<double>(i - j);
+        acc.idm += w * p / (1.0 + d * d);
       }
+      if (needs.cell_entropy) acc.entropy -= w * detail::xlogx(p);
     }
   } else {
-    // Fast sweep: gather the non-zero cells into SoA term arrays (same
-    // emission order as Strict), then reduce each feature term with a
-    // SIMD-annotated loop. Entropy goes through the fast_log polynomial.
-    // Only the entropy bits and the SIMD reduction grouping differ from
-    // Strict; agreement is ULP-bounded and property-tested.
-    soa_i_.clear();
-    soa_j_.clear();
-    soa_p_.clear();
-    soa_w_.clear();
-    for (int i = 0; i < ng_; ++i) {
-      if (!((occ[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1u)) continue;
-      const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(ng_);
-      for (int j = i; j < ng_; ++j) {
-        const std::uint32_t u = cell(i, j);
-        const std::size_t ij = base + static_cast<std::size_t>(j);
-        const std::size_t ji =
-            static_cast<std::size_t>(j) * static_cast<std::size_t>(ng_) + i;
-        t0[ij] = 0;
-        t1[ij] = 0;
-        t0[ji] = 0;
-        t1[ji] = 0;
-        if (u == 0) continue;
-        const std::uint32_t c = i == j ? 2 * u : u;
-        entries_.push_back(
-            {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
-        soa_i_.push_back(static_cast<double>(i));
-        soa_j_.push_back(static_cast<double>(j));
-        soa_p_.push_back(static_cast<double>(c));  // scaled to p below
-        soa_w_.push_back(i == j ? 1.0 : 2.0);
-        cells_computed += (i == j) ? 1 : 2;
-      }
+    // Fast sweep: copy the entries into SoA term arrays, then reduce each
+    // feature term with a SIMD-annotated loop. Entropy goes through the
+    // fast_log polynomial. Only the entropy bits and the SIMD reduction
+    // grouping differ from Strict; agreement is ULP-bounded and
+    // property-tested.
+    soa_i_.resize(nnz);
+    soa_j_.resize(nnz);
+    soa_p_.resize(nnz);
+    soa_w_.resize(nnz);
+    for (std::size_t k = 0; k < nnz; ++k) {
+      const SparseEntry& e = entries[k];
+      soa_i_[k] = static_cast<double>(e.i);
+      soa_j_[k] = static_cast<double>(e.j);
+      soa_p_[k] = static_cast<double>(e.count);  // scaled to p below
+      soa_w_[k] = e.i == e.j ? 1.0 : 2.0;
+      cells_computed += e.i == e.j ? 1 : 2;
     }
-    const std::size_t nnz = soa_p_.size();
     double* const vp = soa_p_.data();
     const double* const vi = soa_i_.data();
     const double* const vj = soa_j_.data();
@@ -402,19 +414,19 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
     // Marginal scatters carry index conflicts, so they stay scalar; they are
     // 2-3 adds per cell against the reductions' multiply chains.
     for (std::size_t k = 0; k < nnz; ++k) {
-      const SparseEntry& e = entries_[k];
+      const SparseEntry& e = entries[k];
       acc.px[e.i] += vp[k];
       if (e.i != e.j) acc.px[e.j] += vp[k];
     }
     if (needs.marg_sum) {
       for (std::size_t k = 0; k < nnz; ++k) {
-        const SparseEntry& e = entries_[k];
+        const SparseEntry& e = entries[k];
         acc.psum[static_cast<std::size_t>(e.i) + e.j] += vw[k] * vp[k];
       }
     }
     if (needs.marg_diff) {
       for (std::size_t k = 0; k < nnz; ++k) {
-        const SparseEntry& e = entries_[k];
+        const SparseEntry& e = entries[k];
         acc.pdiff[static_cast<std::size_t>(e.j - e.i)] += vw[k] * vp[k];
       }
     }
@@ -443,7 +455,7 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
       double entropy = 0.0;
       H4D_PRAGMA_SIMD_REDUCE(entropy)
       for (std::size_t k = 0; k < nnz; ++k) {
-        // p > 0 for every emitted entry, so fast_log's preconditions hold.
+        // p > 0 for every stored entry, so fast_log's preconditions hold.
         entropy -= vw[k] * vp[k] * fast_log(vp[k]);
       }
       acc.entropy = entropy;
@@ -451,27 +463,14 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
   }
 
   if (wc != nullptr) {
-    // Credited in reference units so the cost model / simulator calibration
-    // is independent of the kernel's shortcuts: the modeled compression
-    // still scans Ng^2 dense cells.
-    wc->sparse_entries_emitted += static_cast<std::int64_t>(entries_.size());
-    wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
-    wc->feature_cells_scanned += static_cast<std::int64_t>(entries_.size());
+    // A dense pass scans all Ng^2 cells; the entry loop scans only the
+    // entries. Both compute the same non-zero cells.
+    wc->feature_cells_scanned += repr == Representation::Full
+                                     ? static_cast<std::int64_t>(ng) * ng
+                                     : static_cast<std::int64_t>(nnz);
     wc->feature_cell_ops += cells_computed * (needs.cell_terms > 0 ? needs.cell_terms : 1);
   }
-
-  // f14 (and callers wanting the sparse form) need the entry list as a
-  // SparseGlcm; everything else finalizes from the gathered sums alone.
-  SparseGlcm sparse_tmp;
-  const SparseGlcm* sparse = nullptr;
-  if (sparse_out != nullptr || set.has(Feature::MaximalCorrelationCoeff)) {
-    sparse_tmp = SparseGlcm(ng_, total, entries_);
-    sparse = &sparse_tmp;
-  }
-  const FeatureVector out = detail::finalize(acc, set, nullptr, sparse, wc);
-  if (sparse_out != nullptr) *sparse_out = std::move(sparse_tmp);
-  clear_side_state();
-  return out;
+  return detail::finalize(acc, set, entries, total, wc);
 }
 
 }  // namespace h4d::haralick

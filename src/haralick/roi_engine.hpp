@@ -20,10 +20,6 @@
 
 namespace h4d::haralick {
 
-/// How co-occurrence matrices are represented between construction and
-/// feature evaluation (paper Sec. 4.4.1).
-enum class Representation { Full, Sparse };
-
 /// How the direction set is combined per ROI.
 ///
 /// Pooled accumulates every direction into one matrix (the pipeline
@@ -38,17 +34,19 @@ struct EngineConfig {
   int num_levels = 32;
   std::vector<Vec4> directions;  ///< empty => all unique 4D unit directions
   FeatureSet features = FeatureSet::paper_eval();
+  /// Wire format of the HCC->HPC stream and how the feature sweep credits
+  /// the cost model (kernel.hpp); it does not change the features.
   Representation representation = Representation::Full;
-  ZeroPolicy zero_policy = ZeroPolicy::SkipZeros;
 
   /// Per-direction aggregation. Non-pooled modes build one matrix per
   /// direction (|dirs| times the construction work).
   DirectionMode direction_mode = DirectionMode::Pooled;
 
-  /// Floating-point mode of the fused feature sweep (Sparse representation
-  /// only). Fast (default) uses the SoA/SIMD reductions and the fast_log
-  /// polynomial — agreement with Strict is ULP-bounded (~1e-10 relative);
-  /// Strict is bit-identical to the reference sparse feature pass.
+  /// Floating-point mode of the feature sweep, in every filter and for both
+  /// representations. Fast (default) uses the SoA/SIMD reductions and the
+  /// fast_log polynomial — agreement with Strict is ULP-bounded (~1e-10
+  /// relative); Strict is bit-identical to the reference sparse feature
+  /// pass.
   SweepMode sweep_mode = SweepMode::Fast;
 
   /// Directions, with the default applied.

@@ -136,6 +136,7 @@ class JobManager {
     /// Tail-tolerant I/O applied to every job this manager runs (off when
     /// tail.enabled() is false). The latency tracker and helper pool are
     /// process-wide, so a slow node's reputation carries across jobs.
+    /// Fault-injected jobs get a private helper pool (PipelineParams::make).
     io::TailConfig tail;
     std::shared_ptr<io::LatencyTracker> latency;
     std::shared_ptr<io::SliceFetchPool> io_pool;

@@ -129,13 +129,19 @@ TEST_F(CliTest, AnalyzeRejectsRemovedFlags) {
 TEST_F(CliTest, AnalyzeSweepFlagSelectsMode) {
   const std::string ds = (dir_ / "ds").string();
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "14,14,6,4", "--nodes", "2"}), 0);
-  // Strict and fast both run the sparse fused sweep end to end.
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--repr", "sparse", "--dirs",
-                    "axis", "--chunk", "12,12,6,4", "--sweep", "strict"}),
-            0);
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--repr", "sparse", "--dirs",
-                    "axis", "--chunk", "12,12,6,4", "--sweep", "fast"}),
-            0);
+  // Strict and fast both run end to end. The sweep is the one feature pass
+  // of every variant and representation: the default split run with full
+  // matrices and an HMP run with sparse ones.
+  for (const char* mode : {"strict", "fast"}) {
+    EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--dirs", "axis", "--chunk",
+                      "12,12,6,4", "--sweep", mode}),
+              0)
+        << mode;
+    EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--variant", "hmp", "--repr",
+                      "sparse", "--dirs", "axis", "--chunk", "12,12,6,4", "--sweep", mode}),
+              0)
+        << mode;
+  }
   EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--sweep", "bogus"}), 1);
   EXPECT_NE(stderr_text().find("--sweep"), std::string::npos);
 }

@@ -7,9 +7,13 @@
 
 #include "haralick/directions.hpp"
 #include "haralick/fast_log.hpp"
+#include "oracle/reference.hpp"
 
 namespace h4d::haralick {
 namespace {
+
+using oracle::compute_features;
+using oracle::ZeroPolicy;
 
 TEST(FastLog, AccuracyContractAgainstLibm) {
   // The documented bound: |fast_log(x) - log(x)| <= 1e-10 * max(1, |log x|)

@@ -170,7 +170,7 @@ TEST_F(FilterUnitTest, HccEmitsPacketsPerChunkQuarter) {
   EXPECT_GE(packets.size(), 4u);
   std::uint32_t matrices = 0;
   for (const auto& p : packets) {
-    MatrixPacketReader reader(*p);
+    MatrixPacketReader reader(*p, params_->engine.num_levels);
     matrices += reader.count();
   }
   EXPECT_EQ(matrices, chunks.front()->header.region2.volume());

@@ -1,7 +1,7 @@
 // Equivalence proofs for the cache-aware kernel (kernel.hpp): construction
-// and fused feature results must be bit-identical to the reference paths
-// (DESIGN.md §11) across level counts, direction sets, strided views, and
-// the uint16 tile-saturation spill.
+// and feature-sweep results must be bit-identical to the reference passes in
+// tests/oracle (DESIGN.md §11) across level counts, direction sets, strided
+// views, and the uint16 tile-saturation spill.
 #include "haralick/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "haralick/directions.hpp"
 #include "haralick/glcm_sparse.hpp"
 #include "haralick/roi_engine.hpp"
+#include "oracle/reference.hpp"
 
 namespace h4d::haralick {
 namespace {
@@ -54,7 +55,7 @@ TEST(Kernel, MatchesReferenceAcrossLevelCounts) {
       const Region4 roi{{1, 1, 1, 0}, {7, 6, 3, 3}};
 
       Glcm ref(ng);
-      const std::int64_t ref_updates = ref.accumulate_reference(v.view(), roi, dirs);
+      const std::int64_t ref_updates = oracle::accumulate_reference(ref, v.view(), roi, dirs);
       Glcm ker(ng);
       const std::int64_t ker_updates = ker.accumulate(v.view(), roi, dirs);
       EXPECT_EQ(ker_updates, ref_updates);
@@ -71,7 +72,7 @@ TEST(Kernel, MatchesReferenceOnPaperConfiguration) {
   const Region4 roi{{2, 2, 2, 2}, {7, 7, 3, 3}};
 
   Glcm ref(ng);
-  const auto ref_updates = ref.accumulate_reference(v.view(), roi, dirs);
+  const auto ref_updates = oracle::accumulate_reference(ref, v.view(), roi, dirs);
   KernelScratch scratch(ng);
   Glcm ker(ng);
   const auto ker_updates = ker.accumulate(v.view(), roi, dirs, &scratch);
@@ -94,7 +95,7 @@ TEST(Kernel, MatchesReferenceOnNonContiguousSubviews) {
   const Region4 roi{{1, 0, 0, 0}, {8, 8, 3, 3}};
 
   Glcm ref(ng);
-  ref.accumulate_reference(strided, roi, dirs);
+  oracle::accumulate_reference(ref, strided, roi, dirs);
   Glcm ker(ng);
   ker.accumulate(strided, roi, dirs);
   expect_same_matrix(ker, ref);
@@ -102,7 +103,7 @@ TEST(Kernel, MatchesReferenceOnNonContiguousSubviews) {
   // Interior subview of a contiguous volume (unit x-stride, offset base).
   const Region4 inner{{3, 2, 1, 0}, {12, 12, 3, 3}};
   Glcm ref2(ng);
-  ref2.accumulate_reference(v.view().subview(inner), roi, dirs);
+  oracle::accumulate_reference(ref2, v.view().subview(inner), roi, dirs);
   Glcm ker2(ng);
   ker2.accumulate(v.view().subview(inner), roi, dirs);
   expect_same_matrix(ker2, ref2);
@@ -116,8 +117,8 @@ TEST(Kernel, AccumulatesOnTopOfExistingCounts) {
   const Region4 roi = Region4::whole(v.dims());
 
   Glcm ref(ng);
-  ref.accumulate_reference(v.view(), roi, d1);
-  ref.accumulate_reference(v.view(), roi, d2);
+  oracle::accumulate_reference(ref, v.view(), roi, d1);
+  oracle::accumulate_reference(ref, v.view(), roi, d2);
 
   KernelScratch scratch(ng);
   Glcm ker(ng);
@@ -142,7 +143,7 @@ TEST(Kernel, Uint16TileSaturationSpillsToWideTable) {
   scratch.finalize_add(ker);
 
   Glcm ref(8);
-  ref.accumulate_reference(v.view(), roi, dirs);
+  oracle::accumulate_reference(ref, v.view(), roi, dirs);
   expect_same_matrix(ker, ref);
 
   // The scratch resets after finalize: a small follow-up ROI is unpolluted.
@@ -150,7 +151,7 @@ TEST(Kernel, Uint16TileSaturationSpillsToWideTable) {
   Glcm ker2(8), ref2(8);
   ker2.accumulate(v.view(), small, dirs, &scratch);
   EXPECT_FALSE(scratch.spilled());
-  ref2.accumulate_reference(v.view(), small, dirs);
+  oracle::accumulate_reference(ref2, v.view(), small, dirs);
   expect_same_matrix(ker2, ref2);
 }
 
@@ -167,7 +168,7 @@ TEST(Kernel, RepeatedAccumulationCrossesCheckedThreshold) {
   KernelScratch scratch(ng);
   Glcm ker(ng);
   for (int rep = 0; rep < 50; ++rep) {
-    ref.accumulate_reference(v.view(), roi, dirs);
+    oracle::accumulate_reference(ref, v.view(), roi, dirs);
     scratch.accumulate(v.view(), roi, dirs);
   }
   EXPECT_TRUE(scratch.spilled());
@@ -185,9 +186,9 @@ TEST(Kernel, FusedFeaturesBitIdenticalToSparseReference) {
 
       // Reference: dense build -> from_dense -> sparse feature path.
       Glcm ref(ng);
-      ref.accumulate_reference(v.view(), roi, dirs);
+      oracle::accumulate_reference(ref, v.view(), roi, dirs);
       const SparseGlcm ref_sparse = SparseGlcm::from_dense(ref);
-      const FeatureVector ref_fv = compute_features(ref_sparse, FeatureSet::all());
+      const FeatureVector ref_fv = oracle::compute_features(ref_sparse, FeatureSet::all());
 
       // Kernel: accumulate + fused sweep, no dense table at all.
       KernelScratch scratch(ng);
@@ -261,28 +262,47 @@ TEST(Kernel, FastSweepWorkCountersMatchStrict) {
 }
 
 TEST(Kernel, FusedFeatureWorkCountersMatchReferencePath) {
+  // Whatever produces the entry list, the sweep credits exactly what the
+  // reference pass of the same representation did: Sparse as from_dense +
+  // the sparse pass, Full as the dense SkipZeros pass (an Ng^2 scan, no
+  // sparse counters). The compression is credited only from the tile; a
+  // received matrix was compressed by its producer.
   const int ng = 32;
   const auto v = random_volume({9, 9, 4, 3}, ng, 77);
   const auto dirs = axis_directions(ActiveDims::all4());
   const Region4 roi{{0, 0, 0, 0}, {7, 7, 3, 3}};
+  const FeatureSet set = FeatureSet::all();
 
-  WorkCounters ref_wc;
   Glcm ref(ng);
-  ref.accumulate_reference(v.view(), roi, dirs);
+  oracle::accumulate_reference(ref, v.view(), roi, dirs);
   const SparseGlcm ref_sparse = SparseGlcm::from_dense(ref);
-  ref_wc.sparse_entries_emitted += static_cast<std::int64_t>(ref_sparse.nnz());
-  ref_wc.sparse_compress_cells += static_cast<std::int64_t>(ng) * ng;
-  compute_features(ref_sparse, FeatureSet::paper_eval(), &ref_wc);
+  WorkCounters ref_sparse_wc, ref_dense_wc;
+  oracle::compute_features(ref_sparse, set, &ref_sparse_wc);
+  oracle::compute_features(ref, set, oracle::ZeroPolicy::SkipZeros, &ref_dense_wc);
+  WorkCounters ref_compress;
+  ref_compress.sparse_entries_emitted = static_cast<std::int64_t>(ref_sparse.nnz());
+  ref_compress.sparse_compress_cells = static_cast<std::int64_t>(ng) * ng;
 
-  WorkCounters wc;
+  const auto expect_same = [](const WorkCounters& got, const WorkCounters& want,
+                              const char* what) {
+    EXPECT_EQ(got.sparse_entries_emitted, want.sparse_entries_emitted) << what;
+    EXPECT_EQ(got.sparse_compress_cells, want.sparse_compress_cells) << what;
+    EXPECT_EQ(got.feature_cells_scanned, want.feature_cells_scanned) << what;
+    EXPECT_EQ(got.feature_cell_ops, want.feature_cell_ops) << what;
+  };
   KernelScratch scratch(ng);
-  scratch.accumulate(v.view(), roi, dirs);
-  scratch.features_fused(FeatureSet::paper_eval(), &wc);
+  for (const Representation repr : {Representation::Sparse, Representation::Full}) {
+    WorkCounters want = repr == Representation::Sparse ? ref_sparse_wc : ref_dense_wc;
+    WorkCounters received;
+    scratch.features_of(ref_sparse, set, &received, SweepMode::Fast, repr);
+    expect_same(received, want, "features_of");
 
-  EXPECT_EQ(wc.sparse_entries_emitted, ref_wc.sparse_entries_emitted);
-  EXPECT_EQ(wc.sparse_compress_cells, ref_wc.sparse_compress_cells);
-  EXPECT_EQ(wc.feature_cells_scanned, ref_wc.feature_cells_scanned);
-  EXPECT_EQ(wc.feature_cell_ops, ref_wc.feature_cell_ops);
+    if (repr == Representation::Sparse) want += ref_compress;
+    WorkCounters fused;
+    scratch.accumulate(v.view(), roi, dirs);
+    scratch.features_fused(set, &fused, nullptr, SweepMode::Fast, repr);
+    expect_same(fused, want, "features_fused");
+  }
 }
 
 TEST(Kernel, AnalyzeChunkWithSharedScratchMatchesFreshScratch) {

@@ -15,6 +15,7 @@ namespace {
 namespace fsys = std::filesystem;
 using haralick::Feature;
 using haralick::Representation;
+using haralick::SweepMode;
 
 struct E2EFixture : ::testing::Test {
   void SetUp() override {
@@ -102,6 +103,35 @@ TEST_F(E2EFixture, HmpSparseRepresentationMatchesReference) {
   cfg.engine.representation = Representation::Sparse;
   cfg.hmp_copies = 2;
   expect_matches_reference(analyze_threaded(cfg));
+}
+
+TEST_F(E2EFixture, HmpAndSplitAreByteIdenticalForEveryRepresentationAndSweep) {
+  // HMP sweeps the tile's entry list; HPC sweeps the same list read off the
+  // wire in either format. Same entries, same sweep: the maps match bit for
+  // bit, not just to tolerance.
+  PipelineConfig hmp = base_config(2);
+  hmp.engine.features = haralick::FeatureSet::all();
+  hmp.variant = Variant::HMP;
+  hmp.hmp_copies = 2;
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    for (const SweepMode mode : {SweepMode::Fast, SweepMode::Strict}) {
+      hmp.engine.representation = repr;
+      hmp.engine.sweep_mode = mode;
+      PipelineConfig split = hmp;
+      split.variant = Variant::Split;
+      split.hcc_copies = 2;
+      split.hpc_copies = 2;
+      const AnalysisResult a = analyze_threaded(hmp);
+      const AnalysisResult b = analyze_threaded(split);
+      ASSERT_EQ(a.maps.size(), static_cast<std::size_t>(haralick::kNumFeatures));
+      ASSERT_EQ(a.maps.size(), b.maps.size());
+      for (const auto& [f, map] : a.maps) {
+        EXPECT_EQ(map.storage(), b.maps.at(f).storage())
+            << haralick::feature_name(f) << " repr=" << static_cast<int>(repr)
+            << " strict=" << (mode == SweepMode::Strict);
+      }
+    }
+  }
 }
 
 TEST_F(E2EFixture, MultipleIicCopiesMatchReference) {

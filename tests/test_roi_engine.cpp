@@ -6,6 +6,7 @@
 
 #include "haralick/directions.hpp"
 #include "nd/raster.hpp"
+#include "oracle/reference.hpp"
 
 namespace h4d::haralick {
 namespace {
@@ -62,7 +63,8 @@ TEST(AnalyzeVolume, ValuesMatchDirectPerRoiComputation) {
   std::int64_t k = 0;
   for (const Vec4& o : raster(blocks[0].origins)) {
     const Glcm g = glcm_for_roi(v.view(), Region4{o, cfg.roi_dims}, dirs, cfg.num_levels);
-    const FeatureVector f = compute_features(g, cfg.features, cfg.zero_policy);
+    const FeatureVector f =
+        oracle::compute_features(g, cfg.features, oracle::ZeroPolicy::SkipZeros);
     EXPECT_FLOAT_EQ(blocks[0].values[static_cast<std::size_t>(k)],
                     static_cast<float>(f[Feature::AngularSecondMoment]));
     EXPECT_FLOAT_EQ(blocks[3].values[static_cast<std::size_t>(k)],

@@ -303,20 +303,21 @@ TEST_F(TailReadTest, HedgedReadsWinAgainstAGrayPrimaryAndEvictIt) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 2, 2);
   ReplicaSet replicas(root_, ds.meta(), {});
   LatencyTracker tracker(2);
-  SliceFetchPool pool(2);
-  TailConfig tail;
-  tail.hedge_enabled = true;
-  tail.hedge_pct = 90.0;
-  tail.hedge_floor_ms = 0.5;
-
   // Node 0 is gray: every primary read stalls ~10 ms (alive, just slow), so
-  // the hedge to node 1 wins the race every time.
+  // the hedge to node 1 wins the race every time. The injector is declared
+  // before the pool: a lost primary fetch may still be running on a pool
+  // thread, and the pool's destructor joins it before the injector dies.
   FaultConfig fc;
   fc.seed = 9;
   fc.p_stall = 1.0;
   fc.stall_ms = 10.0;
   fc.stall_cap_ms = 25.0;
   FaultInjector inj(fc);
+  SliceFetchPool pool(2);
+  TailConfig tail;
+  tail.hedge_enabled = true;
+  tail.hedge_pct = 90.0;
+  tail.hedge_floor_ms = 0.5;
 
   ResilienceConfig rc;
   rc.policy = DegradePolicy::Retry;
@@ -356,20 +357,20 @@ TEST_F(TailReadTest, HedgedReadsWinAgainstAGrayPrimaryAndEvictIt) {
 TEST_F(TailReadTest, DeadlineExpiryAbandonsAndFallsBackSynchronously) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 1);
   LatencyTracker tracker(1);
-  SliceFetchPool pool(2);
-  TailConfig tail;
-  tail.deadline_enabled = true;
-  tail.deadline_ms = 5.0;  // pinned, far below the injected stall
-
   // Every pooled read stalls ~20 ms and blows the 5 ms deadline; the
   // abandoned read is replaced by the synchronous fallback, which delivers
-  // the same bytes (a stall only delays).
+  // the same bytes (a stall only delays). The abandoned fetch keeps using
+  // the injector, so the injector outlives the pool that runs it.
   FaultConfig fc;
   fc.seed = 4;
   fc.p_stall = 1.0;
   fc.stall_ms = 20.0;
   fc.stall_cap_ms = 25.0;
   FaultInjector inj(fc);
+  SliceFetchPool pool(2);
+  TailConfig tail;
+  tail.deadline_enabled = true;
+  tail.deadline_ms = 5.0;  // pinned, far below the injected stall
 
   ResilienceConfig rc;
   rc.policy = DegradePolicy::Retry;
