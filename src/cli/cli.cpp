@@ -194,7 +194,7 @@ int cmd_info(const Args& args, std::ostream& out) {
 /// Tile-cache knobs shared by analyze/simulate/serve/jobs: --tile-cache-mb
 /// sets the budget (0 = off), --tile-shape W,H the tile extents,
 /// --prefetch-depth how many slices the raster-order prefetcher may run
-/// ahead, --cache-policy the eviction policy.
+/// ahead. Eviction is always LRU.
 io::TileCacheConfig cache_config_from_args(const Args& args) {
   io::TileCacheConfig cache;
   cache.budget_bytes =
@@ -208,7 +208,6 @@ io::TileCacheConfig cache_config_from_args(const Args& args) {
     cache.tile_h = shape[1];
   }
   cache.prefetch_depth = args.get_int("prefetch-depth", cache.prefetch_depth);
-  cache.policy = io::cache_policy_from_name(args.get("cache-policy", "lru"));
   return cache;
 }
 
@@ -252,7 +251,7 @@ io::TailConfig tail_config_from_args(const Args& args) {
 core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dataset) {
   // Removed options fail loudly instead of being silently ignored: a script
   // that asked for them would otherwise measure something else.
-  for (const char* removed : {"sliding", "queue"}) {
+  for (const char* removed : {"sliding", "queue", "cache-policy"}) {
     if (args.has(removed)) {
       throw std::runtime_error(std::string("--") + removed + " was removed; drop the option");
     }
@@ -354,7 +353,7 @@ void finish_observability(const Args& args, const fs::RunStats& stats,
     const double rate = c.lookups > 0
                             ? static_cast<double>(c.hits) / static_cast<double>(c.lookups)
                             : 0.0;
-    out << "cache: " << c.policy << ", " << c.budget_bytes / (1024 * 1024) << " MiB, "
+    out << "cache: " << c.budget_bytes / (1024 * 1024) << " MiB, "
         << c.hits << "/" << c.lookups << " hits (" << static_cast<int>(rate * 100)
         << "%), " << c.bytes_served_cache / 1024 << " KiB served, "
         << c.bytes_read_disk / 1024 << " KiB from disk, prefetch "
@@ -546,7 +545,7 @@ int finish_service(const Args& args, const svc::ServiceStats& stats, std::ostrea
   }
   if (stats.cache.present) {
     const fs::CacheReport& cr = stats.cache;
-    out << "cache: " << cr.policy << ", " << cr.budget_bytes / (1024 * 1024) << " MiB, "
+    out << "cache: " << cr.budget_bytes / (1024 * 1024) << " MiB, "
         << cr.hits << "/" << cr.lookups << " hits, " << cr.bytes_served_cache / 1024
         << " KiB served, " << cr.evictions << " evictions, "
         << cr.resident_bytes / 1024 << " KiB resident\n";
@@ -729,7 +728,7 @@ int usage(std::ostream& err) {
          "           [--poison N] [--watchdog-ms N]\n"
          "           [--checkpoint FILE] [--resume on|off]\n"
          "           [--tile-cache-mb N] [--tile-shape W,H]\n"
-         "           [--prefetch-depth N] [--cache-policy lru|clock|cost]\n"
+         "           [--prefetch-depth N]\n"
          "           [--read-deadline-ms auto|N] [--hedge-pct P]\n"
          "           [--hedge-max-inflight N]\n"
          "           [--trace FILE] [--metrics FILE]\n"
@@ -829,9 +828,6 @@ int usage(std::ostream& err) {
          "  --prefetch-depth N  slices the raster-order prefetcher may run\n"
          "                      ahead of the demand loop (0 = no prefetch;\n"
          "                      default 2; off under --faults)\n"
-         "  --cache-policy P    eviction policy: lru (default) | clock |\n"
-         "                      cost (weighs refetch cost: failover /\n"
-         "                      degraded-replica tiles are kept longer)\n"
          "\n"
          "tail-tolerant I/O (see docs/TAIL.md):\n"
          "  --read-deadline-ms D  per-read deadline on verified slice reads:\n"

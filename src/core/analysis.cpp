@@ -9,31 +9,11 @@ namespace h4d::core {
 
 namespace {
 
-AnalysisResult finish(std::shared_ptr<filters::CollectedResults> collected,
-                      const filters::ParamsPtr& params) {
-  AnalysisResult r;
-  r.origins = roi_origin_region(params->meta.dims, params->engine.roi_dims);
-  {
-    std::lock_guard lk(collected->mu);
-    r.maps = std::move(collected->maps);
-    r.ranges = std::move(collected->ranges);
-  }
-  r.faults = params->fault_sink->snapshot();
-  return r;
-}
-
 /// Fill RunStats.cache from the run's summed copy meters plus the cache
 /// instance itself (configuration echo and end-of-run occupancy).
 void fill_cache_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
   if (!params->tile_cache) return;
-  fs::CacheReport& c = stats.cache;
-  c.present = true;
-  const io::TileCacheConfig& cfg = params->cache;
-  c.policy = std::string(io::cache_policy_name(cfg.policy));
-  c.budget_bytes = static_cast<std::int64_t>(cfg.budget_bytes);
-  c.tile_w = cfg.tile_w;
-  c.tile_h = cfg.tile_h;
-  c.prefetch_depth = cfg.prefetch_depth;
+  fs::CacheReport& c = stats.cache = cache_report(params->cache);
   for (const fs::CopyStats& copy : stats.copies) {
     c.hits += copy.meter.cache_hits;
     c.misses += copy.meter.cache_misses;
@@ -47,41 +27,73 @@ void fill_cache_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
   c.resident_bytes = params->tile_cache->resident_bytes();
 }
 
-/// Fill RunStats.tail from the shared LatencyTracker (exact run totals),
-/// the configuration echo, and the replica set's eviction events.
-void fill_tail_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
-  if (!params->latency || !params->tail.enabled()) return;
-  const io::TailConfig& cfg = params->tail;
-  const io::LatencyTracker& lt = *params->latency;
-  fs::TailReport& t = stats.tail;
-  t.present = true;
-  t.deadline_mode =
-      !cfg.deadline_enabled ? "off" : (cfg.deadline_ms > 0.0 ? "fixed" : "auto");
-  t.deadline_ms = cfg.deadline_ms;
-  t.deadline_k = cfg.deadline_k;
-  t.deadline_floor_ms = cfg.deadline_floor_ms;
-  t.deadline_ceiling_ms = cfg.deadline_ceiling_ms;
-  t.hedge_enabled = cfg.hedge_enabled;
-  t.hedge_pct = cfg.hedge_pct;
-  t.hedge_max_inflight = cfg.hedge_max_inflight;
-  t.hedges_issued = lt.hedges_issued.load();
-  t.hedges_won = lt.hedges_won.load();
-  t.hedges_abandoned = lt.hedges_abandoned.load();
-  t.reads_abandoned = lt.reads_abandoned.load();
-  t.breaches = lt.breaches.load();
-  t.evictions_slow = lt.evictions_slow.load();
-  for (const io::NodeLatencyStats& n : lt.snapshot()) {
-    t.reads += n.reads;
-    t.nodes.push_back({n.node, n.reads, n.ewma_ms, n.p50_ms, n.p99_ms, n.breaches});
+/// The epilogue both executors share: hand over the collected maps and
+/// attach the run's fault, resume, cache and tail accounting to `stats`.
+AnalysisResult finish(std::shared_ptr<filters::CollectedResults> collected,
+                      const filters::ParamsPtr& params, const fs::RunStats& stats) {
+  AnalysisResult r;
+  r.origins = roi_origin_region(params->meta.dims, params->engine.roi_dims);
+  {
+    std::lock_guard lk(collected->mu);
+    r.maps = std::move(collected->maps);
+    r.ranges = std::move(collected->ranges);
   }
-  if (params->replica_set) {
-    for (const io::EvictionEvent& e : params->replica_set->eviction_events()) {
-      t.evictions.push_back({e.node, std::string(io::evict_reason_name(e.reason))});
-    }
+  r.faults = params->fault_sink->snapshot();
+  r.stats = stats;
+  r.stats.exec.chunks_resumed = params->chunks_resumed;
+  r.stats.exec.replica_failovers = r.faults.replica_failovers;
+  r.stats.exec.nodes_evicted = r.faults.nodes_evicted;
+  fill_cache_report(r.stats, params);
+  if (params->latency && params->tail.enabled()) {
+    r.stats.tail = tail_report(params->tail, *params->latency, params->replica_set.get(),
+                               /*skip_idle_nodes=*/false);
   }
+  return r;
 }
 
 }  // namespace
+
+fs::CacheReport cache_report(const io::TileCacheConfig& cache) {
+  fs::CacheReport c;
+  c.present = true;
+  c.budget_bytes = cache.budget_bytes;
+  c.tile_w = cache.tile_w;
+  c.tile_h = cache.tile_h;
+  c.prefetch_depth = cache.prefetch_depth;
+  return c;
+}
+
+fs::TailReport tail_report(const io::TailConfig& tail, const io::LatencyTracker& latency,
+                           const io::ReplicaSet* replicas, bool skip_idle_nodes) {
+  fs::TailReport t;
+  t.present = true;
+  t.deadline_mode =
+      !tail.deadline_enabled ? "off" : (tail.deadline_ms > 0.0 ? "fixed" : "auto");
+  t.deadline_ms = tail.deadline_ms;
+  t.deadline_k = tail.deadline_k;
+  t.deadline_floor_ms = tail.deadline_floor_ms;
+  t.deadline_ceiling_ms = tail.deadline_ceiling_ms;
+  t.hedge_enabled = tail.hedge_enabled;
+  t.hedge_pct = tail.hedge_pct;
+  t.hedge_max_inflight = tail.hedge_max_inflight;
+  t.hedges_issued = latency.hedges_issued.load();
+  t.hedges_won = latency.hedges_won.load();
+  t.hedges_abandoned = latency.hedges_abandoned.load();
+  t.reads_abandoned = latency.reads_abandoned.load();
+  t.breaches = latency.breaches.load();
+  t.evictions_slow = latency.evictions_slow.load();
+  for (const io::NodeLatencyStats& n : latency.snapshot()) {
+    if (skip_idle_nodes && n.reads == 0 && n.breaches == 0) continue;
+    t.reads += n.reads;
+    t.nodes.push_back({n.node, n.reads, n.ewma_ms, n.p50_ms, n.p99_ms, n.breaches});
+  }
+  if (replicas != nullptr) {
+    for (const io::EvictionEvent& e : replicas->eviction_events()) {
+      t.evictions.push_back({e.node, std::string(io::evict_reason_name(e.reason))});
+    }
+  }
+  return t;
+}
 
 AnalysisResult analyze_in_memory(const Volume4<std::uint16_t>& volume,
                                  const haralick::EngineConfig& engine) {
@@ -110,15 +122,7 @@ AnalysisResult analyze_threaded(PipelineConfig config,
   auto collected = std::make_shared<filters::CollectedResults>();
   const filters::ParamsPtr params = make_params(config);
   const fs::FilterGraph graph = build_pipeline(config, params, collected);
-  const fs::RunStats stats = fs::run_threaded(graph, threaded_options);
-  AnalysisResult r = finish(collected, params);
-  r.stats = stats;
-  r.stats.exec.chunks_resumed = params->chunks_resumed;
-  r.stats.exec.replica_failovers = r.faults.replica_failovers;
-  r.stats.exec.nodes_evicted = r.faults.nodes_evicted;
-  fill_cache_report(r.stats, params);
-  fill_tail_report(r.stats, params);
-  return r;
+  return finish(collected, params, fs::run_threaded(graph, threaded_options));
 }
 
 AnalysisResult analyze_simulated(PipelineConfig config, const sim::SimOptions& sim_options) {
@@ -126,15 +130,9 @@ AnalysisResult analyze_simulated(PipelineConfig config, const sim::SimOptions& s
   auto collected = std::make_shared<filters::CollectedResults>();
   const filters::ParamsPtr params = make_params(config);
   const fs::FilterGraph graph = build_pipeline(config, params, collected);
-  const sim::SimStats stats = sim::run_simulated(graph, sim_options);
-  AnalysisResult r = finish(collected, params);
-  r.sim = stats;
-  r.stats = stats;
-  r.stats.exec.chunks_resumed = params->chunks_resumed;
-  r.stats.exec.replica_failovers = r.faults.replica_failovers;
-  r.stats.exec.nodes_evicted = r.faults.nodes_evicted;
-  fill_cache_report(r.stats, params);
-  fill_tail_report(r.stats, params);
+  sim::SimStats stats = sim::run_simulated(graph, sim_options);
+  AnalysisResult r = finish(collected, params, stats);
+  r.sim = std::move(stats);
   return r;
 }
 

@@ -45,4 +45,17 @@ AnalysisResult analyze_threaded(PipelineConfig config,
 /// threaded run; stats/sim carry virtual-time figures.
 AnalysisResult analyze_simulated(PipelineConfig config, const sim::SimOptions& sim_options);
 
+/// The "cache" report with its configuration echo filled in; the caller adds
+/// the counters (a run sums its copies' meters, the service reads the shared
+/// cache's totals).
+fs::CacheReport cache_report(const io::TileCacheConfig& cache);
+
+/// The "io_tail" report: configuration echo, the tracker's totals and one row
+/// per node, plus the eviction events of `replicas` when given (a solo run's
+/// replica set; the service has none across jobs). `skip_idle_nodes` drops
+/// rows of nodes that served no read and breached nothing (the service's
+/// tracker is sized beyond any one dataset).
+fs::TailReport tail_report(const io::TailConfig& tail, const io::LatencyTracker& latency,
+                           const io::ReplicaSet* replicas, bool skip_idle_nodes);
+
 }  // namespace h4d::core

@@ -24,26 +24,8 @@ std::vector<int> first_node(const std::vector<int>& nodes) {
 
 filters::ParamsPtr make_params(const PipelineConfig& config) {
   filters::PipelineParams p;
-  p.dataset_root = config.dataset_root;
+  static_cast<filters::RunSettings&>(p) = config;
   p.meta = io::DatasetMeta::load(config.dataset_root);
-  p.engine = config.engine;
-  p.io_chunk = config.io_chunk;
-  p.texture_chunk = config.texture_chunk;
-  p.iic_copies = config.iic_copies;
-  p.packets_per_chunk = config.packets_per_chunk;
-  p.feature_buffer_samples = config.feature_buffer_samples;
-  p.resilience = config.resilience;
-  p.dead_nodes = config.dead_nodes;
-  p.faults = config.faults;
-  p.checkpoint_path = config.checkpoint_path;
-  p.resume = config.resume;
-  p.job_tag = config.job_tag;
-  p.cache = config.cache;
-  p.tile_cache = config.tile_cache;
-  p.cache_tenant = config.cache_tenant;
-  p.tail = config.tail;
-  p.latency = config.latency;
-  p.io_pool = config.io_pool;
   return filters::PipelineParams::make(std::move(p));
 }
 

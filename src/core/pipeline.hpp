@@ -24,25 +24,20 @@ enum class OutputMode {
   Collect,     ///< HIC -> in-memory collector (library API)
 };
 
-struct PipelineConfig {
-  std::filesystem::path dataset_root;
-  haralick::EngineConfig engine;
-
-  Vec4 io_chunk{0, 0, 1, 1};          ///< 0 => whole slice (paper Sec. 5.1)
-  Vec4 texture_chunk{64, 64, 8, 8};   ///< IIC->TEXTURE chunk extents
-  int packets_per_chunk = 4;
-  int feature_buffer_samples = 4096;
-
+/// A run's settings (filters::RunSettings, shared with PipelineParams) plus
+/// the shape of its filter graph: variant, output, copies, their node
+/// placement and the stream policies.
+struct PipelineConfig : filters::RunSettings {
   Variant variant = Variant::HMP;
   OutputMode output = OutputMode::Unstitched;
   std::filesystem::path output_dir;  ///< empty => account writes, keep no files
 
   /// Copies and their node placement. An empty node list places every copy
   /// on node 0. RFR copy k always reads storage node k, so rfr copies must
-  /// equal the dataset's storage node count.
+  /// equal the dataset's storage node count. The IIC copy count is the
+  /// run setting `iic_copies`.
   int rfr_copies = 1;
   std::vector<int> rfr_nodes;
-  int iic_copies = 1;
   std::vector<int> iic_nodes;
   int hmp_copies = 1;              ///< Variant::HMP
   std::vector<int> hmp_nodes;
@@ -57,51 +52,6 @@ struct PipelineConfig {
   fs::Policy matrix_policy = fs::Policy::DemandDriven;  ///< HCC -> HPC
   fs::RouteFn matrix_route;  ///< required when matrix_policy is Explicit
   fs::Policy output_policy = fs::Policy::DemandDriven;  ///< texture -> USO
-
-  /// Storage-fault handling of the RFR read path (retry budget, checksum
-  /// verification, degradation policy for irrecoverable slices).
-  io::ResilienceConfig resilience;
-  /// Storage nodes the operator declares dead (--dead-nodes). Their RFR
-  /// copies read nothing; slice ownership moves to the surviving replicas.
-  /// Node directories missing at open are detected and added automatically.
-  std::vector<int> dead_nodes;
-  /// Deterministic fault injection (resilience drills / tests); a
-  /// default-constructed config injects nothing.
-  io::FaultConfig faults;
-
-  /// Chunk-completion manifest for checkpoint/resume (empty => disabled).
-  /// With `resume`, chunks already recorded in the manifest are pruned from
-  /// the work list before the run starts.
-  std::filesystem::path checkpoint_path;
-  bool resume = false;
-  /// Identity of the job this run belongs to, folded into the checkpoint
-  /// manifest's ownership token (with the dataset and the chunk-grid
-  /// parameters). Concurrent jobs (src/svc) namespace their manifests by job
-  /// id AND stamp this tag, so --resume refuses a manifest written by a
-  /// different job or configuration instead of pruning the wrong chunks.
-  /// Empty: ownership covers only dataset + configuration.
-  std::string job_tag;
-
-  /// Shared out-of-core tile cache between the RFR readers and the slice
-  /// files (--tile-cache-mb/--tile-shape/--prefetch-depth/--cache-policy).
-  /// A zero budget disables it. When `tile_cache` is set (service layer /
-  /// bench harnesses), that process-wide instance is used instead of a
-  /// private one — except under fault injection, where the run always gets
-  /// a private cache so deterministic drills stay byte-identical.
-  io::TileCacheConfig cache;
-  std::shared_ptr<io::TileCache> tile_cache;
-  /// Tenant the cached bytes are accounted to (svc: the job's tenant).
-  std::string cache_tenant;
-
-  /// Tail-tolerant I/O on the RFR read path (--read-deadline-ms,
-  /// --hedge-pct, --hedge-max-inflight): adaptive per-read deadlines,
-  /// hedged replica reads, slow-node eviction. Default-constructed = off.
-  /// When `latency` / `io_pool` are set (service layer), those shared
-  /// instances are used — node latency reputation then spans jobs;
-  /// make_params builds private ones otherwise.
-  io::TailConfig tail;
-  std::shared_ptr<io::LatencyTracker> latency;
-  std::shared_ptr<io::SliceFetchPool> io_pool;
 };
 
 /// Build the filter graph for a configuration. When `collected` is non-null

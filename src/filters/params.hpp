@@ -23,10 +23,11 @@
 
 namespace h4d::filters {
 
-/// Immutable, shared by all filter copies of one pipeline run.
-struct PipelineParams {
+/// The settings of one run, declared once: core::PipelineConfig inherits
+/// them (what a caller sets) and so does PipelineParams (what every filter
+/// copy reads).
+struct RunSettings {
   std::filesystem::path dataset_root;
-  io::DatasetMeta meta;
   haralick::EngineConfig engine;
 
   /// RFR->IIC retrieval granularity within a slice (x, y extents; z and t
@@ -37,6 +38,7 @@ struct PipelineParams {
   /// IIC->TEXTURE chunk extents (paper Sec. 4.4).
   Vec4 texture_chunk{64, 64, 8, 8};
 
+  /// IIC copies; texture chunks go to them round-robin by chunk id.
   int iic_copies = 1;
   /// HCC flushes a matrix packet each time this fraction of a chunk's ROIs
   /// has been processed (paper: 1/4 of a chunk).
@@ -47,11 +49,12 @@ struct PipelineParams {
   /// Storage-fault handling of the RFR read path: retry budget, checksum
   /// verification, and what to do with irrecoverable slices.
   io::ResilienceConfig resilience;
-  /// Storage nodes declared dead by the operator (--dead-nodes). Merged with
-  /// the node directories found missing at open; the union is the static
-  /// dead list of the run's ReplicaSet.
+  /// Storage nodes declared dead by the operator (--dead-nodes). Their RFR
+  /// copies read nothing; slice ownership moves to the surviving replicas.
+  /// Node directories found missing at open are added automatically; the
+  /// union is the static dead list of the run's ReplicaSet.
   std::vector<int> dead_nodes;
-  /// Deterministic fault injection (testing / resilience drills); a
+  /// Deterministic fault injection (resilience drills / tests); a
   /// default-constructed config injects nothing.
   io::FaultConfig faults;
 
@@ -61,10 +64,52 @@ struct PipelineParams {
   /// pruned from the work list before the run starts.
   std::filesystem::path checkpoint_path;
   bool resume = false;
-  /// Job identity folded into the manifest's ownership token (src/svc
-  /// namespaces manifests per job and stamps the job id here). Empty for
-  /// solo runs: the token then covers only dataset + chunk-grid identity.
+  /// Job identity folded into the manifest's ownership token, with the
+  /// dataset and the chunk-grid parameters. src/svc namespaces manifests per
+  /// job and stamps the job id here, so --resume refuses a manifest written
+  /// by a different job or configuration instead of pruning the wrong
+  /// chunks. Empty for solo runs: the token then covers only dataset +
+  /// chunk-grid identity.
   std::string job_tag;
+
+  /// Tile-cache knobs (--tile-cache-mb/--tile-shape/--prefetch-depth).
+  /// Disabled (budget 0) => no cache.
+  io::TileCacheConfig cache;
+  /// The cache instance the RFR readers go through. The service layer (or a
+  /// bench harness) hands every job the process-wide shared instance; make()
+  /// builds a private one for solo runs when `cache` is enabled.
+  /// Fault-injected runs always get a private instance (or none): a
+  /// deterministic drill must not be perturbed by tiles another run cached.
+  std::shared_ptr<io::TileCache> tile_cache;
+  /// Tenant the cached bytes are accounted to (svc sets the job's tenant;
+  /// empty => "local").
+  std::string cache_tenant;
+
+  /// Tail-tolerance knobs (--read-deadline-ms/--hedge-pct/
+  /// --hedge-max-inflight): adaptive per-read deadlines, hedged replica
+  /// reads, slow-node eviction. Disabled => RFR reads stay fully
+  /// synchronous.
+  io::TailConfig tail;
+  /// Per-node read-latency statistics feeding deadlines/hedging. make()
+  /// builds a private one when tail is on; svc passes its process-wide
+  /// instance so a node's latency reputation spans jobs.
+  std::shared_ptr<io::LatencyTracker> latency;
+  /// I/O helper pool performing abandonable whole-slice fetches (private
+  /// or svc-shared, like `latency`).
+  std::shared_ptr<io::SliceFetchPool> io_pool;
+};
+
+/// Immutable, shared by all filter copies of one pipeline run: the run's
+/// settings plus the state make() derives from them.
+struct PipelineParams : RunSettings {
+  PipelineParams() = default;
+  PipelineParams(PipelineParams&&) = default;
+  /// Queued fetches on `io_pool` hold a raw pointer to `fault_injector`, so
+  /// the pool (and its worker threads) must go first; as a base member it
+  /// would otherwise outlive this struct's own members.
+  ~PipelineParams() { io_pool.reset(); }
+
+  io::DatasetMeta meta;
 
   /// The overlapping chunk partition (derived; computed once via make()).
   /// With resume, completed chunks are already pruned from this list; their
@@ -87,36 +132,12 @@ struct PipelineParams {
   std::shared_ptr<io::ChunkManifest> manifest;
   std::shared_ptr<io::ChunkCompletionTracker> completion;
 
-  /// Tile-cache knobs (--tile-cache-mb/--tile-shape/--prefetch-depth/
-  /// --cache-policy). Disabled (budget 0) => no cache.
-  io::TileCacheConfig cache;
-  /// The cache instance the RFR readers go through. The service layer hands
-  /// every job the process-wide shared instance; make() builds a private one
-  /// for solo runs when `cache` is enabled. Fault-injected runs always get a
-  /// private instance (or none): a deterministic drill must not be perturbed
-  /// by tiles another run cached.
-  std::shared_ptr<io::TileCache> tile_cache;
-  /// Tenant the cached bytes are accounted to (svc sets the job's tenant;
-  /// empty => "local").
-  std::string cache_tenant;
   /// Cache key of this dataset (derived by make()).
   std::uint64_t cache_dataset = 0;
   /// Planner prefetch hints: distinct slices in first-need order over the
   /// raster-scan chunk sequence (core::plan_prefetch_sequence). Empty when
   /// the cache or prefetch is off.
   std::vector<SliceCoord> prefetch_slices;
-
-  /// Tail-tolerance knobs (--read-deadline-ms/--hedge-pct/
-  /// --hedge-max-inflight); disabled => RFR reads stay fully synchronous.
-  io::TailConfig tail;
-  /// Per-node read-latency statistics feeding deadlines/hedging (derived by
-  /// make() when tail is on; svc passes its process-wide instance so a
-  /// node's latency reputation spans jobs).
-  std::shared_ptr<io::LatencyTracker> latency;
-  /// I/O helper pool performing abandonable whole-slice fetches. Declared
-  /// after fault_injector: queued requests hold a raw injector pointer, so
-  /// the pool (and its worker threads) must be destroyed first.
-  std::shared_ptr<io::SliceFetchPool> io_pool;
 
   static std::shared_ptr<const PipelineParams> make(PipelineParams p) {
     if (p.io_chunk[0] <= 0) p.io_chunk[0] = p.meta.dims[0];

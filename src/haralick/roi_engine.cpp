@@ -1,6 +1,5 @@
 #include "haralick/roi_engine.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -62,18 +61,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   }
   KernelScratch& ks = *scratch;
 
-  // Per-ROI matrix + feature evaluation through the kernel: accumulate the
-  // upper-triangle tile, then run the feature sweep over its non-zero cells.
-  // The representation only decides how the sweep credits `wc`.
-  const auto features_of_roi = [&](const Region4& roi, const std::vector<Vec4>& dv) {
-    const std::int64_t updates = ks.accumulate(chunk_view, roi, dv);
-    if (wc != nullptr) {
-      wc->glcm_pair_updates += updates;
-      wc->matrices_built += 1;
-    }
-    return ks.features_fused(cfg.features, wc, nullptr, cfg.sweep_mode, cfg.representation);
-  };
-
   std::int64_t k = 0;
   for (const Vec4& origin : raster(owned_origins)) {
     // ROI in chunk-local coordinates.
@@ -83,38 +70,16 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
                              " has ROI escaping chunk " + chunk_region.str());
     }
 
-    FeatureVector fv;
-    if (cfg.direction_mode == DirectionMode::Pooled) {
-      fv = features_of_roi(roi, dirs);
-    } else {
-      // One matrix per direction; aggregate the per-direction features.
-      FeatureVector lo, hi, sum;
-      bool first = true;
-      std::vector<Vec4> one_dir(1);
-      for (const Vec4& d : dirs) {
-        one_dir[0] = d;
-        const FeatureVector f = features_of_roi(roi, one_dir);
-        for (int s = 0; s < kNumFeatures; ++s) {
-          const auto idx = static_cast<std::size_t>(s);
-          sum.value[idx] += f.value[idx];
-          if (first) {
-            lo.value[idx] = f.value[idx];
-            hi.value[idx] = f.value[idx];
-          } else {
-            lo.value[idx] = std::min(lo.value[idx], f.value[idx]);
-            hi.value[idx] = std::max(hi.value[idx], f.value[idx]);
-          }
-        }
-        first = false;
-      }
-      const auto ndirs = static_cast<double>(dirs.size());
-      for (int s = 0; s < kNumFeatures; ++s) {
-        const auto idx = static_cast<std::size_t>(s);
-        fv.value[idx] = cfg.direction_mode == DirectionMode::MeanOverDirections
-                            ? sum.value[idx] / ndirs
-                            : hi.value[idx] - lo.value[idx];
-      }
+    // Accumulate the upper-triangle tile, then run the feature sweep over
+    // its non-zero cells. The representation only decides how the sweep
+    // credits `wc`.
+    const std::int64_t updates = ks.accumulate(chunk_view, roi, dirs);
+    if (wc != nullptr) {
+      wc->glcm_pair_updates += updates;
+      wc->matrices_built += 1;
     }
+    const FeatureVector fv =
+        ks.features_fused(cfg.features, wc, nullptr, cfg.sweep_mode, cfg.representation);
     for (std::size_t s = 0; s < selected.size(); ++s) {
       blocks[s].values[static_cast<std::size_t>(k)] = static_cast<float>(fv[selected[s]]);
     }

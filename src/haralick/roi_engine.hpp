@@ -20,15 +20,8 @@
 
 namespace h4d::haralick {
 
-/// How the direction set is combined per ROI.
-///
-/// Pooled accumulates every direction into one matrix (the pipeline
-/// default). Haralick's original methodology computes the features per
-/// direction and reports their mean (rotation-invariant value) or range
-/// (anisotropy measure) over directions.
-enum class DirectionMode { Pooled, MeanOverDirections, RangeOverDirections };
-
-/// Parameters of one texture analysis run.
+/// Parameters of one texture analysis run. Every ROI gets one co-occurrence
+/// matrix pooled over the whole direction set (paper Sec. 3, Fig. 2).
 struct EngineConfig {
   Vec4 roi_dims{7, 7, 3, 3};
   int num_levels = 32;
@@ -37,10 +30,6 @@ struct EngineConfig {
   /// Wire format of the HCC->HPC stream and how the feature sweep credits
   /// the cost model (kernel.hpp); it does not change the features.
   Representation representation = Representation::Full;
-
-  /// Per-direction aggregation. Non-pooled modes build one matrix per
-  /// direction (|dirs| times the construction work).
-  DirectionMode direction_mode = DirectionMode::Pooled;
 
   /// Floating-point mode of the feature sweep, in every filter and for both
   /// representations. Fast (default) uses the SoA/SIMD reductions and the

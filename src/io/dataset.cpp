@@ -104,24 +104,45 @@ DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
   return m;
 }
 
+bool is_node_local_filename(const std::string& name) {
+  return !name.empty() && name != "." && name != ".." && name.find('/') == std::string::npos;
+}
+
 StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
                                      int node_id)
     : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
   std::ifstream idx(dir_ / kIndexFileName);
   if (!idx) throw std::runtime_error("cannot read index " + (dir_ / kIndexFileName).string());
   // Line format: "<t> <z> <filename> [<crc32-hex>]". The checksum column was
-  // added later; indexes without it stay readable (has_crc == false).
+  // added later; indexes without it stay readable (has_crc == false). The
+  // filename is joined onto the node directory, so it must name a file in
+  // that directory: one relative path component, never "." or "..".
   std::string line;
+  std::int64_t line_no = 0;
+  const auto reject = [&](const std::string& what) {
+    throw std::runtime_error(what + " in " + (dir_ / kIndexFileName).string() + ":" +
+                             std::to_string(line_no) + ": " + line);
+  };
   while (std::getline(idx, line)) {
+    ++line_no;
     if (line.empty()) continue;
     std::istringstream is(line);
     SliceRef s;
-    if (!(is >> s.t >> s.z >> s.filename)) {
-      throw std::runtime_error("malformed index line in " +
-                               (dir_ / kIndexFileName).string() + ": " + line);
+    if (!(is >> s.t >> s.z >> s.filename)) reject("malformed index line");
+    if (s.t < 0 || s.t >= meta_.dims[3] || s.z < 0 || s.z >= meta_.dims[2]) {
+      reject("index slice (t=" + std::to_string(s.t) + ", z=" + std::to_string(s.z) +
+             ") outside the volume's " + std::to_string(meta_.dims[3]) + " x " +
+             std::to_string(meta_.dims[2]) + " (t x z) slices");
+    }
+    if (!is_node_local_filename(s.filename)) {
+      reject("index filename '" + s.filename + "' is not a file in the node directory");
     }
     std::string crc_hex;
     if (is >> crc_hex) {
+      if (crc_hex.size() > 8 ||
+          crc_hex.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos) {
+        reject("index checksum '" + crc_hex + "' is not a CRC-32 in hex");
+      }
       s.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
       s.has_crc = true;
     }

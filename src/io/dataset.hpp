@@ -90,6 +90,11 @@ std::string slice_filename(std::int64_t t, std::int64_t z);
 /// Conventional directory name of a storage node under the dataset root.
 std::string node_dir_name(int node);
 
+/// Whether an index filename names a file inside its node directory: one
+/// relative path component, not "." or "..". Anything else, joined onto the
+/// node directory, could resolve outside the dataset.
+bool is_node_local_filename(const std::string& name);
+
 /// Name of the per-node index file.
 inline constexpr const char* kIndexFileName = "index.txt";
 

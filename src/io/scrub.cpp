@@ -53,7 +53,9 @@ std::vector<NodeState> load_nodes(const std::filesystem::path& root,
       std::istringstream is(line);
       std::int64_t t = 0, z = 0;
       IndexEntry e;
-      if (!(is >> t >> z >> e.filename)) continue;  // malformed line: a finding later
+      // Malformed lines and names outside the node directory are dropped:
+      // the slice then shows up as an index_entry_missing finding.
+      if (!(is >> t >> z >> e.filename) || !is_node_local_filename(e.filename)) continue;
       std::string hex;
       if (is >> hex) {
         try {

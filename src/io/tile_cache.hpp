@@ -22,10 +22,7 @@
 //     shard holds budget/shards bytes, so concurrent filter copies and
 //     concurrent svc::JobManager jobs share one cache without serializing
 //     and the global budget is never exceeded.
-//   * Eviction is pluggable per config: LRU (default), clock (second
-//     chance), or a cost-aware policy that weighs what a re-fetch would
-//     cost — tiles whose surviving replica is remote or probation-probed
-//     are refetch-expensive and are evicted last.
+//   * Eviction is least-recently-used per shard.
 //   * Per-tenant accounting: hits/misses/served/resident bytes are tracked
 //     per interned tenant id for the service layer's budget reports.
 //
@@ -42,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,18 +46,8 @@
 
 namespace h4d::io {
 
-/// Eviction policy of the tile cache.
-enum class CachePolicy {
-  Lru,    ///< strict least-recently-used
-  Clock,  ///< second-chance ring (ref bit per tile)
-  Cost,   ///< LRU order, but the cheapest-to-refetch of the coldest few goes
-};
-
-std::string_view cache_policy_name(CachePolicy p);
-CachePolicy cache_policy_from_name(const std::string& name);
-
 /// Configuration of one TileCache instance (--tile-cache-mb, --tile-shape,
-/// --prefetch-depth, --cache-policy).
+/// --prefetch-depth).
 struct TileCacheConfig {
   /// Total memory budget in bytes; 0 disables the cache entirely.
   std::int64_t budget_bytes = 0;
@@ -72,7 +58,6 @@ struct TileCacheConfig {
   /// Slices the per-copy prefetcher may run ahead of the demand loop
   /// (0 = prefetch off). Driven by the planner's raster-scan chunk order.
   int prefetch_depth = 2;
-  CachePolicy policy = CachePolicy::Lru;
   /// Lock shards. The constructor clamps this so every shard's budget holds
   /// at least one full tile; tests pin eviction order with shards = 1.
   int shards = 8;
@@ -143,11 +128,11 @@ class TileCache {
 
   /// Insert every tile of one whole slice (`bytes` = meta.slice_bytes() raw
   /// dtype bytes, already verified by the caller). Tiles already resident
-  /// are kept; `cost` is the refetch cost the Cost policy weighs;
-  /// `prefetched` marks tiles for the prefetch_issued/useful accounting.
+  /// are kept; `prefetched` marks tiles for the prefetch_issued/useful
+  /// accounting.
   void insert_slice(std::uint64_t dataset, const DatasetMeta& meta, std::int64_t t,
-                    std::int64_t z, const std::uint8_t* bytes, double cost,
-                    bool prefetched, int tenant);
+                    std::int64_t z, const std::uint8_t* bytes, bool prefetched,
+                    int tenant);
 
   /// Every tile of slice (t, z) resident? Does not touch recency state
   /// (the prefetcher's skip test).
@@ -179,9 +164,7 @@ class TileCache {
   struct Entry {
     std::vector<std::uint8_t> bytes;  ///< ew x eh raw dtype elements, row-major
     std::int64_t ew = 0, eh = 0;      ///< clipped tile extents
-    double cost = 1.0;                ///< refetch cost (Cost policy)
     bool prefetched = false;          ///< inserted by prefetch, not yet hit
-    bool ref = false;                 ///< clock second-chance bit
     int tenant = 0;
     std::list<TileKey>::iterator pos;  ///< position in the shard's order list
   };
@@ -201,7 +184,8 @@ class TileCache {
 
   Shard& shard_of(const TileKey& k);
   const Shard& shard_of(const TileKey& k) const;
-  /// Evict per policy until `need` more bytes fit in `s`. Caller holds s.mu.
+  /// Evict least-recently-used tiles until `need` more bytes fit in `s`.
+  /// Caller holds s.mu.
   void make_room(Shard& s, std::int64_t need);
   void evict_entry(Shard& s, std::list<TileKey>::iterator victim);
   TenantCounters& tenant(int id);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "core/analysis.hpp"
 #include "io/fault.hpp"
 
 namespace h4d::svc {
@@ -539,14 +540,8 @@ ServiceStats JobManager::snapshot() const {
   s.jobs.reserve(jobs_.size());
   for (const auto& j : jobs_) s.jobs.push_back(j->rec);
   if (opt_.tile_cache) {
-    const io::TileCacheConfig& cfg = opt_.tile_cache->config();
     const io::TileCacheStats cs = opt_.tile_cache->stats();
-    s.cache.present = true;
-    s.cache.policy = std::string(io::cache_policy_name(cfg.policy));
-    s.cache.budget_bytes = static_cast<std::int64_t>(cfg.budget_bytes);
-    s.cache.tile_w = cfg.tile_w;
-    s.cache.tile_h = cfg.tile_h;
-    s.cache.prefetch_depth = cfg.prefetch_depth;
+    s.cache = core::cache_report(opt_.tile_cache->config());
     s.cache.lookups = cs.lookups;
     s.cache.hits = cs.hits;
     s.cache.misses = cs.misses;
@@ -569,32 +564,10 @@ ServiceStats JobManager::snapshot() const {
     }
   }
   if (opt_.tail.enabled() && opt_.latency) {
-    const io::TailConfig& cfg = opt_.tail;
-    const io::LatencyTracker& lt = *opt_.latency;
-    s.tail.present = true;
-    s.tail.deadline_mode =
-        !cfg.deadline_enabled ? "off" : (cfg.deadline_ms > 0.0 ? "fixed" : "auto");
-    s.tail.deadline_ms = cfg.deadline_ms;
-    s.tail.deadline_k = cfg.deadline_k;
-    s.tail.deadline_floor_ms = cfg.deadline_floor_ms;
-    s.tail.deadline_ceiling_ms = cfg.deadline_ceiling_ms;
-    s.tail.hedge_enabled = cfg.hedge_enabled;
-    s.tail.hedge_pct = cfg.hedge_pct;
-    s.tail.hedge_max_inflight = cfg.hedge_max_inflight;
-    s.tail.hedges_issued = lt.hedges_issued.load();
-    s.tail.hedges_won = lt.hedges_won.load();
-    s.tail.hedges_abandoned = lt.hedges_abandoned.load();
-    s.tail.reads_abandoned = lt.reads_abandoned.load();
-    s.tail.breaches = lt.breaches.load();
-    s.tail.evictions_slow = lt.evictions_slow.load();
-    // Rows for nodes that served at least one pooled read (a service-wide
-    // tracker is sized generously, so silent all-zero rows are just noise).
-    for (const io::NodeLatencyStats& n : lt.snapshot()) {
-      if (n.reads == 0 && n.breaches == 0) continue;
-      s.tail.reads += n.reads;
-      s.tail.nodes.push_back(
-          {n.node, n.reads, n.ewma_ms, n.p50_ms, n.p99_ms, n.breaches});
-    }
+    // No replica set spans jobs, so no eviction rows; the service-wide
+    // tracker is sized generously, so silent all-zero node rows are noise.
+    s.tail = core::tail_report(opt_.tail, *opt_.latency, /*replicas=*/nullptr,
+                               /*skip_idle_nodes=*/true);
   }
   return s;
 }

@@ -99,10 +99,9 @@ void write_jobs_metrics_object(std::ostream& os, const ServiceStats& stats) {
   write_exec(os, stats.exec);
   if (stats.cache.present) {
     const fs::CacheReport& c = stats.cache;
-    os << ",\n  \"cache\": {\"policy\": ";
-    jstr(os, c.policy);
-    os << ", \"budget_bytes\": " << c.budget_bytes << ", \"tile_w\": " << c.tile_w
-       << ", \"tile_h\": " << c.tile_h << ", \"prefetch_depth\": " << c.prefetch_depth
+    os << ",\n  \"cache\": {\"budget_bytes\": " << c.budget_bytes
+       << ", \"tile_w\": " << c.tile_w << ", \"tile_h\": " << c.tile_h
+       << ", \"prefetch_depth\": " << c.prefetch_depth
        << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
        << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk
        << ", \"bytes_served_cache\": " << c.bytes_served_cache

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -50,6 +51,36 @@ void strip_crc_column(const fsys::path& index_file) {
   in.close();
   std::ofstream rewritten(index_file, std::ios::trunc);
   rewritten << out.str();
+}
+
+// Open node 0's reader over an index holding `original` plus one `bad`
+// line; it must throw a runtime_error naming the index file, the line
+// number and the line.
+void expect_index_line_rejected(const fsys::path& root, const std::string& original,
+                                const std::string& bad) {
+  const fsys::path index_file = root / "node_0" / "index.txt";
+  {
+    std::ofstream out(index_file, std::ios::trunc);
+    out << original << bad << '\n';
+  }
+  const auto lines = std::count(original.begin(), original.end(), '\n');
+  try {
+    static_cast<void>(DiskDataset::open(root).node_reader(0));
+    ADD_FAILURE() << "index line accepted: " << bad;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(index_file.string() + ":" + std::to_string(lines + 1) + ": "),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(bad), std::string::npos) << msg;
+  }
+}
+
+std::string read_file(const fsys::path& file) {
+  std::ifstream in(file);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
 }
 
 class CorruptionTest : public ::testing::Test {
@@ -151,6 +182,37 @@ TEST_F(CorruptionTest, LegacyIndexWithoutChecksumsStillReads) {
   // ...and corruption is — by design — no longer detectable.
   flip_byte(slice00_path(), 5);
   EXPECT_NO_THROW(reopened.read_region(Region4::whole(vol_.dims())));
+}
+
+TEST_F(CorruptionTest, IndexFilenameOutsideNodeDirectoryIsRejected) {
+  DiskDataset::create(root_, vol_, 1);
+  const std::string original = read_file(root_ / "node_0" / "index.txt");
+  // A relative escape and an absolute path (which replaces the whole joined
+  // path) would both read a file outside the dataset.
+  for (const char* bad : {"0 0 ../../../etc/passwd", "0 0 /etc/passwd", "0 0 ..",
+                          "0 0 .", "0 0 sub/slice_t0_z0.raw"}) {
+    expect_index_line_rejected(root_, original, bad);
+  }
+}
+
+TEST_F(CorruptionTest, IndexSliceOutsideTheVolumeIsRejected) {
+  DiskDataset::create(root_, vol_, 1);  // 3 time steps x 4 z slices
+  const std::string original = read_file(root_ / "node_0" / "index.txt");
+  for (const char* bad : {"3 0 slice_t3_z0.raw", "0 4 slice_t0_z4.raw",
+                          "-1 0 slice_t0_z0.raw", "0 -1 slice_t0_z0.raw"}) {
+    expect_index_line_rejected(root_, original, bad);
+  }
+}
+
+TEST_F(CorruptionTest, IndexNonHexChecksumIsRejected) {
+  DiskDataset::create(root_, vol_, 1);
+  const std::string original = read_file(root_ / "node_0" / "index.txt");
+  // "12zz" used to parse as 0x12; "xyz" threw a bare std::stoul error; nine
+  // digits do not fit a CRC-32.
+  for (const char* bad : {"0 0 slice_t0_z0.raw 12zz", "0 0 slice_t0_z0.raw xyz",
+                          "0 0 slice_t0_z0.raw 123456789"}) {
+    expect_index_line_rejected(root_, original, bad);
+  }
 }
 
 TEST_F(CorruptionTest, TruncatedSliceReportsExpectedVersusActual) {

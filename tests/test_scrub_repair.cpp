@@ -105,6 +105,36 @@ TEST_F(ScrubRepairTest, BitFlipIsDetectedAndRepaired) {
   expect_intact();
 }
 
+TEST_F(ScrubRepairTest, IndexNameOutsideTheNodeDirectoryIsNotFollowed) {
+  create(3, 2);
+  // Point node 0's entry for slice (0, 0) at node 1's replica: scrub must not
+  // vouch for node 0's copy by reading another node's file.
+  const fsys::path index = root_ / node_dir_name(0) / kIndexFileName;
+  std::ifstream in(index);
+  std::ostringstream rewritten;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("0 0 ", 0) == 0) {
+      std::istringstream is(line);
+      std::string t, z, name, crc;
+      is >> t >> z >> name >> crc;
+      line = "0 0 ../" + node_dir_name(1) + "/" + name + " " + crc;
+    }
+    rewritten << line << '\n';
+  }
+  in.close();
+  std::ofstream(index, std::ios::trunc) << rewritten.str();
+
+  const ScrubReport before = scrub_dataset(root_);
+  ASSERT_EQ(before.findings.size(), 1u) << before.summary();
+  EXPECT_EQ(before.findings[0].kind, ScrubDefect::IndexEntryMissing);
+  EXPECT_EQ(before.findings[0].node, 0);
+
+  EXPECT_TRUE(repair_dataset(root_).complete());
+  EXPECT_TRUE(scrub_dataset(root_).clean());
+  expect_intact();
+}
+
 TEST_F(ScrubRepairTest, TruncatedCopyIsDetectedAndRepaired) {
   create(3, 2);
   fsys::resize_file(slice_path(1, 1, 2), 10);

@@ -133,15 +133,10 @@ CACHE_INT_KEYS = (
     "resident_bytes",
 )
 
-CACHE_POLICIES = ("lru", "clock", "cost")
-
-
 def check_cache_object(cache: object, path: str, where: str) -> None:
     """Tile-cache section: key presence, types, and counter conservation."""
     if not require(isinstance(cache, dict), path, f"{where}: not an object"):
         return
-    require(cache.get("policy") in CACHE_POLICIES, path,
-            f"{where}: policy invalid ({cache.get('policy')!r})")
     for k in CACHE_INT_KEYS:
         require(isinstance(cache.get(k), int), path, f"{where}: missing {k}")
     if all(isinstance(cache.get(k), int) for k in CACHE_INT_KEYS):
