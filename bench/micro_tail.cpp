@@ -88,7 +88,7 @@ bench::MicroRun run_pass(const std::string& label, const fsys::path& root,
   const auto t0 = steady::now();
   for (const io::SliceRef& s : reader.slices()) {
     const auto r0 = steady::now();
-    if (!reader.read_slice_region(s, 0, 0, dims[0], dims[1], out.data())) {
+    if (!reader.read_slice(s, out.data())) {
       std::cerr << "read failed at t=" << s.t << " z=" << s.z << "\n";
       std::exit(1);
     }
@@ -97,6 +97,7 @@ bench::MicroRun run_pass(const std::string& label, const fsys::path& root,
   }
   const double wall = std::chrono::duration<double>(steady::now() - t0).count();
 
+  const io::ReaderCounters c = reader.counters();
   bench::MicroRun row;
   row.label = label;
   row.metrics = {
@@ -104,17 +105,17 @@ bench::MicroRun run_pass(const std::string& label, const fsys::path& root,
       {"p50_ms", percentile(read_ms, 0.50)},
       {"p99_ms", percentile(read_ms, 0.99)},
       {"max_ms", *std::max_element(read_ms.begin(), read_ms.end())},
-      {"hedges_issued", static_cast<double>(reader.tail_hedges_issued())},
-      {"hedges_won", static_cast<double>(reader.tail_hedges_won())},
-      {"reads_abandoned", static_cast<double>(reader.tail_reads_abandoned())},
-      {"slow_evictions", static_cast<double>(reader.tail_slow_evictions())},
+      {"hedges_issued", static_cast<double>(c.hedges_issued)},
+      {"hedges_won", static_cast<double>(c.hedges_won)},
+      {"reads_abandoned", static_cast<double>(c.reads_abandoned)},
+      {"slow_evictions", static_cast<double>(c.slow_evictions)},
       {"wall_s", wall},
   };
   std::cout << "  " << label << ": " << read_ms.size() << " reads, p50 "
             << percentile(read_ms, 0.50) << " ms, p99 " << percentile(read_ms, 0.99)
-            << " ms, hedges " << reader.tail_hedges_won() << "/"
-            << reader.tail_hedges_issued() << " won, "
-            << reader.tail_slow_evictions() << " slow evictions, " << wall << " s\n";
+            << " ms, hedges " << c.hedges_won << "/"
+            << c.hedges_issued << " won, "
+            << c.slow_evictions << " slow evictions, " << wall << " s\n";
   return row;
 }
 

@@ -191,22 +191,14 @@ int cmd_info(const Args& args, std::ostream& out) {
   return 0;
 }
 
-/// Tile-cache knobs shared by analyze/simulate/serve/jobs: --tile-cache-mb
-/// sets the budget (0 = off), --tile-shape W,H the tile extents,
-/// --prefetch-depth how many slices the raster-order prefetcher may run
-/// ahead. Eviction is always LRU.
+/// Slice-cache knobs shared by analyze/simulate/serve/jobs: --tile-cache-mb
+/// sets the budget (0 = off), --prefetch-depth how many slices the
+/// raster-order prefetcher may run ahead. Entries are whole slices; eviction
+/// is always LRU.
 io::TileCacheConfig cache_config_from_args(const Args& args) {
   io::TileCacheConfig cache;
   cache.budget_bytes =
       static_cast<std::size_t>(args.get_int("tile-cache-mb", 0)) * 1024 * 1024;
-  const std::vector<int> shape = args.get_int_list("tile-shape");
-  if (!shape.empty()) {
-    if (shape.size() != 2) {
-      throw std::runtime_error("--tile-shape needs exactly W,H (two values)");
-    }
-    cache.tile_w = shape[0];
-    cache.tile_h = shape[1];
-  }
   cache.prefetch_depth = args.get_int("prefetch-depth", cache.prefetch_depth);
   return cache;
 }
@@ -251,7 +243,7 @@ io::TailConfig tail_config_from_args(const Args& args) {
 core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dataset) {
   // Removed options fail loudly instead of being silently ignored: a script
   // that asked for them would otherwise measure something else.
-  for (const char* removed : {"sliding", "queue", "cache-policy"}) {
+  for (const char* removed : {"sliding", "queue", "cache-policy", "tile-shape"}) {
     if (args.has(removed)) {
       throw std::runtime_error(std::string("--") + removed + " was removed; drop the option");
     }
@@ -727,8 +719,7 @@ int usage(std::ostream& err) {
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"
          "           [--poison N] [--watchdog-ms N]\n"
          "           [--checkpoint FILE] [--resume on|off]\n"
-         "           [--tile-cache-mb N] [--tile-shape W,H]\n"
-         "           [--prefetch-depth N]\n"
+         "           [--tile-cache-mb N] [--prefetch-depth N]\n"
          "           [--read-deadline-ms auto|N] [--hedge-pct P]\n"
          "           [--hedge-max-inflight N]\n"
          "           [--trace FILE] [--metrics FILE]\n"
@@ -816,15 +807,13 @@ int usage(std::ostream& err) {
          "                      ~3% slower, for cross-checking reference\n"
          "                      values bit-for-bit)\n"
          "\n"
-         "tile cache (see docs/CACHE.md):\n"
-         "  --tile-cache-mb N   memory budget of the shared out-of-core tile\n"
-         "                      cache between the readers and the slice files\n"
-         "                      (0 = off, the default); repeated / overlapping\n"
-         "                      reads are served from memory, byte-identical\n"
-         "                      to cache-off. Counters land in the metrics\n"
-         "                      \"cache\" section\n"
-         "  --tile-shape W,H    cached tile extents within a slice\n"
-         "                      (default 64,64)\n"
+         "slice cache (see docs/CACHE.md):\n"
+         "  --tile-cache-mb N   memory budget of the shared out-of-core cache\n"
+         "                      of whole slices between the readers and the\n"
+         "                      slice files (0 = off, the default); repeated /\n"
+         "                      overlapping reads are served from memory,\n"
+         "                      byte-identical to cache-off. Counters land in\n"
+         "                      the metrics \"cache\" section\n"
          "  --prefetch-depth N  slices the raster-order prefetcher may run\n"
          "                      ahead of the demand loop (0 = no prefetch;\n"
          "                      default 2; off under --faults)\n"

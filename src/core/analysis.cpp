@@ -57,8 +57,6 @@ fs::CacheReport cache_report(const io::TileCacheConfig& cache) {
   fs::CacheReport c;
   c.present = true;
   c.budget_bytes = cache.budget_bytes;
-  c.tile_w = cache.tile_w;
-  c.tile_h = cache.tile_h;
   c.prefetch_depth = cache.prefetch_depth;
   return c;
 }

@@ -90,7 +90,7 @@ fs::FilterGraph build_pipeline(const PipelineConfig& config, filters::ParamsPtr 
           {"USO",
            [params, dir] { return std::make_unique<filters::UnstitchedOutput>(params, dir); },
            config.uso_copies, config.uso_nodes});
-      g.connect(texture_out, kPortFeatures, uso, config.output_policy);
+      g.connect(texture_out, kPortFeatures, uso, fs::Policy::DemandDriven);
       break;
     }
     case OutputMode::Images: {

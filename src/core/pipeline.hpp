@@ -51,7 +51,6 @@ struct PipelineConfig : filters::RunSettings {
   fs::Policy chunk_policy = fs::Policy::DemandDriven;   ///< IIC -> texture
   fs::Policy matrix_policy = fs::Policy::DemandDriven;  ///< HCC -> HPC
   fs::RouteFn matrix_route;  ///< required when matrix_policy is Explicit
-  fs::Policy output_policy = fs::Policy::DemandDriven;  ///< texture -> USO
 };
 
 /// Build the filter graph for a configuration. When `collected` is non-null

@@ -83,6 +83,26 @@ class SlicePrefetcher {
   std::thread thread_;
 };
 
+/// Add one reader's counter delta to the copy's meter.
+void meter_reads(fs::WorkMeter& m, const io::ReaderCounters& d) {
+  m.disk_seeks += d.seeks;
+  m.disk_bytes_read += d.bytes_read;
+  m.cache_hits += d.cache_hits;
+  m.cache_misses += d.cache_misses;
+  m.cache_bytes_served += d.cache_bytes_served;
+  m.read_retries += d.read_retries;
+  m.slices_skipped += d.slices_skipped;
+  m.checksum_failures += d.checksum_failures;
+  m.replica_failovers += d.replica_failovers;
+  m.nodes_evicted += d.nodes_evicted;
+  m.hedges_issued += d.hedges_issued;
+  m.hedges_won += d.hedges_won;
+  m.hedges_abandoned += d.hedges_abandoned;
+  m.reads_abandoned += d.reads_abandoned;
+  m.tail_breaches += d.tail_breaches;
+  m.slow_evictions += d.slow_evictions;
+}
+
 }  // namespace
 
 void RawFileReader::run_source(fs::FilterContext& ctx) {
@@ -116,24 +136,10 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
   }
   const Quantizer quant = p_->quantizer();
 
-  // x/y tiling of a slice into RFR->IIC pieces.
-  const Vec4 slice_dims{p_->meta.dims[0], p_->meta.dims[1], 1, 1};
-  const std::vector<Region4> tiles = partition_plain(slice_dims, p_->io_chunk);
-
-  std::vector<std::uint16_t> raw;
+  // Each slice goes to IIC whole, as one piece (paper Sec. 5.1).
+  std::vector<std::uint16_t> raw(static_cast<std::size_t>(p_->meta.dims[0] * p_->meta.dims[1]));
   std::int64_t seq = 0;
-  std::int64_t seeks_before = 0;
-  std::int64_t bytes_before = 0;
-  std::int64_t cache_hits_before = 0;
-  std::int64_t cache_misses_before = 0;
-  std::int64_t cache_served_before = 0;
-  io::FaultReport report_before;
-  std::int64_t hedges_issued_before = 0;
-  std::int64_t hedges_won_before = 0;
-  std::int64_t hedges_abandoned_before = 0;
-  std::int64_t reads_abandoned_before = 0;
-  std::int64_t tail_breaches_before = 0;
-  std::int64_t slow_evictions_before = 0;
+  io::ReaderCounters before = reader.counters();
 
   // Raster-order prefetch: pull this node's upcoming slices into the shared
   // cache while the demand loop (and everything downstream) computes. Off
@@ -178,67 +184,25 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
       // never indexed (failover fallback) gets the conventional name.
       io::SliceRef slice{t, z, io::slice_filename(t, z), 0, false};
       if (const io::SliceRef* indexed = reader.find_slice(t, z)) slice = *indexed;
-      for (const Region4& tile : tiles) {
-        raw.resize(static_cast<std::size_t>(tile.size[0] * tile.size[1]));
-        reader.read_slice_region(slice, tile.origin[0], tile.origin[1], tile.size[0],
-                                 tile.size[1], raw.data());
-        ctx.meter().disk_seeks += reader.seeks_performed() - seeks_before;
-        ctx.meter().disk_bytes_read += reader.bytes_read() - bytes_before;
-        seeks_before = reader.seeks_performed();
-        bytes_before = reader.bytes_read();
-        ctx.meter().cache_hits += reader.cache_hits() - cache_hits_before;
-        ctx.meter().cache_misses += reader.cache_misses() - cache_misses_before;
-        ctx.meter().cache_bytes_served +=
-            reader.cache_bytes_served() - cache_served_before;
-        cache_hits_before = reader.cache_hits();
-        cache_misses_before = reader.cache_misses();
-        cache_served_before = reader.cache_bytes_served();
-        const io::FaultReport& rep = reader.report();
-        ctx.meter().read_retries += rep.read_retries - report_before.read_retries;
-        ctx.meter().slices_skipped += rep.slices_skipped - report_before.slices_skipped;
-        ctx.meter().checksum_failures +=
-            rep.checksum_failures - report_before.checksum_failures;
-        ctx.meter().replica_failovers +=
-            rep.replica_failovers - report_before.replica_failovers;
-        ctx.meter().nodes_evicted += rep.nodes_evicted - report_before.nodes_evicted;
-        report_before.read_retries = rep.read_retries;
-        report_before.slices_skipped = rep.slices_skipped;
-        report_before.checksum_failures = rep.checksum_failures;
-        report_before.replica_failovers = rep.replica_failovers;
-        report_before.nodes_evicted = rep.nodes_evicted;
-        ctx.meter().hedges_issued += reader.tail_hedges_issued() - hedges_issued_before;
-        ctx.meter().hedges_won += reader.tail_hedges_won() - hedges_won_before;
-        ctx.meter().hedges_abandoned +=
-            reader.tail_hedges_abandoned() - hedges_abandoned_before;
-        ctx.meter().reads_abandoned +=
-            reader.tail_reads_abandoned() - reads_abandoned_before;
-        ctx.meter().tail_breaches += reader.tail_breaches() - tail_breaches_before;
-        ctx.meter().slow_evictions += reader.tail_slow_evictions() - slow_evictions_before;
-        hedges_issued_before = reader.tail_hedges_issued();
-        hedges_won_before = reader.tail_hedges_won();
-        hedges_abandoned_before = reader.tail_hedges_abandoned();
-        reads_abandoned_before = reader.tail_reads_abandoned();
-        tail_breaches_before = reader.tail_breaches();
-        slow_evictions_before = reader.tail_slow_evictions();
+      reader.read_slice(slice, raw.data());
+      const io::ReaderCounters now = reader.counters();
+      meter_reads(ctx.meter(), now - before);
+      before = now;
 
-        // Global region of this piece.
-        const Region4 piece{{tile.origin[0], tile.origin[1], slice.z, slice.t},
-                            {tile.size[0], tile.size[1], 1, 1}};
-
-        // Which IIC copies need it? The owners of every overlapping chunk.
-        std::set<int> targets;
-        for (const Chunk& c : p_->chunks) {
-          if (c.region.intersects(piece)) targets.insert(p_->iic_copy_of_chunk(c.id));
-        }
-        if (targets.empty()) continue;
-
-        // Quantize once.
+      // Which IIC copies need this slice? The owners of every overlapping
+      // chunk. Quantize once and send one piece to each.
+      const Region4 piece{{0, 0, slice.z, slice.t},
+                          {p_->meta.dims[0], p_->meta.dims[1], 1, 1}};
+      std::set<int> targets;
+      for (const Chunk& c : p_->chunks) {
+        if (c.region.intersects(piece)) targets.insert(p_->iic_copy_of_chunk(c.id));
+      }
+      if (!targets.empty()) {
         std::vector<std::byte> levels(raw.size());
         for (std::size_t i = 0; i < raw.size(); ++i) {
           levels[i] = static_cast<std::byte>(quant(static_cast<double>(raw[i])));
         }
         ctx.meter().elements_quantized += static_cast<std::int64_t>(raw.size());
-
         for (const int target : targets) {
           fs::BufferHeader h;
           h.kind = fs::BufferKind::RawChunkPiece;

@@ -13,8 +13,8 @@ namespace h4d::filters {
 /// RAWFileReader (RFR).
 ///
 /// One copy per storage node; copy k reads the slices local to node k,
-/// requantizes them to Ng gray levels, cuts them into RFR->IIC pieces and
-/// emits each piece once per IIC copy that owns an overlapping texture chunk
+/// requantizes them to Ng gray levels and emits each whole slice as one
+/// RFR->IIC piece, once per IIC copy that owns an overlapping texture chunk
 /// (header.aux carries the target IIC copy for explicit routing).
 ///
 /// Reads go through io::ResilientReader: retry/backoff, per-slice checksum

@@ -30,11 +30,6 @@ struct RunSettings {
   std::filesystem::path dataset_root;
   haralick::EngineConfig engine;
 
-  /// RFR->IIC retrieval granularity within a slice (x, y extents; z and t
-  /// are always 1 — a piece never spans slices). Default: whole slice, so a
-  /// slice is read without extra disk seeks (paper Sec. 5.1).
-  Vec4 io_chunk{0, 0, 1, 1};  ///< 0 => use slice extent
-
   /// IIC->TEXTURE chunk extents (paper Sec. 4.4).
   Vec4 texture_chunk{64, 64, 8, 8};
 
@@ -72,14 +67,14 @@ struct RunSettings {
   /// chunk-grid identity.
   std::string job_tag;
 
-  /// Tile-cache knobs (--tile-cache-mb/--tile-shape/--prefetch-depth).
+  /// Slice-cache knobs (--tile-cache-mb/--prefetch-depth).
   /// Disabled (budget 0) => no cache.
   io::TileCacheConfig cache;
   /// The cache instance the RFR readers go through. The service layer (or a
   /// bench harness) hands every job the process-wide shared instance; make()
   /// builds a private one for solo runs when `cache` is enabled.
   /// Fault-injected runs always get a private instance (or none): a
-  /// deterministic drill must not be perturbed by tiles another run cached.
+  /// deterministic drill must not be perturbed by slices another run cached.
   std::shared_ptr<io::TileCache> tile_cache;
   /// Tenant the cached bytes are accounted to (svc sets the job's tenant;
   /// empty => "local").
@@ -140,10 +135,6 @@ struct PipelineParams : RunSettings {
   std::vector<SliceCoord> prefetch_slices;
 
   static std::shared_ptr<const PipelineParams> make(PipelineParams p) {
-    if (p.io_chunk[0] <= 0) p.io_chunk[0] = p.meta.dims[0];
-    if (p.io_chunk[1] <= 0) p.io_chunk[1] = p.meta.dims[1];
-    p.io_chunk[2] = 1;
-    p.io_chunk[3] = 1;
     p.chunks = partition_overlapping(p.meta.dims, p.texture_chunk, p.engine.roi_dims);
     if (!p.checkpoint_path.empty()) {
       const std::string owner = p.checkpoint_owner_token();
@@ -200,7 +191,7 @@ struct PipelineParams : RunSettings {
 
     // Tile cache: solo runs build a private instance; the service layer (or
     // a bench harness) passes a shared one in. A fault-injected run never
-    // shares: cached tiles from another run would let a read that the
+    // shares: cached slices from another run would let a read that the
     // injected schedule dooms succeed, changing the degraded output.
     if (p.fault_injector) {
       p.tile_cache = p.cache.enabled() ? std::make_shared<io::TileCache>(p.cache) : nullptr;

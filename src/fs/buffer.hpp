@@ -21,7 +21,7 @@ namespace h4d::fs {
 /// What a buffer's payload contains. The pipeline filters agree on payload
 /// layout per kind; the runtime itself never interprets payloads.
 enum class BufferKind : std::uint8_t {
-  RawChunkPiece,  ///< RFR->IIC: quantized levels of a subregion of one slice
+  RawChunkPiece,  ///< RFR->IIC: quantized levels of one whole slice
   TextureChunk,   ///< IIC->HMP/HCC: assembled 4D chunk of quantized levels
   MatrixPacket,   ///< HCC->HPC: batch of co-occurrence matrices
   FeatureValues,  ///< texture->output: feature values for a run of ROI origins

@@ -114,10 +114,8 @@ struct CopyStats {
 struct CacheReport {
   bool present = false;
   std::int64_t budget_bytes = 0;
-  std::int64_t tile_w = 0;
-  std::int64_t tile_h = 0;
   std::int64_t prefetch_depth = 0;
-  std::int64_t lookups = 0;         ///< tile probes (hits + misses)
+  std::int64_t lookups = 0;         ///< slice probes (hits + misses)
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t bytes_read_disk = 0;    ///< run's total disk read traffic

@@ -35,12 +35,12 @@ struct WorkMeter {
   std::int64_t chunks_quarantined = 0;  ///< supervisor: poison buffers dropped here
   std::int64_t watchdog_kills = 0;     ///< supervisor: 1 when declared dead hung
   std::int64_t chunks_resumed = 0;     ///< checkpoint: chunks pruned by resume
-  std::int64_t cache_hits = 0;          ///< tile cache: tile probes served
-  std::int64_t cache_misses = 0;        ///< tile cache: tile probes missed
-  std::int64_t cache_bytes_served = 0;  ///< tile cache: bytes served without disk
-  std::int64_t cache_evictions = 0;     ///< tile cache: tiles evicted (drained)
-  std::int64_t prefetch_issued = 0;     ///< tile cache: tiles inserted by prefetch
-  std::int64_t prefetch_useful = 0;     ///< tile cache: prefetched tiles demand-hit
+  std::int64_t cache_hits = 0;          ///< slice cache: slice probes served
+  std::int64_t cache_misses = 0;        ///< slice cache: slice probes missed
+  std::int64_t cache_bytes_served = 0;  ///< slice cache: bytes served without disk
+  std::int64_t cache_evictions = 0;     ///< slice cache: slices evicted (drained)
+  std::int64_t prefetch_issued = 0;     ///< slice cache: slices inserted by prefetch
+  std::int64_t prefetch_useful = 0;     ///< slice cache: prefetched slices demand-hit
   std::int64_t hedges_issued = 0;       ///< tail: hedge reads sent to a 2nd replica
   std::int64_t hedges_won = 0;          ///< tail: hedges that finished first
   std::int64_t hedges_abandoned = 0;    ///< tail: race losers cancelled/drained

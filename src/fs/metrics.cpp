@@ -235,7 +235,6 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
   if (stats.cache.present) {
     const CacheReport& c = stats.cache;
     os << ",\n \"cache\": {\"budget_bytes\": " << c.budget_bytes
-       << ", \"tile_w\": " << c.tile_w << ", \"tile_h\": " << c.tile_h
        << ", \"prefetch_depth\": " << c.prefetch_depth
        << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
        << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk

@@ -48,6 +48,14 @@ std::string node_dir_name(int node) { return "node_" + std::to_string(node); }
 
 std::size_t dtype_size(Dtype d) { return d == Dtype::U8 ? 1 : 2; }
 
+void widen_to_u16(Dtype d, const std::uint8_t* raw, std::int64_t count, std::uint16_t* out) {
+  if (d == Dtype::U16) {
+    std::memcpy(out, raw, static_cast<std::size_t>(count) * sizeof(std::uint16_t));
+  } else {
+    std::copy_n(raw, count, out);
+  }
+}
+
 std::string dtype_name(Dtype d) { return d == Dtype::U8 ? "u8" : "u16"; }
 
 Dtype dtype_from_name(const std::string& name) {
@@ -100,6 +108,17 @@ DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
   }
   if (!m.dims.all_positive() || m.storage_nodes < 1 || m.replicas < 1) {
     throw std::runtime_error("corrupt dataset.meta under " + root.string());
+  }
+  // Every read allocates slice_bytes(): the slice and whole-volume byte
+  // counts must fit in int64, or the arithmetic downstream is undefined.
+  const auto esz = static_cast<std::int64_t>(dtype_size(m.dtype));
+  std::int64_t bytes = 0;
+  if (__builtin_mul_overflow(m.dims[0], m.dims[1], &bytes) ||
+      __builtin_mul_overflow(bytes, esz, &bytes) ||
+      __builtin_mul_overflow(bytes, m.dims[2], &bytes) ||
+      __builtin_mul_overflow(bytes, m.dims[3], &bytes)) {
+    throw std::runtime_error("corrupt dataset.meta under " + root.string() + ": dims " +
+                             m.dims.str() + " overflow a 64-bit byte count");
   }
   return m;
 }
@@ -155,59 +174,6 @@ const SliceRef* StorageNodeReader::find_slice(std::int64_t t, std::int64_t z) co
     return s.t == t && s.z == z;
   });
   return it == slices_.end() ? nullptr : &*it;
-}
-
-void StorageNodeReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
-                                          std::int64_t y0, std::int64_t w, std::int64_t h,
-                                          std::uint16_t* out) const {
-  if (meta_.replica_rank(slice.z, slice.t, node_id_) < 0) {
-    throw std::invalid_argument("slice (t=" + std::to_string(slice.t) +
-                                ", z=" + std::to_string(slice.z) + ") is not local to node " +
-                                std::to_string(node_id_));
-  }
-  if (x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0 + w > meta_.dims[0] ||
-      y0 + h > meta_.dims[1]) {
-    throw std::invalid_argument("read_slice_region: rectangle out of bounds");
-  }
-  AttemptPlan plan;
-  if (injector_) plan = injector_->plan_attempt(slice.t, slice.z, node_id_);
-  const std::string path = (dir_ / slice.filename).string();
-  std::ifstream f(dir_ / slice.filename, std::ios::binary);
-  if (plan.fail_open || !f) {
-    throw std::runtime_error((plan.fail_open ? "injected open failure: " : "") +
-                             std::string("cannot open slice ") + path + " (t=" +
-                             std::to_string(slice.t) + ", z=" + std::to_string(slice.z) + ")");
-  }
-
-  const std::size_t esz = dtype_size(meta_.dtype);
-  std::vector<std::uint8_t> row(static_cast<std::size_t>(w) * esz);
-  const bool full_rows = (x0 == 0 && w == meta_.dims[0]);
-  // One seek per read burst: full-width reads of contiguous rows need a
-  // single seek; partial rows need one per row.
-  seeks_ += full_rows ? 1 : h;
-  for (std::int64_t y = 0; y < h; ++y) {
-    const std::int64_t off =
-        ((y0 + y) * meta_.dims[0] + x0) * static_cast<std::int64_t>(esz);
-    f.seekg(off);
-    f.read(reinterpret_cast<char*>(row.data()), static_cast<std::streamsize>(row.size()));
-    std::int64_t got = f.gcount();
-    const bool injected = plan.short_read && y == 0;
-    if (injected) got = got / 2;
-    if (got != static_cast<std::int64_t>(row.size())) {
-      throw SliceReadError(path, slice.t, slice.z,
-                           static_cast<std::int64_t>(row.size()), got,
-                           injected ? "injected short read" : "short read");
-    }
-    bytes_read_ += static_cast<std::int64_t>(row.size());
-    if (injector_) injector_->apply_corruption(slice.t, slice.z, row.data(), row.size());
-    if (meta_.dtype == Dtype::U16) {
-      std::memcpy(out + y * w, row.data(), row.size());
-    } else {
-      for (std::int64_t x = 0; x < w; ++x) {
-        out[y * w + x] = row[static_cast<std::size_t>(x)];
-      }
-    }
-  }
 }
 
 void StorageNodeReader::read_slice_bytes(const SliceRef& slice, std::uint8_t* out) const {
@@ -328,7 +294,8 @@ Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region,
                                 " not inside dataset " + meta_.dims.str());
   }
   Volume4<std::uint16_t> out(region.size);
-  std::vector<std::uint16_t> rect(static_cast<std::size_t>(region.size[0] * region.size[1]));
+  const std::int64_t nx = meta_.dims[0];
+  std::vector<std::uint16_t> slice(static_cast<std::size_t>(nx * meta_.dims[1]));
   FaultReportSink sink;
   // Missing node directories are dead from the start; with r >= 2 their
   // slices are read from the surviving replicas instead.
@@ -356,10 +323,10 @@ Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region,
         // conventional filename for indexes that lack the slice.
         SliceRef ref{gt, gz, slice_filename(gt, gz), 0, false};
         if (const SliceRef* indexed = reader->find_slice(gt, gz)) ref = *indexed;
-        reader->read_slice_region(ref, region.origin[0], region.origin[1], region.size[0],
-                                  region.size[1], rect.data());
+        reader->read_slice(ref, slice.data());
         for (std::int64_t y = 0; y < region.size[1]; ++y) {
-          std::memcpy(&out.at(0, y, z, t), rect.data() + y * region.size[0],
+          std::memcpy(&out.at(0, y, z, t),
+                      slice.data() + (region.origin[1] + y) * nx + region.origin[0],
                       static_cast<std::size_t>(region.size[0]) * sizeof(std::uint16_t));
         }
       }

@@ -38,6 +38,11 @@ std::size_t dtype_size(Dtype d);
 std::string dtype_name(Dtype d);
 Dtype dtype_from_name(const std::string& name);
 
+/// Widen `count` raw elements of type `d` to uint16 (a plain copy for U16).
+/// Every slice a reader delivers goes through this one step, whether it came
+/// from disk, a hedged fetch or the cache.
+void widen_to_u16(Dtype d, const std::uint8_t* raw, std::int64_t count, std::uint16_t* out);
+
 /// Dataset-level metadata persisted in <root>/dataset.meta.
 ///
 /// Format versioning: v1 files (no `version` key) predate replication and
@@ -140,13 +145,9 @@ class StorageNodeReader {
   /// not list it).
   const SliceRef* find_slice(std::int64_t t, std::int64_t z) const;
 
-  /// Read a 2D subregion [x0, x0+w) x [y0, y0+h) of one local slice into
-  /// `out` (row-major, w*h elements). The slice must belong to this node.
-  void read_slice_region(const SliceRef& slice, std::int64_t x0, std::int64_t y0,
-                         std::int64_t w, std::int64_t h, std::uint16_t* out) const;
-
   /// Read the whole slice file's raw bytes (meta.slice_bytes() of them) into
-  /// `out` — the unit checksum verification operates on.
+  /// `out`. The slice must belong to this node. The whole slice is the only
+  /// read unit: the checksum, cache, hedge and prefetch unit alike.
   void read_slice_bytes(const SliceRef& slice, std::uint8_t* out) const;
 
   /// Attach a deterministic fault source (non-owning; may be nullptr). Every
@@ -194,7 +195,8 @@ class DiskDataset {
   Volume4<std::uint16_t> read_all() const;
 
   /// Gather an arbitrary 4D subregion, touching only the nodes that own the
-  /// slices it crosses. Per-slice checksums (when present in the index) are
+  /// slices it crosses. Each slice is read whole and cropped to the region's
+  /// x/y window. Per-slice checksums (when present in the index) are
   /// verified; a mismatch throws ChecksumError (fail-fast).
   Volume4<std::uint16_t> read_region(const Region4& region) const;
 

@@ -83,6 +83,9 @@ Phantom generate_phantom(const PhantomConfig& cfg) {
   if (cfg.num_tumors < 0) {
     throw std::invalid_argument("generate_phantom: num_tumors must be >= 0");
   }
+  if (!(cfg.noise_sigma >= 0.0)) {
+    throw std::invalid_argument("generate_phantom: noise_sigma must be >= 0");
+  }
 
   const Vec4 d = cfg.dims;
   Phantom out{Volume4<std::uint16_t>(d), {}};
@@ -112,7 +115,9 @@ Phantom generate_phantom(const PhantomConfig& cfg) {
     out.tumors.push_back(t);
   }
 
-  std::normal_distribution<double> noise(0.0, cfg.noise_sigma);
+  // normal_distribution requires sigma > 0; sigma == 0 draws no noise.
+  const bool noisy = cfg.noise_sigma > 0.0;
+  std::normal_distribution<double> noise(0.0, noisy ? cfg.noise_sigma : 1.0);
 
   for (std::int64_t t = 0; t < d[3]; ++t) {
     // Mild global intensity drift over time (scanner gain).
@@ -134,7 +139,7 @@ Phantom generate_phantom(const PhantomConfig& cfg) {
               v += tu.amplitude * profile * s;
             }
           }
-          v = drift * v + noise(rng);
+          v = drift * v + (noisy ? noise(rng) : 0.0);
           out.volume.at(x, y, z, t) =
               static_cast<std::uint16_t>(std::clamp(v, 0.0, 65535.0));
         }

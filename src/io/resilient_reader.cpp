@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -125,6 +124,36 @@ std::int64_t ResilientReader::seeks_performed() const {
   return seeks;
 }
 
+ReaderCounters ReaderCounters::operator-(const ReaderCounters& o) const {
+  return {seeks - o.seeks,
+          bytes_read - o.bytes_read,
+          cache_hits - o.cache_hits,
+          cache_misses - o.cache_misses,
+          cache_bytes_served - o.cache_bytes_served,
+          read_retries - o.read_retries,
+          slices_skipped - o.slices_skipped,
+          checksum_failures - o.checksum_failures,
+          replica_failovers - o.replica_failovers,
+          nodes_evicted - o.nodes_evicted,
+          hedges_issued - o.hedges_issued,
+          hedges_won - o.hedges_won,
+          hedges_abandoned - o.hedges_abandoned,
+          reads_abandoned - o.reads_abandoned,
+          tail_breaches - o.tail_breaches,
+          slow_evictions - o.slow_evictions};
+}
+
+ReaderCounters ResilientReader::counters() const {
+  ReaderCounters c = io_;
+  c.seeks = seeks_performed();
+  c.read_retries = report_.read_retries;
+  c.slices_skipped = report_.slices_skipped;
+  c.checksum_failures = report_.checksum_failures;
+  c.replica_failovers = report_.replica_failovers;
+  c.nodes_evicted = report_.nodes_evicted;
+  return c;
+}
+
 std::int64_t ResilientReader::attempted_bytes_read() const {
   std::int64_t bytes = reader_.bytes_read() + pool_attempted_bytes_;
   for (const auto& [node, fallback] : fallbacks_) bytes += fallback.bytes_read();
@@ -145,81 +174,51 @@ const StorageNodeReader* ResilientReader::reader_for(int node, std::string& erro
   }
 }
 
-void ResilientReader::extract_rect(const std::uint8_t* slice_bytes, std::int64_t x0,
-                                   std::int64_t y0, std::int64_t w, std::int64_t h,
-                                   std::uint16_t* out) const {
-  const DatasetMeta& m = reader_.meta();
-  const std::int64_t nx = m.dims[0];
-  if (m.dtype == Dtype::U16) {
-    const auto* src = reinterpret_cast<const std::uint16_t*>(slice_bytes);
-    for (std::int64_t y = 0; y < h; ++y) {
-      std::memcpy(out + y * w, src + (y0 + y) * nx + x0,
-                  static_cast<std::size_t>(w) * sizeof(std::uint16_t));
-    }
-  } else {
-    for (std::int64_t y = 0; y < h; ++y) {
-      const std::uint8_t* row = slice_bytes + (y0 + y) * nx + x0;
-      for (std::int64_t x = 0; x < w; ++x) {
-        out[y * w + x] = row[x];
-      }
-    }
-  }
-}
-
 void ResilientReader::attempt_read(const StorageNodeReader& reader, const SliceRef& slice,
-                                   std::int64_t x0, std::int64_t y0, std::int64_t w,
-                                   std::int64_t h, std::uint16_t* out) {
-  const bool verified = cfg_.verify_checksums && slice.has_crc;
-  // Whole-slice fetches serve the verified path (the checksum unit) and any
-  // cache-eligible read (the cache's fill unit). An unverified read under a
-  // fault injector must stay a rectangle read: injected corruption depends
-  // on the read length, so switching it to a whole-slice fetch would change
-  // the delivered bytes vs. a cache-off run.
-  if (!verified && !cache_eligible(slice)) {
-    reader.read_slice_region(slice, x0, y0, w, h, out);
-    delivered_bytes_ += w * h * static_cast<std::int64_t>(dtype_size(reader.meta().dtype));
-    return;
-  }
-  if (cached_slice_ != slice_key(slice)) {
-    const std::size_t nbytes = static_cast<std::size_t>(reader.meta().slice_bytes());
-    std::vector<std::uint8_t> bytes(nbytes);
-    reader.read_slice_bytes(slice, bytes.data());
-    if (verified) {
-      const std::uint32_t actual = crc32(bytes.data(), bytes.size());
-      if (actual != slice.crc) {
-        ++report_.checksum_failures;
-        throw ChecksumError(slice.filename, slice.t, slice.z, slice.crc, actual);
-      }
-    }
-    delivered_bytes_ += static_cast<std::int64_t>(nbytes);
-    cached_bytes_ = std::move(bytes);
-    cached_slice_ = slice_key(slice);
-    // Only verified-or-injector-free bytes reach this point, so the insert
-    // upholds the corrupt-tiles-never-cached contract.
-    if (cache_eligible(slice)) {
-      cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z,
-                           cached_bytes_.data(), /*prefetched=*/false, cache_tenant_);
+                                   std::uint16_t* out) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(reader.meta().slice_bytes()));
+  reader.read_slice_bytes(slice, bytes.data());
+  if (cfg_.verify_checksums && slice.has_crc) {
+    const std::uint32_t actual = crc32(bytes.data(), bytes.size());
+    if (actual != slice.crc) {
+      ++report_.checksum_failures;
+      throw ChecksumError(slice.filename, slice.t, slice.z, slice.crc, actual);
     }
   }
-  extract_rect(cached_bytes_.data(), x0, y0, w, h, out);
+  deliver(slice, bytes, out);
 }
 
-void ResilientReader::fill(std::int64_t w, std::int64_t h, std::uint16_t* out) const {
-  std::fill_n(out, static_cast<std::size_t>(w * h), cfg_.fill_value);
+void ResilientReader::deliver(const SliceRef& slice, const std::vector<std::uint8_t>& bytes,
+                              std::uint16_t* out) {
+  const DatasetMeta& m = reader_.meta();
+  io_.bytes_read += static_cast<std::int64_t>(bytes.size());
+  // Only verified-or-injector-free bytes are cache-eligible, which upholds
+  // the corrupt-slices-never-cached contract. insert_slice keeps a resident
+  // copy, so a duplicate fill from a hedge race dedups.
+  if (cache_eligible(slice)) {
+    cache_->insert_slice(cache_dataset_, m, slice.t, slice.z, bytes.data(),
+                         /*prefetched=*/false, cache_tenant_);
+  }
+  widen_to_u16(m.dtype, bytes.data(), m.dims[0] * m.dims[1], out);
+}
+
+void ResilientReader::fill(std::uint16_t* out) const {
+  const DatasetMeta& m = reader_.meta();
+  std::fill_n(out, static_cast<std::size_t>(m.dims[0] * m.dims[1]), cfg_.fill_value);
 }
 
 void ResilientReader::note_tail_breach(int node) {
-  ++tail_breaches_;
+  ++io_.tail_breaches;
   if (!tail_tracker_->note_breach(node, tail_cfg_.slow_after)) return;
   if (replicas_ && replicas_->note_slow(node)) {
-    ++tail_slow_evictions_;
+    ++io_.slow_evictions;
     ++report_.nodes_evicted;
     tail_tracker_->evictions_slow.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>& order,
-                                   std::string& last_error) {
+                                   std::string& last_error, std::uint16_t* out) {
   using Clock = std::chrono::steady_clock;
   const bool verified = cfg_.verify_checksums && slice.has_crc;
   const int primary = order[0];
@@ -301,11 +300,11 @@ bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>
         if (f.consumed) continue;
         f.ticket->abandon();
         if (f.hedge) {
-          ++tail_hedges_abandoned_;
+          ++io_.hedges_abandoned;
           tail_tracker_->hedges_abandoned.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      ++tail_reads_abandoned_;
+      ++io_.reads_abandoned;
       tail_tracker_->reads_abandoned.fetch_add(1, std::memory_order_relaxed);
       note_tail_breach(primary);
       if (hedge_slot) tail_tracker_->end_hedge();
@@ -316,7 +315,7 @@ bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>
       hedged = true;  // one hedge per read, whether or not a slot was free
       if (tail_tracker_->try_begin_hedge(tail_cfg_.hedge_max_inflight)) {
         hedge_slot = true;
-        ++tail_hedges_issued_;
+        ++io_.hedges_issued;
         tail_tracker_->hedges_issued.fetch_add(1, std::memory_order_relaxed);
         submit_to(order[1], /*hedge=*/true);
       }
@@ -328,18 +327,18 @@ bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>
     seen = event->wait_until(next, seen);
   }
 
-  // A verified (or injector-free) whole slice won the race: adopt it exactly
-  // like the sync path's whole-slice fill, abandon the loser, settle stats.
+  // A verified (or injector-free) slice won the race: deliver it exactly
+  // like a sync attempt, abandon the loser, settle stats.
   FetchResult& r = winner->ticket->result();
   for (InFlight& f : inflight) {
     if (f.consumed) continue;
     f.ticket->abandon();
-    ++tail_hedges_abandoned_;
+    ++io_.hedges_abandoned;
     tail_tracker_->hedges_abandoned.fetch_add(1, std::memory_order_relaxed);
   }
   tail_tracker_->record(winner->node, r.service_ms);
   if (winner->hedge) {
-    ++tail_hedges_won_;
+    ++io_.hedges_won;
     tail_tracker_->hedges_won.fetch_add(1, std::memory_order_relaxed);
     note_tail_breach(primary);  // lost hedge = breach against the primary
   } else {
@@ -347,42 +346,30 @@ bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>
   }
   if (hedge_slot) tail_tracker_->end_hedge();
 
-  delivered_bytes_ += static_cast<std::int64_t>(r.bytes.size());
-  cached_bytes_ = std::move(r.bytes);
-  cached_slice_ = slice_key(slice);
-  if (cache_eligible(slice)) {
-    // insert_slice keeps already-resident tiles, so a duplicate fill from a
-    // hedge race dedups instead of flapping the cache.
-    cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z,
-                         cached_bytes_.data(), /*prefetched=*/false, cache_tenant_);
-  }
+  deliver(slice, r.bytes, out);
   if (replicas_) replicas_->note_success(winner->node);
   return true;
 }
 
-bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
-                                        std::int64_t y0, std::int64_t w, std::int64_t h,
-                                        std::uint16_t* out) {
+bool ResilientReader::read_slice(const SliceRef& slice, std::uint16_t* out) {
   // A slice already declared irrecoverable stays filled (and is reported
-  // only once), so the tile loop sees consistent data without re-retrying.
+  // only once), so a re-read sees consistent data without re-retrying.
   if (std::find(failed_slices_.begin(), failed_slices_.end(), slice_key(slice)) !=
       failed_slices_.end()) {
-    fill(w, h, out);
+    fill(out);
     return false;
   }
 
-  // Cache-aside: serve the rectangle from the shared tile cache when every
-  // covering tile is resident (possibly filled by another copy, another job,
-  // or the prefetcher). A partial hit falls through to the disk path, whose
-  // whole-slice fill re-populates the missing tiles.
+  // Cache-aside: serve the slice from the shared cache when it is resident
+  // (filled by another copy, another job, or the prefetcher).
   if (cache_eligible(slice)) {
-    TileRectStats cs;
-    const bool full_hit = cache_->read_rect(cache_dataset_, reader_.meta(), slice.t,
-                                            slice.z, x0, y0, w, h, out, cache_tenant_, cs);
-    cache_hits_ += cs.hits;
-    cache_misses_ += cs.misses;
-    cache_bytes_served_ += cs.bytes_served;
-    if (full_hit) return true;
+    if (cache_->read_slice(cache_dataset_, reader_.meta(), slice.t, slice.z, out,
+                           cache_tenant_)) {
+      ++io_.cache_hits;
+      io_.cache_bytes_served += reader_.meta().slice_bytes();
+      return true;
+    }
+    ++io_.cache_misses;
   }
 
   // Candidate nodes in failover order: the wrapped node alone without a
@@ -395,15 +382,12 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
       cfg_.policy == DegradePolicy::FailFast ? 1 : std::max(1, cfg_.retry.max_attempts);
   std::string last_error = "no surviving replica holds this slice";
 
-  // Tail-tolerant fast path: pooled whole-slice fetch with adaptive deadline
-  // and hedging. Purely advisory — on any failure (fetch error, deadline
+  // Tail-tolerant fast path: pooled slice fetch with adaptive deadline and
+  // hedging. Purely advisory — on any failure (fetch error, deadline
   // expiry, lost race with nothing to show) the synchronous loop below still
   // owns correctness, retries and failure accounting.
-  if (tail_eligible(slice) && !order.empty() && cached_slice_ != slice_key(slice)) {
-    if (hedged_fetch(slice, order, last_error)) {
-      extract_rect(cached_bytes_.data(), x0, y0, w, h, out);
-      return true;
-    }
+  if (tail_eligible(slice) && !order.empty() && hedged_fetch(slice, order, last_error, out)) {
+    return true;
   }
 
   double backoff_spent_ms = 0.0;  // budget spans every attempt on every replica
@@ -426,7 +410,7 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
           }
         }
         try {
-          attempt_read(*node_reader, slice, x0, y0, w, h, out);
+          attempt_read(*node_reader, slice, out);
           if (attempt > 0) ++report_.slices_recovered;
           if (replicas_) replicas_->note_success(node);
           return true;
@@ -461,7 +445,7 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
   failed_slices_.push_back(slice_key(slice));
   ++report_.slices_skipped;
   report_.skipped.push_back({slice.t, slice.z, last_error});
-  fill(w, h, out);
+  fill(out);
   return false;
 }
 
@@ -470,9 +454,7 @@ bool ResilientReader::prefetch_slice(const SliceRef& slice) {
   // see the exact per-attempt fault schedule a cache-off run would, and
   // prefetch reads would consume attempt numbers ahead of the demand path.
   if (cache_ == nullptr || injector_ != nullptr) return false;
-  if (cache_->slice_fully_cached(cache_dataset_, reader_.meta(), slice.t, slice.z)) {
-    return false;
-  }
+  if (cache_->contains(cache_dataset_, slice.t, slice.z)) return false;
   const std::vector<int> order =
       replicas_ ? replicas_->replica_order(slice.z, slice.t, reader_.node_id())
                 : std::vector<int>{reader_.node_id()};
@@ -488,7 +470,7 @@ bool ResilientReader::prefetch_slice(const SliceRef& slice) {
           crc32(bytes.data(), bytes.size()) != slice.crc) {
         continue;  // corrupt on this replica; never cached
       }
-      delivered_bytes_ += static_cast<std::int64_t>(nbytes);
+      io_.bytes_read += static_cast<std::int64_t>(nbytes);
       cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z, bytes.data(),
                            /*prefetched=*/true, cache_tenant_);
       return true;

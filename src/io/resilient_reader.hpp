@@ -15,8 +15,8 @@
 //     fill intensity for irrecoverable slices and records them in a
 //     FaultReport so the run completes with a precise damage inventory.
 //
-// The verified read path fetches whole slice files (the checksum unit) and
-// caches the most recent one, so the RFR filter's tile loop re-reads nothing.
+// The read unit is the whole slice file: every attempt fetches it, checks
+// its CRC, fills the cache and widens it to uint16 in one path.
 #pragma once
 
 #include <cstdint>
@@ -135,6 +135,29 @@ class FaultReportSink {
   FaultReport agg_;
 };
 
+/// Monotonic I/O accounting of one reader (ResilientReader::counters()).
+/// The RFR filter meters the difference of two snapshots.
+struct ReaderCounters {
+  std::int64_t seeks = 0;       ///< primary + fallback readers + pooled fetches
+  std::int64_t bytes_read = 0;  ///< bytes delivered to the caller from disk
+  std::int64_t cache_hits = 0;  ///< slice probes served by the cache
+  std::int64_t cache_misses = 0;
+  std::int64_t cache_bytes_served = 0;
+  std::int64_t read_retries = 0;  ///< the FaultReport counters the meter shows
+  std::int64_t slices_skipped = 0;
+  std::int64_t checksum_failures = 0;
+  std::int64_t replica_failovers = 0;
+  std::int64_t nodes_evicted = 0;
+  std::int64_t hedges_issued = 0;  ///< tail-tolerance counters (io/tail.hpp)
+  std::int64_t hedges_won = 0;
+  std::int64_t hedges_abandoned = 0;
+  std::int64_t reads_abandoned = 0;
+  std::int64_t tail_breaches = 0;
+  std::int64_t slow_evictions = 0;
+
+  ReaderCounters operator-(const ReaderCounters& o) const;
+};
+
 /// Fault-tolerant view of one storage node. Not thread-safe (one per filter
 /// copy, like StorageNodeReader); aggregate reports through the shared sink.
 class ResilientReader {
@@ -157,18 +180,17 @@ class ResilientReader {
     return reader_.find_slice(t, z);
   }
 
-  /// Read a 2D subregion of one local slice (same contract as
-  /// StorageNodeReader::read_slice_region), applying the configured
-  /// resilience. Returns true when real data was delivered, false when the
-  /// slice was irrecoverable and `out` was filled with fill_value.
-  bool read_slice_region(const SliceRef& slice, std::int64_t x0, std::int64_t y0,
-                         std::int64_t w, std::int64_t h, std::uint16_t* out);
+  /// Read one whole slice into `out` (meta.dims[0] * meta.dims[1] uint16
+  /// values, row-major), applying the configured resilience. Returns true
+  /// when real data was delivered, false when the slice was irrecoverable
+  /// and `out` was filled with fill_value.
+  bool read_slice(const SliceRef& slice, std::uint16_t* out);
 
-  /// Attach a shared tile cache (non-owning): cache-aside on the read path.
-  /// Rectangles whose tiles are all resident are served without touching
-  /// disk; whole-slice fills are inserted only after checksum verification
-  /// succeeds (or when no fault injector is attached), so a corrupt slice
-  /// is never cached and cached bytes are identical to a cache-off read.
+  /// Attach a shared slice cache (non-owning): cache-aside on the read path.
+  /// Resident slices are served without touching disk; disk reads are
+  /// inserted only after checksum verification succeeds (or when no fault
+  /// injector is attached), so a corrupt slice is never cached and cached
+  /// bytes are identical to a cache-off read.
   void attach_cache(TileCache* cache, std::uint64_t dataset_key, int tenant);
 
   /// Pull one whole slice into the attached cache ahead of demand. Never
@@ -189,72 +211,59 @@ class ResilientReader {
   void attach_tail(const TailConfig& config, LatencyTracker* tracker,
                    SliceFetchPool* pool);
 
-  /// Resilience accounting local to this reader (monotonic; the RFR filter
-  /// meters deltas between calls).
+  /// Resilience accounting local to this reader (monotonic).
   const FaultReport& report() const { return report_; }
 
   /// I/O accounting. seeks_performed() sums the primary and every fallback
   /// reader; bytes_read() counts only bytes that reached the caller — a
-  /// successful rectangle read counts its rectangle, a successful verified
-  /// whole-slice fetch counts the slice once, and bytes moved by retried or
+  /// successful read counts its slice once, and bytes moved by retried or
   /// failed-over attempts that ultimately failed count nothing (the raw
   /// attempt traffic is attempted_bytes_read()). Cache hits touch no disk
-  /// and count nothing here (they land in cache_bytes_served()).
+  /// and count nothing here (they land in cache_bytes_served).
   std::int64_t seeks_performed() const;
-  std::int64_t bytes_read() const { return delivered_bytes_; }
+  std::int64_t bytes_read() const { return io_.bytes_read; }
   std::int64_t attempted_bytes_read() const;
 
-  /// Tile-cache accounting local to this reader (monotonic, tile-granular;
-  /// metered as deltas like report()).
-  std::int64_t cache_hits() const { return cache_hits_; }
-  std::int64_t cache_misses() const { return cache_misses_; }
-  std::int64_t cache_bytes_served() const { return cache_bytes_served_; }
-
-  /// Tail-tolerance accounting local to this reader (monotonic; metered as
-  /// deltas like report()). The shared LatencyTracker carries the exact
-  /// run-global totals; these per-reader counts sum to the same values.
-  std::int64_t tail_hedges_issued() const { return tail_hedges_issued_; }
-  std::int64_t tail_hedges_won() const { return tail_hedges_won_; }
-  std::int64_t tail_hedges_abandoned() const { return tail_hedges_abandoned_; }
-  std::int64_t tail_reads_abandoned() const { return tail_reads_abandoned_; }
-  std::int64_t tail_breaches() const { return tail_breaches_; }
-  std::int64_t tail_slow_evictions() const { return tail_slow_evictions_; }
+  /// Snapshot of every monotonic counter the RFR filter meters. The tail
+  /// counters sum across readers to the shared LatencyTracker's totals.
+  ReaderCounters counters() const;
 
  private:
-  /// One verified or plain read attempt through `reader`; throws on failure.
+  /// One read attempt of the whole slice through `reader`: fetch, CRC check
+  /// when the index has one, then deliver(). Throws on failure.
   void attempt_read(const StorageNodeReader& reader, const SliceRef& slice,
-                    std::int64_t x0, std::int64_t y0, std::int64_t w, std::int64_t h,
                     std::uint16_t* out);
-  void fill(std::int64_t w, std::int64_t h, std::uint16_t* out) const;
-  /// Cache participation rule for one slice: whole-slice fills must be
-  /// attempt-independent bytes, which holds when they are CRC-verified or
-  /// when no fault injector can perturb them. (Injected corruption depends
-  /// on the read length, so unverified injected reads bypass the cache.)
+  /// Hand good slice bytes to the caller: count them, insert them into the
+  /// cache when eligible, widen them into `out`.
+  void deliver(const SliceRef& slice, const std::vector<std::uint8_t>& bytes,
+               std::uint16_t* out);
+  void fill(std::uint16_t* out) const;
+  /// Cache participation rule for one slice: cached bytes must be
+  /// attempt-independent, which holds when they are CRC-verified or when no
+  /// fault injector can perturb them.
   bool cache_eligible(const SliceRef& slice) const {
     return cache_ != nullptr &&
            ((cfg_.verify_checksums && slice.has_crc) || injector_ == nullptr);
   }
-  void extract_rect(const std::uint8_t* slice_bytes, std::int64_t x0, std::int64_t y0,
-                    std::int64_t w, std::int64_t h, std::uint16_t* out) const;
   /// Reader for one replica node (the wrapped one, or a lazily-built
   /// fallback). Returns nullptr when the fallback cannot be opened (missing
   /// directory or index), with the reason in `error`.
   const StorageNodeReader* reader_for(int node, std::string& error);
 
-  /// Tail path applies to the whole-slice fetch unit only: verified slices
-  /// always; unverified only when no injector can perturb the bytes (the
-  /// same attempt-independence rule as cache_eligible).
+  /// Tail path: verified slices always; unverified only when no injector
+  /// can perturb the bytes (the same attempt-independence rule as
+  /// cache_eligible).
   bool tail_eligible(const SliceRef& slice) const {
     return tail_pool_ != nullptr && tail_tracker_ != nullptr && tail_cfg_.enabled() &&
            ((cfg_.verify_checksums && slice.has_crc) || injector_ == nullptr);
   }
-  /// Hedged / deadline-bounded whole-slice fetch through the helper pool.
-  /// On success fills cached_bytes_/cached_slice_ (and the tile cache) and
-  /// returns true; on failure or deadline exhaustion returns false and the
-  /// caller falls back to the synchronous path. `last_error` carries the
-  /// most recent failure reason.
+  /// Hedged / deadline-bounded slice fetch through the helper pool. On
+  /// success delivers the winning bytes into `out` and returns true; on
+  /// failure or deadline exhaustion returns false and the caller falls back
+  /// to the synchronous path. `last_error` carries the most recent failure
+  /// reason.
   bool hedged_fetch(const SliceRef& slice, const std::vector<int>& order,
-                    std::string& last_error);
+                    std::string& last_error, std::uint16_t* out);
   /// Latency/breach bookkeeping for a completed or breached primary read.
   void note_tail_breach(int node);
 
@@ -266,31 +275,21 @@ class ResilientReader {
   std::map<int, StorageNodeReader> fallbacks_;  ///< other replica nodes, lazy
   FaultReport report_;
 
-  TileCache* cache_ = nullptr;  ///< shared tile cache (non-owning, optional)
+  /// Delivered bytes, cache and tail counters; counters() adds the seeks
+  /// and the FaultReport's counters.
+  ReaderCounters io_;
+
+  TileCache* cache_ = nullptr;  ///< shared slice cache (non-owning, optional)
   std::uint64_t cache_dataset_ = 0;
   int cache_tenant_ = 0;
-  std::int64_t cache_hits_ = 0;
-  std::int64_t cache_misses_ = 0;
-  std::int64_t cache_bytes_served_ = 0;
-  std::int64_t delivered_bytes_ = 0;  ///< bytes that reached the caller
 
   // Tail-tolerance layer (attach_tail; all non-owning, shared run-wide).
   TailConfig tail_cfg_;
   LatencyTracker* tail_tracker_ = nullptr;
   SliceFetchPool* tail_pool_ = nullptr;
-  std::int64_t tail_hedges_issued_ = 0;
-  std::int64_t tail_hedges_won_ = 0;
-  std::int64_t tail_hedges_abandoned_ = 0;
-  std::int64_t tail_reads_abandoned_ = 0;
-  std::int64_t tail_breaches_ = 0;
-  std::int64_t tail_slow_evictions_ = 0;
   std::int64_t pool_seeks_ = 0;           ///< seeks by observed pooled fetches
   std::int64_t pool_attempted_bytes_ = 0; ///< raw bytes observed pooled fetches moved
 
-  // Whole-slice cache for the verified path (one slice: the RFR tile loop
-  // visits tiles of a slice consecutively).
-  std::vector<std::uint8_t> cached_bytes_;
-  std::int64_t cached_slice_ = -1;
   std::vector<std::int64_t> failed_slices_;  ///< already given up on (dedup)
 };
 

@@ -24,7 +24,7 @@
 //     slice read is issued to the next node in replica_order and the first
 //     CRC-verified result wins; the loser is cancelled if not yet started,
 //     drained otherwise. Duplicate fills are deduplicated by TileCache
-//     keying (insert_slice keeps already-resident tiles), so hedging never
+//     keying (insert_slice keeps a resident slice), so hedging never
 //     changes delivered bytes.
 //   * Slow-node eviction — `slow_after` consecutive breaches (a deadline
 //     expiry or a lost hedge) evict the node through the existing

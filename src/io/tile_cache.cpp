@@ -1,8 +1,5 @@
 #include "io/tile_cache.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 namespace h4d::io {
 
 namespace {
@@ -18,30 +15,16 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
 
 }  // namespace
 
-std::size_t TileCache::TileKeyHash::operator()(const TileKey& k) const {
+std::size_t TileCache::SliceKeyHash::operator()(const SliceKey& k) const {
   std::uint64_t h = 14695981039346656037ULL;
   h = fnv1a(&k.dataset, sizeof(k.dataset), h);
   h = fnv1a(&k.t, sizeof(k.t), h);
   h = fnv1a(&k.z, sizeof(k.z), h);
-  h = fnv1a(&k.xi, sizeof(k.xi), h);
-  h = fnv1a(&k.yi, sizeof(k.yi), h);
   return static_cast<std::size_t>(h);
 }
 
 TileCache::TileCache(TileCacheConfig config) : cfg_(config) {
   if (cfg_.budget_bytes < 0) cfg_.budget_bytes = 0;
-  cfg_.tile_w = std::max<std::int64_t>(1, cfg_.tile_w);
-  cfg_.tile_h = std::max<std::int64_t>(1, cfg_.tile_h);
-  // Every shard must be able to hold at least one full tile (worst case
-  // uint16 elements), otherwise a sliver of the budget would cache nothing.
-  const std::int64_t max_tile_bytes =
-      cfg_.tile_w * cfg_.tile_h * static_cast<std::int64_t>(sizeof(std::uint16_t));
-  const std::int64_t max_shards = std::max<std::int64_t>(1, cfg_.budget_bytes / max_tile_bytes);
-  cfg_.shards = static_cast<int>(
-      std::clamp<std::int64_t>(cfg_.shards, 1, std::min<std::int64_t>(max_shards, 64)));
-  shard_budget_ = cfg_.budget_bytes / cfg_.shards;
-  shards_.reserve(static_cast<std::size_t>(cfg_.shards));
-  for (int i = 0; i < cfg_.shards; ++i) shards_.push_back(std::make_unique<Shard>());
   // Tenant id 0 always exists: solo runs intern the empty name as "local".
   tenants_.emplace_back().name = "local";
 }
@@ -73,80 +56,43 @@ TileCache::TenantCounters& TileCache::tenant(int id) {
   return tenants_[static_cast<std::size_t>(id)];
 }
 
-TileCache::Shard& TileCache::shard_of(const TileKey& k) {
-  return *shards_[TileKeyHash{}(k) % shards_.size()];
-}
-
-const TileCache::Shard& TileCache::shard_of(const TileKey& k) const {
-  return *shards_[TileKeyHash{}(k) % shards_.size()];
-}
-
-void TileCache::evict_entry(Shard& s, std::list<TileKey>::iterator victim) {
-  const auto it = s.map.find(*victim);
-  const std::int64_t size = static_cast<std::int64_t>(it->second.bytes.size());
-  s.resident -= size;
-  tenant(it->second.tenant).resident.fetch_add(-size, std::memory_order_relaxed);
-  s.map.erase(it);
-  s.order.erase(victim);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  pending_evictions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TileCache::make_room(Shard& s, std::int64_t need) {
-  while (s.resident + need > shard_budget_ && !s.order.empty()) {
-    evict_entry(s, std::prev(s.order.end()));
+void TileCache::make_room(std::int64_t need) {
+  while (resident_ + need > cfg_.budget_bytes && !order_.empty()) {
+    const auto it = map_.find(order_.back());
+    const std::int64_t size = static_cast<std::int64_t>(it->second.bytes.size());
+    resident_ -= size;
+    tenant(it->second.tenant).resident.fetch_add(-size, std::memory_order_relaxed);
+    map_.erase(it);
+    order_.pop_back();
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    pending_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-bool TileCache::read_rect(std::uint64_t dataset, const DatasetMeta& meta, std::int64_t t,
-                          std::int64_t z, std::int64_t x0, std::int64_t y0,
-                          std::int64_t w, std::int64_t h, std::uint16_t* out,
-                          int tenant_idx, TileRectStats& stats) {
-  const std::int64_t tw = cfg_.tile_w, th = cfg_.tile_h;
-  const std::size_t esz = dtype_size(meta.dtype);
+bool TileCache::read_slice(std::uint64_t dataset, const DatasetMeta& meta, std::int64_t t,
+                           std::int64_t z, std::uint16_t* out, int tenant_idx) {
   TenantCounters& tc = tenant(tenant_idx);
   std::int64_t bytes = 0;
-  for (std::int64_t yi = y0 / th; yi * th < y0 + h; ++yi) {
-    for (std::int64_t xi = x0 / tw; xi * tw < x0 + w; ++xi) {
-      const TileKey key{dataset, t, z, xi, yi};
-      Shard& s = shard_of(key);
-      std::lock_guard lk(s.mu);
-      const auto it = s.map.find(key);
-      if (it == s.map.end()) {
-        ++stats.misses;
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        tc.misses.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      Entry& e = it->second;
-      s.order.splice(s.order.begin(), s.order, e.pos);
-      if (e.prefetched) {
-        e.prefetched = false;
-        prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
-        pending_prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ++stats.hits;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      tc.hits.fetch_add(1, std::memory_order_relaxed);
-
-      // Copy the tile's intersection with the requested rectangle, widening
-      // to uint16 exactly like the disk path.
-      const std::int64_t gx0 = std::max(x0, xi * tw), gx1 = std::min(x0 + w, xi * tw + e.ew);
-      const std::int64_t gy0 = std::max(y0, yi * th), gy1 = std::min(y0 + h, yi * th + e.eh);
-      for (std::int64_t gy = gy0; gy < gy1; ++gy) {
-        const std::uint8_t* src =
-            e.bytes.data() + (static_cast<std::size_t>((gy - yi * th) * e.ew + (gx0 - xi * tw))) * esz;
-        std::uint16_t* dst = out + (gy - y0) * w + (gx0 - x0);
-        if (meta.dtype == Dtype::U16) {
-          std::memcpy(dst, src, static_cast<std::size_t>(gx1 - gx0) * sizeof(std::uint16_t));
-        } else {
-          for (std::int64_t x = 0; x < gx1 - gx0; ++x) dst[x] = src[x];
-        }
-      }
-      bytes += (gx1 - gx0) * (gy1 - gy0) * static_cast<std::int64_t>(esz);
+  {
+    std::lock_guard lk(mu_);
+    const auto it = map_.find(SliceKey{dataset, t, z});
+    if (it == map_.end()) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      tc.misses.fetch_add(1, std::memory_order_relaxed);
+      return false;
     }
+    Entry& e = it->second;
+    order_.splice(order_.begin(), order_, e.pos);
+    if (e.prefetched) {
+      e.prefetched = false;
+      prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
+      pending_prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
+    }
+    bytes = static_cast<std::int64_t>(e.bytes.size());
+    widen_to_u16(meta.dtype, e.bytes.data(), meta.dims[0] * meta.dims[1], out);
   }
-  stats.bytes_served += bytes;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  tc.hits.fetch_add(1, std::memory_order_relaxed);
   bytes_served_.fetch_add(bytes, std::memory_order_relaxed);
   tc.bytes_served.fetch_add(bytes, std::memory_order_relaxed);
   return true;
@@ -155,56 +101,30 @@ bool TileCache::read_rect(std::uint64_t dataset, const DatasetMeta& meta, std::i
 void TileCache::insert_slice(std::uint64_t dataset, const DatasetMeta& meta,
                              std::int64_t t, std::int64_t z, const std::uint8_t* bytes,
                              bool prefetched, int tenant_idx) {
-  const std::int64_t nx = meta.dims[0], ny = meta.dims[1];
-  const std::int64_t tw = cfg_.tile_w, th = cfg_.tile_h;
-  const std::size_t esz = dtype_size(meta.dtype);
-  for (std::int64_t yi = 0; yi * th < ny; ++yi) {
-    for (std::int64_t xi = 0; xi * tw < nx; ++xi) {
-      const std::int64_t ew = std::min(tw, nx - xi * tw);
-      const std::int64_t eh = std::min(th, ny - yi * th);
-      const std::int64_t size = ew * eh * static_cast<std::int64_t>(esz);
-      const TileKey key{dataset, t, z, xi, yi};
-      Shard& s = shard_of(key);
-      std::lock_guard lk(s.mu);
-      if (s.map.count(key) != 0) continue;  // keep the resident copy
-      if (size > shard_budget_) continue;   // tile cannot fit this shard
-      make_room(s, size);
-      Entry e;
-      e.bytes.resize(static_cast<std::size_t>(size));
-      for (std::int64_t y = 0; y < eh; ++y) {
-        std::memcpy(e.bytes.data() + static_cast<std::size_t>(y * ew) * esz,
-                    bytes + (static_cast<std::size_t>((yi * th + y) * nx + xi * tw)) * esz,
-                    static_cast<std::size_t>(ew) * esz);
-      }
-      e.ew = ew;
-      e.eh = eh;
-      e.prefetched = prefetched;
-      e.tenant = tenant_idx;
-      s.order.push_front(key);
-      e.pos = s.order.begin();
-      s.resident += size;
-      tenant(tenant_idx).resident.fetch_add(size, std::memory_order_relaxed);
-      s.map.emplace(key, std::move(e));
-      if (prefetched) {
-        prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-        pending_prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  const std::int64_t size = meta.slice_bytes();
+  if (size > cfg_.budget_bytes) return;  // the slice cannot fit at all
+  const SliceKey key{dataset, t, z};
+  std::lock_guard lk(mu_);
+  if (map_.count(key) != 0) return;  // keep the resident copy
+  make_room(size);
+  Entry e;
+  e.bytes.assign(bytes, bytes + size);
+  e.prefetched = prefetched;
+  e.tenant = tenant_idx;
+  order_.push_front(key);
+  e.pos = order_.begin();
+  resident_ += size;
+  tenant(tenant_idx).resident.fetch_add(size, std::memory_order_relaxed);
+  map_.emplace(key, std::move(e));
+  if (prefetched) {
+    prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
+    pending_prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-bool TileCache::slice_fully_cached(std::uint64_t dataset, const DatasetMeta& meta,
-                                   std::int64_t t, std::int64_t z) const {
-  const std::int64_t nx = meta.dims[0], ny = meta.dims[1];
-  for (std::int64_t yi = 0; yi * cfg_.tile_h < ny; ++yi) {
-    for (std::int64_t xi = 0; xi * cfg_.tile_w < nx; ++xi) {
-      const TileKey key{dataset, t, z, xi, yi};
-      const Shard& s = shard_of(key);
-      std::lock_guard lk(s.mu);
-      if (s.map.count(key) == 0) return false;
-    }
-  }
-  return true;
+bool TileCache::contains(std::uint64_t dataset, std::int64_t t, std::int64_t z) const {
+  std::lock_guard lk(mu_);
+  return map_.count(SliceKey{dataset, t, z}) != 0;
 }
 
 TileCacheStats TileCache::stats() const {
@@ -216,21 +136,15 @@ TileCacheStats TileCache::stats() const {
   st.evictions = evictions_.load(std::memory_order_relaxed);
   st.prefetch_issued = prefetch_issued_.load(std::memory_order_relaxed);
   st.prefetch_useful = prefetch_useful_.load(std::memory_order_relaxed);
-  for (const auto& s : shards_) {
-    std::lock_guard lk(s->mu);
-    st.resident_bytes += s->resident;
-    st.resident_tiles += static_cast<std::int64_t>(s->map.size());
-  }
+  std::lock_guard lk(mu_);
+  st.resident_bytes = resident_;
+  st.resident_slices = static_cast<std::int64_t>(map_.size());
   return st;
 }
 
 std::int64_t TileCache::resident_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard lk(s->mu);
-    total += s->resident;
-  }
-  return total;
+  std::lock_guard lk(mu_);
+  return resident_;
 }
 
 std::vector<TenantCacheStats> TileCache::tenant_stats() const {

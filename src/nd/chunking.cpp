@@ -97,32 +97,4 @@ std::vector<SliceCoord> raster_slice_order(const std::vector<Chunk>& chunks) {
   return order;
 }
 
-std::vector<Region4> partition_plain(const Vec4& dims, const Vec4& block_dims) {
-  if (!dims.all_positive() || !block_dims.all_positive()) {
-    throw std::invalid_argument("partition_plain: all extents must be positive");
-  }
-  Vec4 grid;
-  for (int d = 0; d < kDims; ++d) {
-    grid[d] = (dims[d] + block_dims[d] - 1) / block_dims[d];
-  }
-  std::vector<Region4> blocks;
-  blocks.reserve(static_cast<std::size_t>(grid.volume()));
-  Vec4 g;
-  for (g[3] = 0; g[3] < grid[3]; ++g[3]) {
-    for (g[2] = 0; g[2] < grid[2]; ++g[2]) {
-      for (g[1] = 0; g[1] < grid[1]; ++g[1]) {
-        for (g[0] = 0; g[0] < grid[0]; ++g[0]) {
-          Region4 r;
-          for (int d = 0; d < kDims; ++d) {
-            r.origin[d] = g[d] * block_dims[d];
-            r.size[d] = std::min(block_dims[d], dims[d] - r.origin[d]);
-          }
-          blocks.push_back(r);
-        }
-      }
-    }
-  }
-  return blocks;
-}
-
 }  // namespace h4d

@@ -45,10 +45,6 @@ std::int64_t num_roi_origins(const Vec4& dims, const Vec4& roi_dims);
 /// Region of all valid ROI origins: [0, dims - roi + 1).
 Region4 roi_origin_region(const Vec4& dims, const Vec4& roi_dims);
 
-/// Plain (non-overlapping) partition into blocks of at most `block_dims`,
-/// used for I/O-granularity chunks (RFR->IIC).
-std::vector<Region4> partition_plain(const Vec4& dims, const Vec4& block_dims);
-
 /// One 2D slice of the 4D volume (the on-disk I/O unit: one raw file).
 struct SliceCoord {
   std::int64_t z = 0;

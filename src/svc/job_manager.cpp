@@ -343,7 +343,7 @@ void JobManager::run_job(const std::shared_ptr<Job>& j) {
   core::PipelineConfig config = j->spec.config;
   // The manager's shared tile cache, accounted to this job's tenant. Under
   // fault injection PipelineParams::make swaps in a private instance — a
-  // deterministic drill must not be perturbed by tiles other jobs cached.
+  // deterministic drill must not be perturbed by slices other jobs cached.
   if (opt_.tile_cache) {
     config.tile_cache = opt_.tile_cache;
     config.cache = opt_.tile_cache->config();

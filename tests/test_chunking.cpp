@@ -104,28 +104,5 @@ TEST(PartitionOverlapping, IdsAreSequentialRasterOrder) {
   }
 }
 
-TEST(PartitionPlain, CoversVolumeDisjointly) {
-  const Vec4 dims{10, 7, 3, 5};
-  const auto blocks = partition_plain(dims, {4, 4, 2, 2});
-  std::int64_t total = 0;
-  for (const Region4& b : blocks) {
-    EXPECT_TRUE(Region4::whole(dims).contains(b));
-    total += b.volume();
-    for (const Region4& o : blocks) {
-      if (&o != &b) {
-        EXPECT_FALSE(b.intersects(o)) << b.str() << " vs " << o.str();
-      }
-    }
-  }
-  EXPECT_EQ(total, dims.volume());
-}
-
-TEST(PartitionPlain, SliceGranularity) {
-  // RFR->IIC chunks of one whole slice each: dims (X, Y, 1, 1).
-  const Vec4 dims{16, 16, 4, 3};
-  const auto blocks = partition_plain(dims, {16, 16, 1, 1});
-  EXPECT_EQ(blocks.size(), 12u);  // 4 slices x 3 timesteps
-}
-
 }  // namespace
 }  // namespace h4d

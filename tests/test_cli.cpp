@@ -119,7 +119,7 @@ TEST_F(CliTest, AnalyzeRejectsRemovedFlags) {
                          std::istreambuf_iterator<char>());
   EXPECT_NE(text.find("\"queue_max_depth\""), std::string::npos);
 
-  for (const char* flag : {"--queue", "--sliding", "--cache-policy"}) {
+  for (const char* flag : {"--queue", "--sliding", "--cache-policy", "--tile-shape"}) {
     EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", flag, "on"}), 1) << flag;
     EXPECT_NE(stderr_text().find(std::string(flag) + " was removed"), std::string::npos)
         << flag;

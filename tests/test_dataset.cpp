@@ -71,41 +71,14 @@ TEST_F(DatasetTest, RoundRobinSliceDistribution) {
   }
 }
 
-TEST_F(DatasetTest, NodeReaderReadsLocalSubregion) {
-  const auto vol = sample_volume({8, 6, 2, 2});
-  const DiskDataset ds = DiskDataset::create(root_, vol, 2);
-  const StorageNodeReader reader = ds.node_reader(0);
-  ASSERT_FALSE(reader.slices().empty());
-  const SliceRef s = reader.slices().front();
-
-  std::vector<std::uint16_t> out(3 * 2);
-  reader.read_slice_region(s, 2, 1, 3, 2, out.data());
-  for (std::int64_t y = 0; y < 2; ++y) {
-    for (std::int64_t x = 0; x < 3; ++x) {
-      EXPECT_EQ(out[static_cast<std::size_t>(y * 3 + x)], vol.at(2 + x, 1 + y, s.z, s.t));
-    }
-  }
-}
-
 TEST_F(DatasetTest, NodeReaderRejectsForeignSlice) {
   const auto vol = sample_volume({4, 4, 2, 2});
   const DiskDataset ds = DiskDataset::create(root_, vol, 2);
   const StorageNodeReader reader0 = ds.node_reader(0);
   const StorageNodeReader reader1 = ds.node_reader(1);
   const SliceRef foreign = reader1.slices().front();
-  std::vector<std::uint16_t> out(16);
-  EXPECT_THROW(reader0.read_slice_region(foreign, 0, 0, 4, 4, out.data()),
-               std::invalid_argument);
-}
-
-TEST_F(DatasetTest, NodeReaderRejectsOutOfBoundsRect) {
-  const auto vol = sample_volume({4, 4, 2, 2});
-  const DiskDataset ds = DiskDataset::create(root_, vol, 1);
-  const StorageNodeReader reader = ds.node_reader(0);
-  const SliceRef s = reader.slices().front();
-  std::vector<std::uint16_t> out(100);
-  EXPECT_THROW(reader.read_slice_region(s, 2, 0, 3, 4, out.data()), std::invalid_argument);
-  EXPECT_THROW(reader.read_slice_region(s, 0, 0, 0, 4, out.data()), std::invalid_argument);
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(ds.meta().slice_bytes()));
+  EXPECT_THROW(reader0.read_slice_bytes(foreign, out.data()), std::invalid_argument);
 }
 
 TEST_F(DatasetTest, ReadRegionMatchesMemory) {
@@ -135,13 +108,18 @@ TEST_F(DatasetTest, SeekAccountingFullVsPartialRows) {
   const StorageNodeReader reader = ds.node_reader(0);
   const SliceRef s = reader.slices().front();
 
-  std::vector<std::uint16_t> out(16 * 16);
-  reader.read_slice_region(s, 0, 0, 16, 16, out.data());
-  const std::int64_t after_full = reader.seeks_performed();
-  EXPECT_EQ(after_full, 1);  // full-width read: one seek
-
-  reader.read_slice_region(s, 4, 0, 8, 16, out.data());
-  EXPECT_EQ(reader.seeks_performed() - after_full, 16);  // one per partial row
+  // The whole slice is the only read unit: one seek per read, and the
+  // bytes are exactly the slice's, row-major.
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(ds.meta().slice_bytes()));
+  reader.read_slice_bytes(s, out.data());
+  EXPECT_EQ(reader.seeks_performed(), 1);
+  EXPECT_EQ(reader.bytes_read(), ds.meta().slice_bytes());
+  std::vector<std::uint16_t> px(16 * 16);
+  widen_to_u16(ds.meta().dtype, out.data(), 16 * 16, px.data());
+  for (std::int64_t y = 0; y < 16; ++y)
+    for (std::int64_t x = 0; x < 16; ++x) {
+      EXPECT_EQ(px[static_cast<std::size_t>(y * 16 + x)], vol.at(x, y, s.z, s.t));
+    }
 }
 
 TEST_F(DatasetTest, CreateRejectsBadNodeCount) {

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "core/analysis.hpp"
 #include "io/dataset.hpp"
 #include "io/phantom.hpp"
@@ -215,6 +216,30 @@ TEST_F(CorruptionTest, IndexNonHexChecksumIsRejected) {
   }
 }
 
+TEST_F(CorruptionTest, MetaDimsOverflowingByteCountAreRejected) {
+  DiskDataset::create(root_, vol_, 1);
+  // 3037000500^2 exceeds INT64_MAX: slice_bytes() would overflow.
+  {
+    std::ofstream meta(root_ / "dataset.meta", std::ios::trunc);
+    meta << "version 2\ndims 3037000500 3037000500 4 3\ndtype u16\nrange 0 4000\n"
+         << "storage_nodes 1\nreplicas 1\n";
+  }
+  try {
+    DatasetMeta::load(root_);
+    FAIL() << "expected the overflowing dims to be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("corrupt dataset.meta"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("3037000500"), std::string::npos) << msg;
+  }
+
+  const std::string root = root_.string();
+  const char* argv[] = {"h4d", "info", root.c_str()};
+  std::ostringstream out, err;
+  EXPECT_NE(cli::run(3, argv, out, err), 0);
+  EXPECT_NE(err.str().find("corrupt dataset.meta"), std::string::npos) << err.str();
+}
+
 TEST_F(CorruptionTest, TruncatedSliceReportsExpectedVersusActual) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 1);
   const std::int64_t full = static_cast<std::int64_t>(fsys::file_size(slice00_path()));
@@ -238,12 +263,6 @@ TEST_F(CorruptionTest, TruncatedSliceReportsExpectedVersusActual) {
     EXPECT_NE(msg.find("t=0"), std::string::npos) << msg;
     EXPECT_NE(msg.find("z=0"), std::string::npos) << msg;
   }
-
-  // The row-wise path reports the same class of error.
-  std::vector<std::uint16_t> row(static_cast<std::size_t>(vol_.dims()[0]));
-  EXPECT_THROW(
-      reader.read_slice_region(*s, 0, vol_.dims()[1] - 1, vol_.dims()[0], 1, row.data()),
-      SliceReadError);
 }
 
 struct CorruptionE2E : ::testing::Test {

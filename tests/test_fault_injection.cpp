@@ -302,13 +302,13 @@ class ResilientReadTest : public ::testing::Test {
 // attempted_bytes_read()). Pins the delivered-bytes semantics under faults.
 TEST_F(ResilientReadTest, BytesReadCountsOnlyDeliveredBytes) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 1);
-  const std::int64_t slice_bytes = 6 * 5 * 2;  // full-slice rects below
+  const std::int64_t slice_bytes = 6 * 5 * 2;  // one 6x5 u16 slice
 
   {  // Healthy: delivered == attempted == one slice per read.
     ResilientReader reader(ds.node_reader(0), fast_retry(DegradePolicy::Retry));
     std::vector<std::uint16_t> out(6 * 5);
     for (const SliceRef& s : reader.slices()) {
-      EXPECT_TRUE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+      EXPECT_TRUE(reader.read_slice(s, out.data()));
     }
     const auto n = static_cast<std::int64_t>(reader.slices().size());
     EXPECT_EQ(reader.bytes_read(), n * slice_bytes);
@@ -327,7 +327,7 @@ TEST_F(ResilientReadTest, BytesReadCountsOnlyDeliveredBytes) {
     ResilientReader reader(ds.node_reader(0), fast_retry(DegradePolicy::Retry), &inj);
     std::vector<std::uint16_t> out(6 * 5);
     for (const SliceRef& s : reader.slices()) {
-      EXPECT_TRUE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+      EXPECT_TRUE(reader.read_slice(s, out.data()));
     }
     const auto n = static_cast<std::int64_t>(reader.slices().size());
     EXPECT_GT(reader.report().read_retries, 0);
@@ -347,7 +347,7 @@ TEST_F(ResilientReadTest, BytesReadCountsOnlyDeliveredBytes) {
     ResilientReader reader(ds.node_reader(0), rc, &inj);
     std::vector<std::uint16_t> out(6 * 5);
     for (const SliceRef& s : reader.slices()) {
-      EXPECT_FALSE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+      EXPECT_FALSE(reader.read_slice(s, out.data()));
     }
     EXPECT_EQ(reader.bytes_read(), 0);
     EXPECT_GT(reader.attempted_bytes_read(), 0);
@@ -367,7 +367,7 @@ TEST_F(ResilientReadTest, RetriesUntilSuccessAndReportsRecovery) {
   ResilientReader reader(ds.node_reader(0), fast_retry(DegradePolicy::Retry), &inj);
   const SliceRef& s = reader.slices().front();
   std::vector<std::uint16_t> out(6 * 5);
-  EXPECT_TRUE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+  EXPECT_TRUE(reader.read_slice(s, out.data()));
   for (std::int64_t y = 0; y < 5; ++y)
     for (std::int64_t x = 0; x < 6; ++x) {
       EXPECT_EQ(out[static_cast<std::size_t>(y * 6 + x)], vol_.at(x, y, s.z, s.t));
@@ -386,7 +386,7 @@ TEST_F(ResilientReadTest, FailFastDoesNotRetry) {
   ResilientReader reader(ds.node_reader(0), fast_retry(DegradePolicy::FailFast), &inj);
   const SliceRef s = reader.slices().front();
   std::vector<std::uint16_t> out(6 * 5);
-  EXPECT_THROW(reader.read_slice_region(s, 0, 0, 6, 5, out.data()), std::runtime_error);
+  EXPECT_THROW(reader.read_slice(s, out.data()), std::runtime_error);
   EXPECT_EQ(inj.attempts(s.t, s.z), 1);  // exactly one attempt, no retries
   EXPECT_EQ(reader.report().read_retries, 0);
 }
@@ -401,7 +401,7 @@ TEST_F(ResilientReadTest, RetryExhaustionPropagates) {
   const SliceRef s = reader.slices().front();
   std::vector<std::uint16_t> out(6 * 5);
   try {
-    reader.read_slice_region(s, 0, 0, 6, 5, out.data());
+    reader.read_slice(s, out.data());
     FAIL() << "expected exhaustion";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("3 attempts"), std::string::npos) << e.what();
@@ -426,7 +426,7 @@ TEST_F(ResilientReadTest, BackoffBudgetClipsAreCountedInReport) {
   ResilientReader reader(ds.node_reader(0), rc, &inj);
   const SliceRef& s = reader.slices().front();
   std::vector<std::uint16_t> out(6 * 5);
-  EXPECT_FALSE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+  EXPECT_FALSE(reader.read_slice(s, out.data()));
   EXPECT_EQ(reader.report().read_retries, 5);
   EXPECT_EQ(reader.report().backoffs_capped, 4);
   EXPECT_EQ(reader.report().slices_skipped, 1);

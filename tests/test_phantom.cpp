@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "haralick/directions.hpp"
 #include "haralick/glcm_sparse.hpp"
@@ -100,6 +101,11 @@ TEST(Phantom, RejectsBadConfig) {
   EXPECT_THROW(generate_phantom(cfg), std::invalid_argument);
   cfg = small_config();
   cfg.num_tumors = -1;
+  EXPECT_THROW(generate_phantom(cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.noise_sigma = -1.0;
+  EXPECT_THROW(generate_phantom(cfg), std::invalid_argument);
+  cfg.noise_sigma = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(generate_phantom(cfg), std::invalid_argument);
 }
 

@@ -327,22 +327,23 @@ TEST_F(TailReadTest, HedgedReadsWinAgainstAGrayPrimaryAndEvictIt) {
 
   std::vector<std::uint16_t> out(6 * 5);
   for (const SliceRef& s : reader.slices()) {
-    ASSERT_TRUE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+    ASSERT_TRUE(reader.read_slice(s, out.data()));
     expect_slice_matches(s, out);
   }
 
-  EXPECT_GT(reader.tail_hedges_issued(), 0);
-  EXPECT_GT(reader.tail_hedges_won(), 0);
-  EXPECT_LE(reader.tail_hedges_won(), reader.tail_hedges_issued());
+  const ReaderCounters c = reader.counters();
+  EXPECT_GT(c.hedges_issued, 0);
+  EXPECT_GT(c.hedges_won, 0);
+  EXPECT_LE(c.hedges_won, c.hedges_issued);
   // The per-reader counters and the shared tracker agree exactly (one
   // reader: the deltas are the totals).
-  EXPECT_EQ(tracker.hedges_issued.load(), reader.tail_hedges_issued());
-  EXPECT_EQ(tracker.hedges_won.load(), reader.tail_hedges_won());
-  EXPECT_EQ(tracker.hedges_abandoned.load(), reader.tail_hedges_abandoned());
+  EXPECT_EQ(tracker.hedges_issued.load(), c.hedges_issued);
+  EXPECT_EQ(tracker.hedges_won.load(), c.hedges_won);
+  EXPECT_EQ(tracker.hedges_abandoned.load(), c.hedges_abandoned);
   EXPECT_EQ(tracker.reads_abandoned.load(), 0);  // deadlines were off
   // Three consecutive lost hedges evicted node 0 as slow, through the same
   // probation machinery as failure evictions.
-  EXPECT_EQ(reader.tail_slow_evictions(), 1);
+  EXPECT_EQ(c.slow_evictions, 1);
   EXPECT_EQ(tracker.evictions_slow.load(), 1);
   EXPECT_TRUE(replicas.node_evicted(0));
   EXPECT_EQ(replicas.evictions_slow(), 1);
@@ -380,16 +381,17 @@ TEST_F(TailReadTest, DeadlineExpiryAbandonsAndFallsBackSynchronously) {
 
   std::vector<std::uint16_t> out(6 * 5);
   for (const SliceRef& s : reader.slices()) {
-    ASSERT_TRUE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+    ASSERT_TRUE(reader.read_slice(s, out.data()));
     expect_slice_matches(s, out);
   }
-  EXPECT_GT(reader.tail_reads_abandoned(), 0);
-  EXPECT_EQ(tracker.reads_abandoned.load(), reader.tail_reads_abandoned());
-  EXPECT_GT(reader.tail_breaches(), 0);
-  EXPECT_EQ(reader.tail_hedges_issued(), 0);  // hedging was off
+  const ReaderCounters c = reader.counters();
+  EXPECT_GT(c.reads_abandoned, 0);
+  EXPECT_EQ(tracker.reads_abandoned.load(), c.reads_abandoned);
+  EXPECT_GT(c.tail_breaches, 0);
+  EXPECT_EQ(c.hedges_issued, 0);  // hedging was off
   // Without a replica set there is nothing to evict — abandonment alone
   // must not fabricate evictions.
-  EXPECT_EQ(reader.tail_slow_evictions(), 0);
+  EXPECT_EQ(c.slow_evictions, 0);
   EXPECT_EQ(reader.report().nodes_evicted, 0);
 }
 
@@ -403,7 +405,7 @@ TEST_F(TailReadTest, TailLayerOffByDefaultTouchesNothing) {
   reader.attach_tail(TailConfig{}, &tracker, &pool);  // enabled() == false
   std::vector<std::uint16_t> out(6 * 5);
   for (const SliceRef& s : reader.slices()) {
-    ASSERT_TRUE(reader.read_slice_region(s, 0, 0, 6, 5, out.data()));
+    ASSERT_TRUE(reader.read_slice(s, out.data()));
   }
   EXPECT_EQ(tracker.hedges_issued.load(), 0);
   EXPECT_EQ(tracker.reads_abandoned.load(), 0);

@@ -1,4 +1,4 @@
-// Shared out-of-core tile cache: budget enforcement, deterministic LRU
+// Shared out-of-core slice cache: budget enforcement, deterministic LRU
 // eviction, corrupt-slice exclusion under fault injection, byte-identity
 // of cached runs, and a concurrent stress (TSan tier).
 #include "io/tile_cache.hpp"
@@ -33,7 +33,7 @@ DatasetMeta make_meta(std::int64_t w, std::int64_t h, std::int64_t nz,
 }
 
 /// Slice bytes with a per-element signature of (t, z, x, y), so a served
-/// rectangle can be checked against what the slice held.
+/// slice can be checked against what was inserted.
 std::vector<std::uint8_t> make_slice(const DatasetMeta& meta, std::int64_t t,
                                      std::int64_t z) {
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(meta.slice_bytes()));
@@ -50,57 +50,37 @@ TEST(TileCache, ServesExactBytesOnFullHitAndCountsProbes) {
   const DatasetMeta meta = make_meta(32, 24, 2, 2);
   TileCacheConfig cfg;
   cfg.budget_bytes = 1 << 20;
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
   const int tenant = cache.tenant_id("");
 
   std::vector<std::uint16_t> out(32 * 24, 0xFFFF);
-  TileRectStats s0;
-  // Nothing resident: the first probe misses and probing stops there.
-  EXPECT_FALSE(cache.read_rect(ds, meta, 0, 0, 0, 0, 32, 24, out.data(), tenant, s0));
-  EXPECT_EQ(s0.hits, 0);
-  EXPECT_EQ(s0.misses, 1);
-  EXPECT_EQ(s0.bytes_served, 0);
+  // Nothing resident: one probe, one miss.
+  EXPECT_FALSE(cache.read_slice(ds, meta, 0, 0, out.data(), tenant));
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().bytes_served, 0);
 
   const auto bytes = make_slice(meta, 0, 0);
   cache.insert_slice(ds, meta, 0, 0, bytes.data(), false, tenant);
-  EXPECT_TRUE(cache.slice_fully_cached(ds, meta, 0, 0));
-  EXPECT_FALSE(cache.slice_fully_cached(ds, meta, 0, 1));
+  EXPECT_TRUE(cache.contains(ds, 0, 0));
+  EXPECT_FALSE(cache.contains(ds, 0, 1));
 
-  // Full-slice rect: 2x2 tile grid => 4 probes, all hits, every byte right.
-  TileRectStats s1;
-  EXPECT_TRUE(cache.read_rect(ds, meta, 0, 0, 0, 0, 32, 24, out.data(), tenant, s1));
-  EXPECT_EQ(s1.hits, 4);
-  EXPECT_EQ(s1.misses, 0);
-  EXPECT_EQ(s1.bytes_served, 32 * 24 * 2);
+  // One probe, one hit, every byte right.
+  EXPECT_TRUE(cache.read_slice(ds, meta, 0, 0, out.data(), tenant));
   const auto* px = reinterpret_cast<const std::uint16_t*>(bytes.data());
   for (std::int64_t i = 0; i < 32 * 24; ++i) ASSERT_EQ(out[i], px[i]) << i;
 
-  // An unaligned interior rect spanning all 4 tiles.
-  std::vector<std::uint16_t> rect(20 * 10, 0);
-  TileRectStats s2;
-  EXPECT_TRUE(cache.read_rect(ds, meta, 0, 0, 5, 9, 20, 10, rect.data(), tenant, s2));
-  EXPECT_EQ(s2.hits, 4);
-  for (std::int64_t y = 0; y < 10; ++y)
-    for (std::int64_t x = 0; x < 20; ++x) {
-      ASSERT_EQ(rect[y * 20 + x], px[(y + 9) * 32 + (x + 5)]) << x << "," << y;
-    }
-
   const TileCacheStats totals = cache.stats();
   EXPECT_EQ(totals.lookups, totals.hits + totals.misses);
-  EXPECT_EQ(totals.hits, 8);
+  EXPECT_EQ(totals.hits, 1);
   EXPECT_EQ(totals.misses, 1);
+  EXPECT_EQ(totals.bytes_served, 32 * 24 * 2);
 }
 
 TEST(TileCache, BudgetIsEnforcedAndEvictionsCounted) {
-  const DatasetMeta meta = make_meta(16, 16, 8, 4);  // one 512-byte tile/slice
+  const DatasetMeta meta = make_meta(16, 16, 8, 4);  // 512-byte slices
   TileCacheConfig cfg;
-  cfg.budget_bytes = 4 * 512;  // room for exactly 4 tiles
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
-  cfg.shards = 1;
+  cfg.budget_bytes = 4 * 512;  // room for exactly 4 slices
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
   const int tenant = cache.tenant_id("");
@@ -112,17 +92,14 @@ TEST(TileCache, BudgetIsEnforcedAndEvictionsCounted) {
       EXPECT_LE(cache.resident_bytes(), cfg.budget_bytes);
     }
   const TileCacheStats s = cache.stats();
-  EXPECT_EQ(s.resident_tiles, 4);
+  EXPECT_EQ(s.resident_slices, 4);
   EXPECT_EQ(s.resident_bytes, 4 * 512);
   EXPECT_EQ(s.evictions, 32 - 4);
 
-  // Oversized tiles are skipped, not force-fitted.
+  // A slice larger than the whole budget is skipped, not force-fitted.
   const DatasetMeta big = make_meta(128, 128, 1, 1);
   TileCacheConfig tiny;
-  tiny.budget_bytes = 1024;  // < one 128x128x2 tile
-  tiny.tile_w = 128;
-  tiny.tile_h = 128;
-  tiny.shards = 1;
+  tiny.budget_bytes = 1024;  // < one 128x128x2 slice
   TileCache small(tiny);
   const auto bytes = make_slice(big, 0, 0);
   small.insert_slice(TileCache::dataset_key("/y", big), big, 0, 0, bytes.data(), false,
@@ -130,16 +107,34 @@ TEST(TileCache, BudgetIsEnforcedAndEvictionsCounted) {
   EXPECT_EQ(small.resident_bytes(), 0);
 }
 
-/// Which slices (single-tile each) survive after inserting 0..n-1 into a
-/// k-slice-capacity cache, touching `touched` in order between the fill and
+TEST(TileCache, WholeBudgetHoldsOneLargeSlice) {
+  // A 512x512 u16 slice is 512 KiB: half of a 1 MiB budget. One lock over
+  // one budget caches it; an eighth of the budget per shard would not.
+  const DatasetMeta meta = make_meta(512, 512, 1, 1);
+  TileCacheConfig cfg;
+  cfg.budget_bytes = 1 << 20;
+  TileCache cache(cfg);
+  const std::uint64_t ds = TileCache::dataset_key("/big", meta);
+  const int tenant = cache.tenant_id("");
+
+  const auto bytes = make_slice(meta, 0, 0);
+  cache.insert_slice(ds, meta, 0, 0, bytes.data(), false, tenant);
+  EXPECT_TRUE(cache.contains(ds, 0, 0));
+  EXPECT_EQ(cache.resident_bytes(), 512 * 512 * 2);
+
+  std::vector<std::uint16_t> out(512 * 512, 0);
+  ASSERT_TRUE(cache.read_slice(ds, meta, 0, 0, out.data(), tenant));
+  const auto* px = reinterpret_cast<const std::uint16_t*>(bytes.data());
+  for (std::int64_t i = 0; i < 512 * 512; ++i) ASSERT_EQ(out[i], px[i]) << i;
+}
+
+/// Which slices survive after inserting 0..n-1 into a k-slice-capacity
+/// cache, touching `touched` in order between the fill and
 /// the overflow inserts.
 std::set<std::int64_t> survivors(const std::vector<std::int64_t>& touched) {
   const DatasetMeta meta = make_meta(16, 16, 8, 1);
   TileCacheConfig cfg;
   cfg.budget_bytes = 4 * 512;
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
-  cfg.shards = 1;  // single shard pins the global eviction order
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
   const int tenant = cache.tenant_id("");
@@ -150,8 +145,7 @@ std::set<std::int64_t> survivors(const std::vector<std::int64_t>& touched) {
   }
   std::vector<std::uint16_t> out(16 * 16);
   for (const std::int64_t z : touched) {
-    TileRectStats s;
-    EXPECT_TRUE(cache.read_rect(ds, meta, 0, z, 0, 0, 16, 16, out.data(), tenant, s));
+    EXPECT_TRUE(cache.read_slice(ds, meta, 0, z, out.data(), tenant));
   }
   for (std::int64_t z = 4; z < 6; ++z) {  // two inserts => two evictions
     const auto bytes = make_slice(meta, 0, z);
@@ -159,7 +153,7 @@ std::set<std::int64_t> survivors(const std::vector<std::int64_t>& touched) {
   }
   std::set<std::int64_t> alive;
   for (std::int64_t z = 0; z < 8; ++z) {
-    if (cache.slice_fully_cached(ds, meta, 0, z)) alive.insert(z);
+    if (cache.contains(ds, 0, z)) alive.insert(z);
   }
   return alive;
 }
@@ -179,8 +173,6 @@ TEST(TileCache, PerTenantAccountingSumsToGlobal) {
   const DatasetMeta meta = make_meta(16, 16, 4, 1);
   TileCacheConfig cfg;
   cfg.budget_bytes = 1 << 20;
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
   const int alice = cache.tenant_id("alice");
@@ -193,10 +185,9 @@ TEST(TileCache, PerTenantAccountingSumsToGlobal) {
   cache.insert_slice(ds, meta, 0, 0, b0.data(), false, alice);
   cache.insert_slice(ds, meta, 0, 1, b1.data(), false, bob);
   std::vector<std::uint16_t> out(16 * 16);
-  TileRectStats s;
-  EXPECT_TRUE(cache.read_rect(ds, meta, 0, 0, 0, 0, 16, 16, out.data(), alice, s));
-  EXPECT_TRUE(cache.read_rect(ds, meta, 0, 1, 0, 0, 16, 16, out.data(), alice, s));
-  EXPECT_FALSE(cache.read_rect(ds, meta, 0, 2, 0, 0, 16, 16, out.data(), bob, s));
+  EXPECT_TRUE(cache.read_slice(ds, meta, 0, 0, out.data(), alice));
+  EXPECT_TRUE(cache.read_slice(ds, meta, 0, 1, out.data(), alice));
+  EXPECT_FALSE(cache.read_slice(ds, meta, 0, 2, out.data(), bob));
 
   std::int64_t hits = 0, misses = 0, resident = 0;
   for (const TenantCacheStats& t : cache.tenant_stats()) {
@@ -222,9 +213,6 @@ TEST(TileCache, DrainUnmeteredConservesTotals) {
   const DatasetMeta meta = make_meta(16, 16, 8, 1);
   TileCacheConfig cfg;
   cfg.budget_bytes = 2 * 512;
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
-  cfg.shards = 1;
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
   const int tenant = cache.tenant_id("");
@@ -281,8 +269,6 @@ TEST_F(TileCacheDiskTest, CorruptSlicesAreNeverCached) {
 
   TileCacheConfig ccfg;
   ccfg.budget_bytes = 1 << 20;
-  ccfg.tile_w = 12;
-  ccfg.tile_h = 10;
   TileCache cache(ccfg);
   const std::uint64_t key = TileCache::dataset_key(root_.string(), ds.meta());
 
@@ -296,23 +282,21 @@ TEST_F(TileCacheDiskTest, CorruptSlicesAreNeverCached) {
 
   std::vector<std::uint16_t> out(12 * 10);
   for (const SliceRef& s : reader.slices()) {
-    const bool ok = reader.read_slice_region(s, 0, 0, 12, 10, out.data());
+    const bool ok = reader.read_slice(s, out.data());
     const bool bad = corrupt.count(s.t * vol_.dims()[2] + s.z) != 0;
     EXPECT_EQ(ok, !bad) << "t=" << s.t << " z=" << s.z;
-    // The cache holds exactly the verified slices; a corrupt slice's tiles
-    // must never appear, not even after the skip-and-fill completed.
-    EXPECT_EQ(cache.slice_fully_cached(key, ds.meta(), s.t, s.z), !bad)
+    // The cache holds exactly the verified slices; a corrupt slice must
+    // never appear, not even after the skip-and-fill completed.
+    EXPECT_EQ(cache.contains(key, s.t, s.z), !bad)
         << "t=" << s.t << " z=" << s.z;
   }
-  EXPECT_GT(cache.stats().resident_tiles, 0);
+  EXPECT_GT(cache.stats().resident_slices, 0);
 }
 
 TEST_F(TileCacheDiskTest, CachedRereadIsByteIdenticalAndTouchesNoDisk) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 1);
   TileCacheConfig ccfg;
   ccfg.budget_bytes = 1 << 20;
-  ccfg.tile_w = 8;
-  ccfg.tile_h = 8;
   TileCache cache(ccfg);
   const std::uint64_t key = TileCache::dataset_key(root_.string(), ds.meta());
 
@@ -325,7 +309,7 @@ TEST_F(TileCacheDiskTest, CachedRereadIsByteIdenticalAndTouchesNoDisk) {
     ResilientReader reader(ds.node_reader(0), rc);
     reader.attach_cache(&cache, key, cache.tenant_id(""));
     for (const SliceRef& s : reader.slices()) {
-      EXPECT_TRUE(reader.read_slice_region(s, 0, 0, 12, 10, cold.data()));
+      EXPECT_TRUE(reader.read_slice(s, cold.data()));
     }
     cold_bytes = reader.bytes_read();
     EXPECT_GT(cold_bytes, 0);
@@ -334,15 +318,15 @@ TEST_F(TileCacheDiskTest, CachedRereadIsByteIdenticalAndTouchesNoDisk) {
     ResilientReader reader(ds.node_reader(0), rc);
     reader.attach_cache(&cache, key, cache.tenant_id(""));
     for (const SliceRef& s : reader.slices()) {
-      EXPECT_TRUE(reader.read_slice_region(s, 0, 0, 12, 10, warm.data()));
+      EXPECT_TRUE(reader.read_slice(s, warm.data()));
       for (std::int64_t y = 0; y < 10; ++y)
         for (std::int64_t x = 0; x < 12; ++x) {
           ASSERT_EQ(warm[y * 12 + x], vol_.at(x, y, s.z, s.t));
         }
     }
     EXPECT_EQ(reader.bytes_read(), 0);  // fully served from cache
-    EXPECT_GT(reader.cache_bytes_served(), 0);
-    EXPECT_EQ(reader.cache_misses(), 0);
+    EXPECT_GT(reader.counters().cache_bytes_served, 0);
+    EXPECT_EQ(reader.counters().cache_misses, 0);
   }
 }
 
@@ -350,9 +334,6 @@ TEST(TileCacheStress, ConcurrentReadersAndWritersKeepBudgetAndIdentity) {
   const DatasetMeta meta = make_meta(32, 32, 16, 4);
   TileCacheConfig cfg;
   cfg.budget_bytes = 48 * 1024;  // forces steady eviction under load
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
-  cfg.shards = 4;
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
 
@@ -368,10 +349,9 @@ TEST(TileCacheStress, ConcurrentReadersAndWritersKeepBudgetAndIdentity) {
       for (int iter = 0; iter < kIters; ++iter) {
         const auto t = static_cast<std::int64_t>(rng() % 4);
         const auto z = static_cast<std::int64_t>(rng() % 16);
-        TileRectStats s;
-        if (cache.read_rect(ds, meta, t, z, 0, 0, 32, 32, out.data(), tenant, s)) {
+        if (cache.read_slice(ds, meta, t, z, out.data(), tenant)) {
           // Served bytes must carry the slice's signature: stale or torn
-          // tiles would break here.
+          // entries would break here.
           const auto expect = make_slice(meta, t, z);
           const auto* px = reinterpret_cast<const std::uint16_t*>(expect.data());
           for (std::int64_t k = 0; k < 32 * 32; ++k) ASSERT_EQ(out[k], px[k]);
@@ -446,8 +426,6 @@ TEST_F(CacheE2E, CacheOnIsByteIdenticalAndReportsCounters) {
 
   core::PipelineConfig cfg = config();
   cfg.cache.budget_bytes = 4 << 20;
-  cfg.cache.tile_w = 8;
-  cfg.cache.tile_h = 8;
   cfg.cache.prefetch_depth = 2;
   const core::AnalysisResult on = core::analyze_threaded(cfg);
   expect_identical(off, on);

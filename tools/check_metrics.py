@@ -116,11 +116,9 @@ def check_meter(meter: object, path: str, where: str) -> None:
 
 
 # The optional "cache" section (fs/graph.hpp CacheReport): emitted by both
-# h4d-metrics-v1 and h4d-jobs-v1 exports when a tile cache was configured.
+# h4d-metrics-v1 and h4d-jobs-v1 exports when a slice cache was configured.
 CACHE_INT_KEYS = (
     "budget_bytes",
-    "tile_w",
-    "tile_h",
     "prefetch_depth",
     "lookups",
     "hits",
