@@ -1,7 +1,8 @@
-// Micro-benchmark of the co-occurrence construction kernel (the HCC filter's
-// inner loop): the cache-aware kernel (haralick/kernel.hpp) A/B'd against the
-// reference dual-store loop (tests/oracle), across ROI sizes and direction counts, measured
-// for real on this machine.
+// Micro-benchmark of the co-occurrence construction kernel: the cache-aware
+// kernel (haralick/kernel.hpp) A/B'd against the reference dual-store loop
+// (tests/oracle), across ROI sizes and direction counts, and a whole HMP
+// chunk built by the per-origin scan against the column histograms,
+// measured for real on this machine.
 //
 // Two modes:
 //   * default: google-benchmark tables (interactive exploration);
@@ -15,6 +16,7 @@
 #include "haralick/kernel.hpp"
 #include "haralick/roi_engine.hpp"
 #include "micro_common.hpp"
+#include "nd/raster.hpp"
 #include "oracle/reference.hpp"
 
 namespace {
@@ -122,6 +124,41 @@ void json_glcm_pair(std::vector<h4d::bench::MicroRun>& runs, const std::string& 
                    {"pair_updates_per_sec", pairs / (ker_ns * 1e-9)}}});
 }
 
+/// Times one HMP chunk through both construction paths, construction plus
+/// the Fast sweep with the paper features: the per-origin scan (accumulate +
+/// features_fused per ROI) and analyze_chunk (the column histograms).
+void json_chunk_pair(std::vector<h4d::bench::MicroRun>& runs, const std::string& config,
+                     const Volume4<Level>& v, const Vec4& roi_dims) {
+  haralick::EngineConfig cfg;
+  cfg.roi_dims = roi_dims;
+  cfg.num_levels = 32;
+  cfg.sweep_mode = haralick::SweepMode::Fast;
+  const auto dirs = cfg.effective_directions();
+  const Region4 whole = Region4::whole(v.dims());
+  const Region4 owned = roi_origin_region(v.dims(), roi_dims);
+  const auto rois = static_cast<double>(owned.volume());
+  haralick::KernelScratch scratch(cfg.num_levels);
+
+  double sink = 0.0;
+  const double scan_ns = h4d::bench::measure_ns_per_op([&] {
+    for (const Vec4& o : raster(owned)) {
+      scratch.accumulate(v.view(), Region4{o, roi_dims}, dirs);
+      sink += scratch.features_fused(cfg.features, nullptr, nullptr, cfg.sweep_mode,
+                                     cfg.representation)[haralick::Feature::Correlation];
+    }
+  });
+  const double col_ns = h4d::bench::measure_ns_per_op([&] {
+    const auto blocks = haralick::analyze_chunk(v.view(), whole, owned, cfg, nullptr, &scratch);
+    sink += blocks[0].values[0];
+  });
+  benchmark::DoNotOptimize(sink);
+
+  runs.push_back({"chunk_scan/" + config,
+                  {{"ns_per_roi", scan_ns / rois}, {"rois_per_chunk", rois}}});
+  runs.push_back({"chunk_columns/" + config,
+                  {{"ns_per_roi", col_ns / rois}, {"rois_per_chunk", rois}}});
+}
+
 int run_json(const std::string& path) {
   std::vector<h4d::bench::MicroRun> runs;
 
@@ -140,6 +177,11 @@ int run_json(const std::string& path) {
     json_glcm_pair(runs, "all4_roi7x7x3x3_dirs40_ng32", v, roi,
                    haralick::unique_directions(ActiveDims::all4()), 32);
   }
+  // A whole hmp_balanced chunk in the shipped configuration (40 directions,
+  // paper features, Fast sweep): 10x10x6x4 owned ROIs. The gate compares
+  // the column histograms with the per-origin scan.
+  json_chunk_pair(runs, "all4_roi7x7x3x3_dirs40_ng32_chunk16x16x8x6",
+                  mri_like({16, 16, 8, 6}, 32), {7, 7, 3, 3});
   // Large-Ng stress: the tile no longer fits L1; the fold dominates less.
   {
     const auto v = mri_like({15, 15, 7, 7}, 256);

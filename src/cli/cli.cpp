@@ -3,6 +3,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -181,12 +182,14 @@ int cmd_info(const Args& args, std::ostream& out) {
       << "replicas       " << m.replica_count() << "\n"
       << "slices         " << m.num_slices() << " (" << m.slice_bytes() << " B each)\n";
   for (int n = 0; n < m.storage_nodes; ++n) {
-    out << "  node_" << n << ": ";
-    try {
-      out << ds.node_reader(n).slices().size() << " slices\n";
-    } catch (const std::exception&) {
-      out << "missing (run `h4d scrub` / `h4d repair`)\n";
+    // Only an absent index means a lost node; a malformed one is an error,
+    // reported the way analyze reports it.
+    if (!std::filesystem::exists(ds.node_dir(n) / io::kIndexFileName)) {
+      out << "  node_" << n << ": missing (run `h4d scrub` / `h4d repair`)\n";
+      continue;
     }
+    const std::size_t slices = ds.node_reader(n).slices().size();
+    out << "  node_" << n << ": " << slices << " slices\n";
   }
   return 0;
 }

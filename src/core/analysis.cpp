@@ -2,6 +2,10 @@
 
 #include <limits>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "fs/executor_threads.hpp"
 #include "nd/quantize.hpp"
 
@@ -120,7 +124,15 @@ AnalysisResult analyze_threaded(PipelineConfig config,
   auto collected = std::make_shared<filters::CollectedResults>();
   const filters::ParamsPtr params = make_params(config);
   const fs::FilterGraph graph = build_pipeline(config, params, collected);
-  return finish(collected, params, fs::run_threaded(graph, threaded_options));
+  fs::RunStats stats = fs::run_threaded(graph, threaded_options);
+#if defined(__GLIBC__)
+  // Each filter thread allocated in its own glibc arena, and what it freed
+  // stays there when the thread exits; the next run's threads draw arenas
+  // in another order, so the retained memory is not reused and the peak
+  // grows from run to run. Hand it back to the system once per run.
+  malloc_trim(0);
+#endif
+  return finish(collected, params, std::move(stats));
 }
 
 AnalysisResult analyze_simulated(PipelineConfig config, const sim::SimOptions& sim_options) {

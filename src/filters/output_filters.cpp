@@ -1,6 +1,7 @@
 #include "filters/output_filters.hpp"
 
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "io/durable_file.hpp"
@@ -69,11 +70,17 @@ void HaralickImageConstructor::process(int port, const fs::BufferPtr& buffer,
 
   auto it = maps_.find(f);
   if (it == maps_.end()) {
-    it = maps_.emplace(f, Volume4<float>(origins.size, 0.0f)).first;
+    fs::BufferHeader h;
+    h.kind = fs::BufferKind::FeatureMap;
+    h.feature = f;
+    h.region = origins;
+    fs::BufferPtr map = fs::make_buffer(h);
+    map->alloc_as<float>(static_cast<std::size_t>(origins.volume()));  // zeroed: 0.0f
+    it = maps_.emplace(f, std::move(map)).first;
     ranges_.emplace(f, std::pair<float, float>(std::numeric_limits<float>::infinity(),
                                                -std::numeric_limits<float>::infinity()));
   }
-  Volume4<float>& map = it->second;
+  const std::span<float> map = it->second->as<float>();
   auto& [lo, hi] = ranges_.at(f);
 
   for (const FeatureSample& s : buffer->as<FeatureSample>()) {
@@ -82,7 +89,7 @@ void HaralickImageConstructor::process(int port, const fs::BufferPtr& buffer,
       throw std::runtime_error("HIC: sample origin " + o.str() + " outside " + origins.str());
     }
     const float v = static_cast<float>(s.value);
-    map.at(o - origins.origin) = v;
+    map[static_cast<std::size_t>(linear_index(o - origins.origin, origins.size))] = v;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
@@ -90,17 +97,12 @@ void HaralickImageConstructor::process(int port, const fs::BufferPtr& buffer,
 }
 
 void HaralickImageConstructor::flush(fs::FilterContext& ctx) {
-  const Region4 origins = roi_origin_region(p_->meta.dims, p_->engine.roi_dims);
   for (auto& [f, map] : maps_) {
-    fs::BufferHeader h;
-    h.kind = fs::BufferKind::FeatureMap;
-    h.feature = f;
-    h.region = origins;
-    auto buffer = fs::make_buffer(h);
-    auto span = buffer->alloc_as<float>(map.storage().size());
-    std::copy(map.storage().begin(), map.storage().end(), span.begin());
-    ctx.meter().bytes_memcpy += static_cast<std::int64_t>(buffer->payload.size());
-    ctx.emit(kPortMaps, std::move(buffer));
+    // Each map is stitched in place in its FeatureMap buffer and handed on
+    // without a copy. The meter still credits the copy into an output
+    // buffer, in the cost model's reference units (DESIGN.md §6).
+    ctx.meter().bytes_memcpy += static_cast<std::int64_t>(map->payload.size());
+    ctx.emit(kPortMaps, std::move(map));
   }
   maps_.clear();
 }

@@ -34,8 +34,9 @@ class UnstitchedOutput final : public fs::Filter {
 };
 
 /// HaralickImageConstructor (HIC, the output stitch): places incoming
-/// feature samples into per-feature 4D maps; emits one complete FeatureMap
-/// per feature when all inputs have drained. Tracks min/max for the writer.
+/// feature samples into per-feature 4D maps, each held in the FeatureMap
+/// buffer it emits when all inputs have drained. Tracks min/max for the
+/// writer.
 class HaralickImageConstructor final : public fs::Filter {
  public:
   explicit HaralickImageConstructor(ParamsPtr params) : p_(std::move(params)) {}
@@ -46,7 +47,7 @@ class HaralickImageConstructor final : public fs::Filter {
 
  private:
   ParamsPtr p_;
-  std::map<int, Volume4<float>> maps_;
+  std::map<int, fs::BufferPtr> maps_;  ///< FeatureMap buffers, by feature
   std::map<int, std::pair<float, float>> ranges_;
 };
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "haralick/fast_log.hpp"
 #include "haralick/features_detail.hpp"
 #include "haralick/simd.hpp"
+#include "nd/raster.hpp"
 
 namespace h4d::haralick {
 
@@ -18,6 +20,15 @@ struct DirPlan {
   Vec4 hi;                 // exclusive anchor upper bound, ROI-relative
   std::int64_t doff = 0;   // element offset anchor -> partner
   std::int64_t run = 0;    // hi[0] - lo[0]
+};
+
+/// One direction of the column path, oriented so its x step is 0 or +1: a
+/// pair is unordered, so d and -d put the same pairs in the same bins.
+struct ColumnPlan {
+  Vec4 lo;                // inclusive anchor lower bound, ROI-relative
+  Vec4 hi;                // exclusive anchor upper bound, ROI-relative
+  std::int64_t doff = 0;  // element offset anchor -> partner
+  bool step = false;      // x step 1: pairs between columns x and x+1
 };
 
 /// One tile increment. The checked variant detects a uint16 wrap (the
@@ -333,14 +344,217 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
                                             Representation repr) {
   const std::int64_t total = total_;
   gather_tile();
-  if (wc != nullptr && repr == Representation::Sparse) {
-    // The modeled compression still scans Ng^2 dense cells.
-    wc->sparse_entries_emitted += static_cast<std::int64_t>(entries_.size());
-    wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
-  }
-  const FeatureVector out = sweep(ng_, total, entries_, set, wc, mode, repr);
+  const FeatureVector out = sweep_entries(entries_, total, set, wc, mode, repr);
   if (sparse_out != nullptr) *sparse_out = SparseGlcm(ng_, total, entries_);
   return out;
+}
+
+FeatureVector KernelScratch::sweep_entries(std::span<const SparseEntry> entries,
+                                           std::int64_t total, FeatureSet set,
+                                           WorkCounters* wc, SweepMode mode,
+                                           Representation repr) {
+  if (wc != nullptr && repr == Representation::Sparse) {
+    // The modeled compression still scans Ng^2 dense cells.
+    wc->sparse_entries_emitted += static_cast<std::int64_t>(entries.size());
+    wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
+  }
+  return sweep(ng_, total, entries, set, wc, mode, repr);
+}
+
+void KernelScratch::prepare_columns(std::int64_t columns) {
+  if (bins_ng_ != ng_) {
+    const auto ng = static_cast<std::size_t>(ng_);
+    const std::size_t bins = ng * (ng + 1) / 2;
+    bin_stride_ = (bins + 15) & ~std::size_t{15};
+    bin_of_.assign(std::size_t{64} * 64, 0);
+    bin_cell_.assign(bin_stride_, SparseEntry{});
+    std::size_t b = 0;
+    for (std::size_t i = 0; i < ng; ++i) {
+      for (std::size_t j = i; j < ng; ++j, ++b) {
+        bin_of_[i * 64 + j] = static_cast<std::uint16_t>(b);
+        bin_of_[j * 64 + i] = static_cast<std::uint16_t>(b);
+        // The dense matrix holds the pair count off-diagonal and twice it on
+        // the diagonal.
+        bin_cell_[b] = {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j),
+                        i == j ? 2u : 1u};
+      }
+    }
+    window_.assign(2 * bin_stride_, 0);
+    bins_ng_ = ng_;
+  }
+  entries_.resize(bin_stride_);
+  const std::size_t need = 2 * static_cast<std::size_t>(columns) * bin_stride_;
+  if (columns_.size() < need) columns_.resize(need);
+}
+
+std::size_t KernelScratch::gather_bins(const std::uint16_t* h) {
+  // The non-zero bins in bin order, which is SparseGlcm::from_dense order.
+  // Whole 4-bin words of zeros are skipped; inside a word every bin is
+  // written and only the non-zero ones advance the cursor, so the loop does
+  // not branch on each bin.
+  SparseEntry* const out = entries_.data();
+  std::size_t n = 0;
+  for (std::size_t b = 0; b < bin_stride_; b += 4) {
+    std::uint64_t word;
+    std::memcpy(&word, h + b, sizeof word);
+    if (word == 0) continue;
+    for (std::size_t q = b; q < b + 4; ++q) {
+      SparseEntry e = bin_cell_[q];
+      e.count *= h[q];
+      out[n] = e;
+      n += h[q] != 0;
+    }
+  }
+  return n;
+}
+
+void KernelScratch::features_of_rois(Vol4View<const Level> vol, const Region4& origins,
+                                     const Vec4& roi_dims, const std::vector<Vec4>& dirs,
+                                     FeatureSet set, WorkCounters* wc, SweepMode mode,
+                                     Representation repr, const RoiSink& sink) {
+  if (origins.empty()) return;
+  const Region4 reach{origins.origin, origins.size + roi_dims - Vec4{1, 1, 1, 1}};
+  if (!Region4::whole(vol.dims()).contains(reach)) {
+    throw std::invalid_argument("KernelScratch::features_of_rois: rois of origins " +
+                                origins.str() + " leave volume " + vol.dims().str());
+  }
+
+  // The column path needs unit steps (a pair spans at most two columns),
+  // levels that fit the 64-wide bin table, and counts that cannot wrap.
+  std::vector<ColumnPlan> plans;
+  std::int64_t pairs = 0;
+  bool columns = ng_ <= 64 && roi_dims.all_positive();
+  const Vec4 st = vol.strides();
+  for (const Vec4& d : dirs) {
+    for (int k = 0; k < kDims; ++k) columns = columns && d[k] >= -1 && d[k] <= 1;
+    if (!columns) break;
+    const Vec4 c = d[0] < 0 ? -d : d;
+    ColumnPlan pl;
+    bool any = true;
+    for (int k = 0; k < kDims; ++k) {
+      pl.lo[k] = c[k] < 0 ? -c[k] : 0;
+      pl.hi[k] = roi_dims[k] - (c[k] > 0 ? c[k] : 0);
+      if (pl.hi[k] <= pl.lo[k]) any = false;
+    }
+    if (!any) continue;
+    pl.doff = c[0] * st[0] + c[1] * st[1] + c[2] * st[2] + c[3] * st[3];
+    pl.step = c[0] == 1;
+    pairs += (pl.hi - pl.lo).volume();
+    plans.push_back(pl);
+  }
+
+  if (!columns || pairs > 65535) {
+    std::int64_t k = 0;
+    for (const Vec4& o : raster(origins)) {
+      const std::int64_t updates = accumulate(vol, Region4{o, roi_dims}, dirs);
+      if (wc != nullptr) {
+        wc->glcm_pair_updates += updates;
+        wc->matrices_built += 1;
+      }
+      sink(k++, features_fused(set, wc, nullptr, mode, repr));
+    }
+    return;
+  }
+
+  // Column histograms over x = 0 .. width + rx - 2 (relative to the first
+  // owned x): C0[x] holds the pairs inside column x, C1[x] those between x
+  // and x + 1, both for the anchors of the current y/z/t window. A ROI at
+  // ox is S + C0[ox + rx - 1] with S = sum over x in [ox, ox + rx - 2] of
+  // C0[x] + C1[x]. uint16 arithmetic wraps, which is exact: each bin of a
+  // ROI is at most its pair count, at most 65,535.
+  const std::int64_t width = origins.size[0];
+  const std::int64_t rx = roi_dims[0];
+  const std::int64_t ncols = width + rx - 1;
+  prepare_columns(ncols);
+  const std::size_t nb = bin_stride_;
+  std::uint16_t* const c0 = columns_.data();
+  std::uint16_t* const c1 = c0 + static_cast<std::size_t>(ncols) * nb;
+  std::uint16_t* const run = window_.data();
+  std::uint16_t* const roi = run + nb;
+  const std::uint16_t* const bin_of = bin_of_.data();
+  const std::int64_t sx = vol.strides()[0];
+  const std::int64_t x0 = origins.origin[0];
+  const auto bin = [bin_of](const Level* p, std::int64_t doff) {
+    return bin_of[(static_cast<std::size_t>(p[0]) << 6) | p[doff]];
+  };
+  // The column histograms `pl` adds to, and how many columns it spans.
+  const auto hist = [&](const ColumnPlan& pl) { return pl.step ? c1 : c0; };
+  const auto span = [&](const ColumnPlan& pl) { return pl.step ? ncols - 1 : ncols; };
+  // dst = a + b over every bin, mod 2^16.
+  const auto sum_into = [nb](std::uint16_t* dst, const std::uint16_t* a,
+                             const std::uint16_t* b) {
+    H4D_PRAGMA_SIMD
+    for (std::size_t i = 0; i < nb; ++i) dst[i] = static_cast<std::uint16_t>(a[i] + b[i]);
+  };
+
+  const std::int64_t total = 2 * pairs;
+  const Vec4 o = origins.origin;
+  std::int64_t k = 0;
+  for (std::int64_t ot = o[3]; ot < o[3] + origins.size[3]; ++ot) {
+    for (std::int64_t oz = o[2]; oz < o[2] + origins.size[2]; ++oz) {
+      // Build the column histograms of the first owned y, one anchor row
+      // of one direction at a time across every column.
+      std::fill(c0, c0 + 2 * static_cast<std::size_t>(ncols) * nb, std::uint16_t{0});
+      for (const ColumnPlan& pl : plans) {
+        for (std::int64_t t = ot + pl.lo[3]; t < ot + pl.hi[3]; ++t) {
+          for (std::int64_t z = oz + pl.lo[2]; z < oz + pl.hi[2]; ++z) {
+            for (std::int64_t y = o[1] + pl.lo[1]; y < o[1] + pl.hi[1]; ++y) {
+              std::uint16_t* h = hist(pl);
+              const Level* pa = &vol.at(x0, y, z, t);
+              for (std::int64_t x = span(pl); x > 0; --x, pa += sx, h += nb) {
+                ++h[bin(pa, pl.doff)];
+              }
+            }
+          }
+        }
+      }
+      for (std::int64_t oy = o[1]; oy < o[1] + origins.size[1]; ++oy) {
+        if (oy > o[1]) {
+          // Slide in y: per direction, the window's first anchor row leaves
+          // and the row after its last enters.
+          for (const ColumnPlan& pl : plans) {
+            for (std::int64_t t = ot + pl.lo[3]; t < ot + pl.hi[3]; ++t) {
+              for (std::int64_t z = oz + pl.lo[2]; z < oz + pl.hi[2]; ++z) {
+                std::uint16_t* h = hist(pl);
+                const Level* out = &vol.at(x0, oy - 1 + pl.lo[1], z, t);
+                const Level* in = &vol.at(x0, oy - 1 + pl.hi[1], z, t);
+                for (std::int64_t x = span(pl); x > 0; --x, out += sx, in += sx, h += nb) {
+                  --h[bin(out, pl.doff)];
+                  ++h[bin(in, pl.doff)];
+                }
+              }
+            }
+          }
+        }
+        // Slide in x.
+        std::fill(run, run + nb, std::uint16_t{0});
+        for (std::int64_t x = 0; x + 1 < rx; ++x) {
+          sum_into(run, run, c0 + static_cast<std::size_t>(x) * nb);
+          sum_into(run, run, c1 + static_cast<std::size_t>(x) * nb);
+        }
+        for (std::int64_t i = 0; i < width; ++i) {
+          const std::size_t enter = static_cast<std::size_t>(i + rx - 1) * nb;
+          sum_into(roi, run, c0 + enter);
+          const std::size_t nnz = gather_bins(roi);
+          if (wc != nullptr) {
+            wc->glcm_pair_updates += total;  // reference units: 2 stores/pair
+            wc->matrices_built += 1;
+          }
+          sink(k++, sweep_entries({entries_.data(), nnz}, total, set, wc, mode, repr));
+          if (i + 1 == width) break;
+          const std::size_t leave = static_cast<std::size_t>(i) * nb;
+          const std::uint16_t* const a = c0 + enter;
+          const std::uint16_t* const b = c1 + enter;
+          const std::uint16_t* const c = c0 + leave;
+          const std::uint16_t* const d = c1 + leave;
+          H4D_PRAGMA_SIMD
+          for (std::size_t q = 0; q < nb; ++q) {
+            run[q] = static_cast<std::uint16_t>(run[q] + a[q] + b[q] - c[q] - d[q]);
+          }
+        }
+      }
+    }
+  }
 }
 
 FeatureVector KernelScratch::features_of(const SparseGlcm& m, FeatureSet set, WorkCounters* wc,

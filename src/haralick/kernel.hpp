@@ -24,20 +24,28 @@
 //     reset cannot reach 65,536 (knowable up front from the ROI and
 //     direction set); past that bound a checked variant spills any
 //     saturating cell to a 32-bit side table;
+//   * a whole chunk of ROIs (features_of_rois, the HMP filter) is built
+//     from sliding column histograms instead: per x column, the pairs of
+//     the current y/z/t window in upper-triangle bins, slid in y by one
+//     anchor row and summed in x by whole-vector uint16 adds, so adjacent
+//     ROIs share the work of their common columns (docs/KERNEL.md §3);
 //   * the feature sweep is the only feature pass in the library. It reduces
 //     the row-major upper-triangle entry list (the SparseGlcm order) to the
-//     cell terms, px, p_{x+y} and p_{x-y}. Two producers feed it: the tile
-//     gather (features_fused, the HMP filter) and a received matrix
-//     (features_of, the HPC filter and the split planner).
+//     cell terms, px, p_{x+y} and p_{x-y}. Three producers feed it: the
+//     tile gather (features_fused), the column-histogram gather
+//     (features_of_rois) and a received matrix (features_of, the HPC filter
+//     and the split planner).
 //
 // Equivalence contract (property-tested in test_kernel.cpp against
 // tests/oracle): accumulate + fold is bit-identical to the reference
 // construction, and the Strict sweep is bit-identical to the reference
 // sparse feature pass over SparseGlcm::from_dense — same entries, same
-// floating-point accumulation order.
+// floating-point accumulation order. features_of_rois emits, per ROI, the
+// same entry list as accumulate + the tile gather.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -71,8 +79,8 @@ enum class SweepMode { Strict, Fast };
 enum class Representation { Full, Sparse };
 
 /// Reusable per-thread working state of the kernel: the two-bank uint16
-/// co-occurrence tile, its 32-bit spill table, and the feature sweep's
-/// marginal buffers. One instance per worker thread / filter copy; reused
+/// co-occurrence tile, its 32-bit spill table, the column histograms of a
+/// chunk, and the feature sweep's marginal buffers. One instance per worker thread / filter copy; reused
 /// across ROIs and chunks so the hot loop never allocates.
 class KernelScratch {
  public:
@@ -120,6 +128,26 @@ class KernelScratch {
   FeatureVector features_of(const SparseGlcm& m, FeatureSet set, WorkCounters* wc,
                             SweepMode mode, Representation repr);
 
+  /// Receives the features of the k-th ROI origin, in raster order.
+  using RoiSink = std::function<void(std::int64_t k, const FeatureVector& fv)>;
+
+  /// Features of every ROI of extent `roi_dims` whose origin lies in
+  /// `origins` (coordinates local to `vol`; throws std::invalid_argument
+  /// unless every such ROI fits in `vol`). `sink` receives them in raster
+  /// order of the origins. Each
+  /// ROI's entry list is the one accumulate + features_fused would gather,
+  /// so the features are bit-identical to that per-origin loop and `wc` is
+  /// credited the same: 2 pair updates per pair, one matrix built, then the
+  /// sweep's credits.
+  ///
+  /// Builds the ROIs from sliding column histograms when Ng <= 64, every
+  /// direction component is -1, 0 or 1, and a ROI holds at most 65,535
+  /// pairs; otherwise runs the per-ROI scan. The tile must be empty.
+  void features_of_rois(Vol4View<const Level> vol, const Region4& origins,
+                        const Vec4& roi_dims, const std::vector<Vec4>& dirs, FeatureSet set,
+                        WorkCounters* wc, SweepMode mode, Representation repr,
+                        const RoiSink& sink);
+
   /// Total pair observations currently in the tile (2 per pair, matching
   /// Glcm::total()).
   std::int64_t total() const { return total_; }
@@ -135,6 +163,12 @@ class KernelScratch {
   std::uint32_t cell(int i, int j) const;  // folded upper-cell pair count
   void clear_side_state();                 // spills + counters (tile untouched)
   void gather_tile();                      // tile -> entries_, then reset
+  std::size_t gather_bins(const std::uint16_t* h);  // bins -> entries_, returns nnz
+  void prepare_columns(std::int64_t columns);         // bin tables + column storage
+  // The sweep over a gathered entry list, plus the Sparse compression credits.
+  FeatureVector sweep_entries(std::span<const SparseEntry> entries, std::int64_t total,
+                              FeatureSet set, WorkCounters* wc, SweepMode mode,
+                              Representation repr);
   FeatureVector sweep(int ng, std::int64_t total, std::span<const SparseEntry> entries,
                       FeatureSet set, WorkCounters* wc, SweepMode mode,
                       Representation repr);
@@ -146,6 +180,15 @@ class KernelScratch {
   std::vector<std::uint16_t> tile_;        // Ng^2 bank(s), encounter order
   std::vector<std::uint32_t> spill_;       // 32-bit overflow, same layout
   std::vector<std::int32_t> spill_cells_;  // indices with non-zero spill_
+
+  // Column-histogram state of features_of_rois, sized on first use. A bin
+  // is an unordered level pair; bins follow SparseGlcm::from_dense order.
+  int bins_ng_ = 0;                      // Ng the bin tables were built for
+  std::size_t bin_stride_ = 0;           // Ng(Ng+1)/2 bins, padded to 16
+  std::vector<std::uint16_t> bin_of_;    // 64 x 64: (a, b) -> bin
+  std::vector<SparseEntry> bin_cell_;    // bin -> (i, j, dense multiplier)
+  std::vector<std::uint16_t> columns_;   // [x step][column][bin]
+  std::vector<std::uint16_t> window_;    // running sum, then one ROI
 
   // Feature-sweep buffers (owned here so workers reuse them across chunks).
   std::unique_ptr<detail::Gathered> gathered_;

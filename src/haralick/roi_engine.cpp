@@ -59,32 +59,15 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   } else {
     scratch->configure(cfg.num_levels);
   }
-  KernelScratch& ks = *scratch;
-
-  std::int64_t k = 0;
-  for (const Vec4& origin : raster(owned_origins)) {
-    // ROI in chunk-local coordinates.
-    const Region4 roi{origin - chunk_region.origin, cfg.roi_dims};
-    if (!Region4::whole(chunk_region.size).contains(roi)) {
-      throw std::logic_error("analyze_chunk: owned origin " + origin.str() +
-                             " has ROI escaping chunk " + chunk_region.str());
-    }
-
-    // Accumulate the upper-triangle tile, then run the feature sweep over
-    // its non-zero cells. The representation only decides how the sweep
-    // credits `wc`.
-    const std::int64_t updates = ks.accumulate(chunk_view, roi, dirs);
-    if (wc != nullptr) {
-      wc->glcm_pair_updates += updates;
-      wc->matrices_built += 1;
-    }
-    const FeatureVector fv =
-        ks.features_fused(cfg.features, wc, nullptr, cfg.sweep_mode, cfg.representation);
-    for (std::size_t s = 0; s < selected.size(); ++s) {
-      blocks[s].values[static_cast<std::size_t>(k)] = static_cast<float>(fv[selected[s]]);
-    }
-    ++k;
-  }
+  // The kernel checks that every owned ROI fits the chunk.
+  const Region4 local{owned_origins.origin - chunk_region.origin, owned_origins.size};
+  scratch->features_of_rois(
+      chunk_view, local, cfg.roi_dims, dirs, cfg.features, wc, cfg.sweep_mode,
+      cfg.representation, [&](std::int64_t k, const FeatureVector& fv) {
+        for (std::size_t s = 0; s < selected.size(); ++s) {
+          blocks[s].values[static_cast<std::size_t>(k)] = static_cast<float>(fv[selected[s]]);
+        }
+      });
   return blocks;
 }
 

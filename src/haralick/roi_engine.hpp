@@ -54,7 +54,8 @@ struct FeatureBlock {
 ///
 /// `chunk_view` holds the quantized data of `chunk_region` (global coords);
 /// every ROI with origin in `owned_origins` must fit inside `chunk_region`
-/// (guaranteed by partition_overlapping). Returns one FeatureBlock per
+/// (guaranteed by partition_overlapping; otherwise std::invalid_argument, a
+/// std::logic_error). Returns one FeatureBlock per
 /// selected feature. `wc` accumulates operation counts for the cost model.
 ///
 /// `scratch`, when non-null, supplies the kernel working state (tile,

@@ -91,7 +91,7 @@ struct JobManager::Tenant {
 };
 
 struct JobManager::Job {
-  JobSpec spec;
+  std::unique_ptr<JobSpec> spec;  ///< released once the job is terminal
   JobRecord rec;
   double vft = 0.0;  ///< WFQ virtual finish time (fixed at admission)
   Clock::time_point submitted_at;
@@ -164,7 +164,6 @@ JobManager::SubmitResult JobManager::admit_locked(std::unique_lock<std::mutex>&,
     t.stats.rejected++;
     j->rec.state = JobState::Rejected;
     j->rec.reject_reason = reason;
-    j->spec = std::move(spec);
     jobs_.push_back(std::move(j));
     done_cv_.notify_all();
     return {jobs_.back()->rec.id, false, reason};
@@ -237,7 +236,7 @@ JobManager::SubmitResult JobManager::admit_locked(std::unique_lock<std::mutex>&,
                          std::chrono::duration<double>(spec.deadline_s));
   }
 
-  j->spec = std::move(spec);
+  j->spec = std::make_unique<JobSpec>(std::move(spec));
   counters_.admitted++;
   unfinished_++;
   t.pending++;
@@ -250,6 +249,10 @@ JobManager::SubmitResult JobManager::admit_locked(std::unique_lock<std::mutex>&,
 
 void JobManager::finish_locked(Job& j, JobState state) {
   j.rec.state = state;
+  // Only the record outlives the job (snapshot() reports every job). The
+  // spec is needed to run and retry it; a long-lived manager would
+  // otherwise keep every finished job's whole configuration.
+  j.spec.reset();
   Tenant& t = tenant_locked(j.rec.tenant);
   switch (state) {
     case JobState::Completed:
@@ -340,7 +343,7 @@ void JobManager::run_job(const std::shared_ptr<Job>& j) {
   // Per-attempt configuration: wire this job's cancel token into whichever
   // executor runs it, and salt fault seeds so a retried attempt faces a
   // fresh (but deterministic) fault schedule.
-  core::PipelineConfig config = j->spec.config;
+  core::PipelineConfig config = j->spec->config;
   // The manager's shared tile cache, accounted to this job's tenant. Under
   // fault injection PipelineParams::make swaps in a private instance — a
   // deterministic drill must not be perturbed by slices other jobs cached.
@@ -356,8 +359,8 @@ void JobManager::run_job(const std::shared_ptr<Job>& j) {
     config.latency = opt_.latency;
     config.io_pool = opt_.io_pool;
   }
-  fs::ThreadedOptions topts = j->spec.threaded;
-  sim::SimOptions sopts = j->spec.sim;
+  fs::ThreadedOptions topts = j->spec->threaded;
+  sim::SimOptions sopts = j->spec->sim;
   topts.cancel = &j->cancel;
   sopts.cancel = &j->cancel;
   const int attempt = j->rec.attempts;
@@ -376,7 +379,7 @@ void JobManager::run_job(const std::shared_ptr<Job>& j) {
 
   const auto started = Clock::now();
   try {
-    core::AnalysisResult result = j->spec.simulate
+    core::AnalysisResult result = j->spec->simulate
                                       ? core::analyze_simulated(config, sopts)
                                       : core::analyze_threaded(config, topts);
     const double wall = seconds_between(started, Clock::now());
@@ -392,7 +395,7 @@ void JobManager::run_job(const std::shared_ptr<Job>& j) {
     total_meter_ += meter;
     total_exec_ += result.stats.exec;
     j->rec.result_crc = result_checksum(result);
-    if (j->spec.keep_result) j->rec.maps = std::move(result.maps);
+    if (j->spec->keep_result) j->rec.maps = std::move(result.maps);
     finish_locked(*j, JobState::Completed);
   } catch (const fs::CancelledError& e) {
     const double wall = seconds_between(started, Clock::now());
@@ -415,10 +418,10 @@ void JobManager::run_job(const std::shared_ptr<Job>& j) {
     tenant_locked(j->rec.tenant).stats.busy_seconds += wall;
     j->rec.run_seconds += wall;
     j->rec.error = e.what();
-    if (attempt <= j->spec.max_retries && !j->cancel.load()) {
+    if (attempt <= j->spec->max_retries && !j->cancel.load()) {
       counters_.retried++;
       const double backoff =
-          j->spec.retry_backoff_s * static_cast<double>(1 << (attempt - 1));
+          j->spec->retry_backoff_s * static_cast<double>(1 << (attempt - 1));
       j->ready_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                        std::chrono::duration<double>(backoff));
       j->rec.state = JobState::Pending;

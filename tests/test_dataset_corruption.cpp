@@ -240,6 +240,28 @@ TEST_F(CorruptionTest, MetaDimsOverflowingByteCountAreRejected) {
   EXPECT_NE(err.str().find("corrupt dataset.meta"), std::string::npos) << err.str();
 }
 
+TEST_F(CorruptionTest, InfoReportsAMalformedIndexInsteadOfAMissingNode) {
+  DiskDataset::create(root_, vol_, 2);
+  const std::string root = root_.string();
+  const char* argv[] = {"h4d", "info", root.c_str()};
+  {
+    std::ofstream index(root_ / "node_0" / "index.txt", std::ios::app);
+    index << "garbage line here\n";
+  }
+  std::ostringstream out, err;
+  EXPECT_NE(cli::run(3, argv, out, err), 0);
+  EXPECT_NE(err.str().find("index.txt"), std::string::npos) << err.str();
+  EXPECT_EQ(out.str().find("missing"), std::string::npos) << out.str();
+
+  // A node whose index is gone is still reported as missing, and info
+  // succeeds.
+  fsys::remove_all(root_ / "node_0");
+  std::ostringstream out2, err2;
+  EXPECT_EQ(cli::run(3, argv, out2, err2), 0) << err2.str();
+  EXPECT_NE(out2.str().find("node_0: missing"), std::string::npos) << out2.str();
+  EXPECT_NE(out2.str().find("node_1: "), std::string::npos) << out2.str();
+}
+
 TEST_F(CorruptionTest, TruncatedSliceReportsExpectedVersusActual) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 1);
   const std::int64_t full = static_cast<std::int64_t>(fsys::file_size(slice00_path()));

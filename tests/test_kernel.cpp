@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "haralick/directions.hpp"
 #include "haralick/glcm_sparse.hpp"
 #include "haralick/roi_engine.hpp"
+#include "nd/raster.hpp"
 #include "oracle/reference.hpp"
 
 namespace h4d::haralick {
@@ -339,6 +342,233 @@ TEST(Kernel, RejectsRoiOutsideVolumeAndNgMismatch) {
   EXPECT_THROW(scratch.finalize_add(wrong), std::invalid_argument);
   EXPECT_THROW(KernelScratch(1), std::invalid_argument);
   EXPECT_THROW(KernelScratch(257), std::invalid_argument);
+}
+
+// ---- analyze_chunk: column histograms vs the per-ROI scan and the oracle ----
+
+struct ChunkResult {
+  std::vector<FeatureBlock> blocks;
+  WorkCounters wc;
+};
+
+std::vector<Feature> selected_features(FeatureSet set) {
+  std::vector<Feature> out;
+  for (int f = 0; f < kNumFeatures; ++f) {
+    if (set.has(static_cast<Feature>(f))) out.push_back(static_cast<Feature>(f));
+  }
+  return out;
+}
+
+ChunkResult empty_blocks(const Region4& owned, const EngineConfig& cfg) {
+  ChunkResult r;
+  for (const Feature f : selected_features(cfg.features)) {
+    r.blocks.push_back({f, owned, std::vector<float>(static_cast<std::size_t>(owned.volume()))});
+  }
+  return r;
+}
+
+/// The per-origin loop: accumulate + features_fused at every owned origin.
+ChunkResult per_origin_scan(const Volume4<Level>& v, const Region4& owned,
+                            const EngineConfig& cfg) {
+  ChunkResult r = empty_blocks(owned, cfg);
+  const auto dirs = cfg.effective_directions();
+  KernelScratch scratch(cfg.num_levels);
+  std::size_t k = 0;
+  for (const Vec4& o : raster(owned)) {
+    r.wc.glcm_pair_updates += scratch.accumulate(v.view(), Region4{o, cfg.roi_dims}, dirs);
+    r.wc.matrices_built += 1;
+    const FeatureVector fv = scratch.features_fused(cfg.features, &r.wc, nullptr,
+                                                    cfg.sweep_mode, cfg.representation);
+    for (FeatureBlock& b : r.blocks) b.values[k] = static_cast<float>(fv[b.feature]);
+    ++k;
+  }
+  return r;
+}
+
+/// The oracle: reference construction, from_dense, and the reference sparse
+/// pass (the values) with the credits of the representation's reference
+/// pass (sparse + compression, or the dense SkipZeros scan).
+ChunkResult oracle_chunk(const Volume4<Level>& v, const Region4& owned, const EngineConfig& cfg) {
+  ChunkResult r = empty_blocks(owned, cfg);
+  const auto dirs = cfg.effective_directions();
+  std::size_t k = 0;
+  for (const Vec4& o : raster(owned)) {
+    Glcm g(cfg.num_levels);
+    r.wc.glcm_pair_updates +=
+        oracle::accumulate_reference(g, v.view(), Region4{o, cfg.roi_dims}, dirs);
+    r.wc.matrices_built += 1;
+    const SparseGlcm sparse = SparseGlcm::from_dense(g);
+    WorkCounters sparse_wc;
+    const FeatureVector fv = oracle::compute_features(sparse, cfg.features, &sparse_wc);
+    if (cfg.representation == Representation::Sparse) {
+      r.wc += sparse_wc;
+      r.wc.sparse_entries_emitted += static_cast<std::int64_t>(sparse.nnz());
+      r.wc.sparse_compress_cells += static_cast<std::int64_t>(cfg.num_levels) * cfg.num_levels;
+    } else {
+      oracle::compute_features(g, cfg.features, oracle::ZeroPolicy::SkipZeros, &r.wc);
+    }
+    for (FeatureBlock& b : r.blocks) b.values[k] = static_cast<float>(fv[b.feature]);
+    ++k;
+  }
+  return r;
+}
+
+void expect_same_counters(const WorkCounters& got, const WorkCounters& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.glcm_pair_updates, want.glcm_pair_updates) << what;
+  EXPECT_EQ(got.matrices_built, want.matrices_built) << what;
+  EXPECT_EQ(got.sparse_entries_emitted, want.sparse_entries_emitted) << what;
+  EXPECT_EQ(got.sparse_compress_cells, want.sparse_compress_cells) << what;
+  EXPECT_EQ(got.feature_cells_scanned, want.feature_cells_scanned) << what;
+  EXPECT_EQ(got.feature_cell_ops, want.feature_cell_ops) << what;
+}
+
+/// Bitwise equality of two block lists (the float bits, so NaNs compare).
+void expect_same_blocks(const std::vector<FeatureBlock>& got,
+                        const std::vector<FeatureBlock>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].feature, want[s].feature) << what;
+    EXPECT_EQ(got[s].origins, want[s].origins) << what;
+    ASSERT_EQ(got[s].values.size(), want[s].values.size()) << what;
+    EXPECT_EQ(std::memcmp(got[s].values.data(), want[s].values.data(),
+                          got[s].values.size() * sizeof(float)),
+              0)
+        << what << " feature " << feature_name(got[s].feature);
+  }
+}
+
+/// analyze_chunk on `v` (the whole chunk) against the per-origin scan in
+/// every sweep mode and representation, and against the oracle in Strict.
+void check_chunk(const Volume4<Level>& v, const Region4& owned, EngineConfig cfg,
+                 const std::string& what) {
+  cfg.features = FeatureSet::all();
+  for (const SweepMode mode : {SweepMode::Strict, SweepMode::Fast}) {
+    for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+      cfg.sweep_mode = mode;
+      cfg.representation = repr;
+      const std::string tag = what + (mode == SweepMode::Strict ? " strict" : " fast") +
+                              (repr == Representation::Full ? " full" : " sparse");
+      ChunkResult got;
+      KernelScratch scratch(2);
+      got.blocks = analyze_chunk(v.view(), Region4::whole(v.dims()), owned, cfg, &got.wc,
+                                 &scratch);
+      const ChunkResult scan = per_origin_scan(v, owned, cfg);
+      expect_same_blocks(got.blocks, scan.blocks, tag + " vs scan");
+      expect_same_counters(got.wc, scan.wc, tag + " vs scan");
+      const ChunkResult ref = oracle_chunk(v, owned, cfg);
+      expect_same_counters(got.wc, ref.wc, tag + " vs oracle");
+      if (mode == SweepMode::Strict) expect_same_blocks(got.blocks, ref.blocks, tag + " vs oracle");
+    }
+  }
+}
+
+std::vector<Vec4> unit_directions() {
+  std::vector<Vec4> out;
+  for (const Vec4& p : raster(Region4{{-1, -1, -1, -1}, {3, 3, 3, 3}})) {
+    if (p != Vec4{0, 0, 0, 0}) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(KernelChunk, ColumnHistogramsMatchScanAndOracleOnRandomChunks) {
+  std::mt19937_64 rng(2007);
+  const auto units = unit_directions();
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int trial = 0;
+  for (const int ng : {2, 7, 32, 64}) {
+    for (int rep = 0; rep < 6; ++rep, ++trial) {
+      EngineConfig cfg;
+      cfg.num_levels = ng;
+      // ROI extents of 1 on some axes leave the directions that step along
+      // them with no pair.
+      Vec4 chunk;
+      for (int k = 0; k < kDims; ++k) {
+        cfg.roi_dims[k] = pick(1, k < 2 ? 4 : 3);
+        chunk[k] = cfg.roi_dims[k] + pick(0, k < 2 ? 6 : 2);
+      }
+      // Owned widths from 1 up to every origin of the chunk.
+      Region4 owned;
+      for (int k = 0; k < kDims; ++k) {
+        const std::int64_t span = chunk[k] - cfg.roi_dims[k] + 1;
+        owned.size[k] = k == 0 && rep == 0 ? 1 : (k == 0 && rep == 1 ? span : pick(1, span));
+        owned.origin[k] = pick(0, span - owned.size[k]);
+      }
+      switch (trial % 3) {
+        case 0:
+          cfg.directions = unique_directions(ActiveDims::all4());
+          break;
+        case 1:
+          cfg.directions = axis_directions(ActiveDims::all4());
+          break;
+        default: {
+          std::vector<Vec4> subset;
+          for (const Vec4& d : units) {
+            if (pick(0, 3) == 0) subset.push_back(d);
+          }
+          if (subset.empty()) subset.push_back(units[static_cast<std::size_t>(pick(0, 79))]);
+          cfg.directions = subset;
+        }
+      }
+      const auto v = random_volume(chunk, ng, static_cast<unsigned>(500 + trial));
+      check_chunk(v, owned, cfg,
+                  "ng=" + std::to_string(ng) + " roi=" + cfg.roi_dims.str() +
+                      " chunk=" + chunk.str() + " owned=" + owned.str() +
+                      " dirs=" + std::to_string(cfg.directions.size()));
+    }
+  }
+}
+
+TEST(KernelChunk, ColumnHistogramsExactNearTheUint16Limit) {
+  // 15 * 16^3 = 61,440 pairs per ROI, just under the column path's bound.
+  // A constant volume puts every pair in one bin, whose wrapping uint16 sums
+  // must still come out exact.
+  EngineConfig cfg;
+  cfg.num_levels = 8;
+  cfg.roi_dims = {16, 16, 16, 16};
+  cfg.directions = {Vec4{1, 0, 0, 0}};
+  const Region4 owned{{0, 0, 0, 0}, {2, 1, 1, 1}};
+  check_chunk(Volume4<Level>({17, 16, 16, 16}, 5), owned, cfg, "constant");
+  check_chunk(random_volume({17, 16, 16, 16}, 3, 17), owned, cfg, "random");
+}
+
+TEST(KernelChunk, FallbackCasesMatchScanAndOracle) {
+  EngineConfig cfg;
+  cfg.roi_dims = {4, 3, 2, 2};
+  const Region4 owned{{0, 1, 0, 0}, {4, 2, 2, 1}};
+  // Ng above 64: the bins no longer pay for themselves.
+  for (const int ng : {65, 256}) {
+    cfg.num_levels = ng;
+    check_chunk(random_volume({7, 6, 3, 2}, ng, 71), owned, cfg, "ng=" + std::to_string(ng));
+  }
+  // A distance-2 step reaches past the next column.
+  cfg.num_levels = 32;
+  cfg.directions = {Vec4{1, 0, 0, 0}, Vec4{2, 0, 0, 0}, Vec4{0, 1, 1, 0}};
+  check_chunk(random_volume({7, 6, 3, 2}, 32, 72), owned, cfg, "distance 2");
+  // More than 65,535 pairs per ROI could wrap a uint16 bin.
+  cfg.roi_dims = {12, 12, 6, 6};
+  cfg.directions = unique_directions(ActiveDims::all4());
+  check_chunk(random_volume({13, 12, 6, 6}, 32, 73), Region4{{0, 0, 0, 0}, {2, 1, 1, 1}}, cfg,
+              "pairs > 65535");
+}
+
+TEST(KernelChunk, RejectsRoisLeavingTheChunk) {
+  const auto v = random_volume({8, 8, 3, 3}, 8, 74);
+  EngineConfig cfg;
+  cfg.num_levels = 8;
+  cfg.roi_dims = {5, 5, 3, 3};
+  EXPECT_THROW(analyze_chunk(v.view(), Region4::whole(v.dims()),
+                             Region4{{1, 0, 0, 0}, {4, 1, 1, 1}}, cfg),
+               std::logic_error);
+  KernelScratch scratch(8);
+  EXPECT_THROW(scratch.features_of_rois(v.view(), Region4{{0, 0, 1, 0}, {1, 1, 1, 1}},
+                                        cfg.roi_dims, cfg.effective_directions(),
+                                        cfg.features, nullptr, SweepMode::Fast,
+                                        Representation::Sparse,
+                                        [](std::int64_t, const FeatureVector&) {}),
+               std::invalid_argument);
 }
 
 TEST(Glcm, FromDenseSkipsEmptyRowsViaOccupancyBitmap) {

@@ -10,7 +10,9 @@ Works on `h4d-bench-metrics-v1` documents whose runs carry flat
       * kernel pair-update throughput >= 3x the reference on the paper
         configuration;
       * the fused end-to-end ROI path is not slower than the reference
-        sparse path.
+        sparse path;
+      * a whole HMP chunk built from column histograms (analyze_chunk) is
+        >= 3x faster per ROI than the per-origin scan.
   bench_cache    (BENCH_cache.json)
       * a warm re-analysis through the shared tile cache reads at most
         0.5x the disk bytes of the cold run;
@@ -52,6 +54,9 @@ GATE_LABELS = (f"glcm_reference/{PAPER_CONFIG}", f"glcm_kernel/{PAPER_CONFIG}")
 FUSED_LABELS = (f"roi_reference_sparse/{PAPER_CONFIG}",
                 f"roi_kernel_fused/{PAPER_CONFIG}")
 MIN_SPEEDUP = 3.0
+CHUNK_CONFIG = "all4_roi7x7x3x3_dirs40_ng32_chunk16x16x8x6"
+CHUNK_LABELS = (f"chunk_scan/{CHUNK_CONFIG}", f"chunk_columns/{CHUNK_CONFIG}")
+MIN_CHUNK_SPEEDUP = 3.0
 
 # bench_cache: warm-over-cold gates for the shared tile cache
 # (bench/micro_tile_cache). Disk traffic must at least halve and the demand
@@ -171,6 +176,23 @@ def check_baseline_invariants(runs: dict[str, dict[str, float]],
             if f_ns > r_ns:
                 err(f"{path}: fused end-to-end path slower than reference "
                     f"({f_ns:.0f} ns vs {r_ns:.0f} ns)")
+    scan = runs.get(CHUNK_LABELS[0])
+    cols = runs.get(CHUNK_LABELS[1])
+    if scan is None or cols is None:
+        err(f"{path}: missing chunk rows {CHUNK_LABELS[0]!r} / "
+            f"{CHUNK_LABELS[1]!r}")
+    else:
+        s_ns = scan.get("ns_per_roi", 0.0)
+        c_ns = cols.get("ns_per_roi", 0.0)
+        if s_ns <= 0 or c_ns <= 0:
+            err(f"{path}: chunk rows missing ns_per_roi")
+        else:
+            speedup = s_ns / c_ns
+            print(f"  gate: column histograms {c_ns:.0f} ns vs scan {s_ns:.0f} ns "
+                  f"per ROI -> {speedup:.2f}x (need >= {MIN_CHUNK_SPEEDUP}x)")
+            if speedup < MIN_CHUNK_SPEEDUP:
+                err(f"{path}: column-histogram speedup {speedup:.2f}x < "
+                    f"{MIN_CHUNK_SPEEDUP}x on {CHUNK_CONFIG}")
 
 
 def check_cache_invariants(runs: dict[str, dict[str, float]],
