@@ -11,8 +11,6 @@
 
 namespace h4d::core {
 
-using haralick::Glcm;
-
 std::pair<int, int> apportion_split(double cost_ratio, int texture_nodes) {
   if (!(cost_ratio > 0.0)) throw std::invalid_argument("apportion_split: ratio must be > 0");
   if (texture_nodes < 1) throw std::invalid_argument("apportion_split: need >= 1 node");
@@ -35,9 +33,10 @@ SplitPlan plan_split(const Volume4<Level>& probe, const haralick::EngineConfig& 
   const std::int64_t total = origins.volume();
   const std::int64_t stride = std::max<std::int64_t>(1, total / max_probe_rois);
 
-  // Probe through the calls the filters make: HCC builds each matrix and
-  // packs it in the configured wire format (crediting the compression), and
-  // HPC reads the packet back and runs the feature sweep.
+  // Probe through the calls the filters make: HCC builds each matrix (here
+  // a one-origin region) and packs its entries in the configured wire format
+  // (crediting the compression), and HPC reads the packet back and runs the
+  // feature sweep.
   fs::WorkMeter hcc_meter, hpc_meter;
   haralick::KernelScratch scratch(engine.num_levels);
   filters::MatrixPacketWriter writer(engine.representation, engine.num_levels);
@@ -46,9 +45,11 @@ SplitPlan plan_split(const Volume4<Level>& probe, const haralick::EngineConfig& 
   for (const Vec4& origin : raster(origins)) {
     if (index++ % stride != 0) continue;
     ++probed;
-    const Glcm g = haralick::glcm_for_roi(probe.view(), Region4{origin, engine.roi_dims}, dirs,
-                                          engine.num_levels, &hcc_meter.work, &scratch);
-    writer.add(origin, g, &hcc_meter.work);
+    scratch.entries_of_rois(
+        probe.view(), Region4{origin, {1, 1, 1, 1}}, engine.roi_dims, dirs, &hcc_meter.work,
+        [&](std::int64_t, std::span<const haralick::SparseEntry> entries, std::int64_t count) {
+          writer.add(origin, count, entries, &hcc_meter.work);
+        });
     const fs::BufferPtr packet = writer.take(/*chunk_id=*/0, /*seq=*/probed);
     filters::MatrixPacketReader reader(*packet, engine.num_levels);
     while (reader.next()) {

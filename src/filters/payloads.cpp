@@ -1,26 +1,30 @@
 #include "filters/payloads.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace h4d::filters {
 
 namespace {
 
-void append_bytes(std::vector<std::byte>& out, const void* src, std::size_t n) {
-  const std::size_t base = out.size();
-  out.resize(base + n);
-  std::memcpy(out.data() + base, src, n);
+template <typename T>
+std::byte* put(std::byte* p, const T& value) {
+  std::memcpy(p, &value, sizeof(T));
+  return p + sizeof(T);
 }
 
-void append_origin(std::vector<std::byte>& out, const Vec4& origin) {
-  std::int64_t o[4] = {origin[0], origin[1], origin[2], origin[3]};
-  append_bytes(out, o, sizeof(o));
+constexpr std::size_t kOriginBytes = 4 * sizeof(std::int64_t);
+
+std::byte* put_origin(std::byte* p, const Vec4& origin) {
+  const std::int64_t o[4] = {origin[0], origin[1], origin[2], origin[3]};
+  return put(p, o);
 }
 
 Vec4 read_origin(const std::byte*& cursor, std::size_t& remaining) {
-  if (remaining < 4 * sizeof(std::int64_t)) {
+  if (remaining < kOriginBytes) {
     throw haralick::MalformedMatrixError("MatrixPacket: truncated origin");
   }
   std::int64_t o[4];
@@ -32,28 +36,51 @@ Vec4 read_origin(const std::byte*& cursor, std::size_t& remaining) {
 
 }  // namespace
 
-void MatrixPacketWriter::add(const Vec4& origin, const haralick::Glcm& glcm,
-                             haralick::WorkCounters* wc) {
-  if (glcm.num_levels() != ng_) {
-    throw std::invalid_argument("MatrixPacketWriter: Ng mismatch");
+std::byte* MatrixPacketWriter::grow(std::size_t n) {
+  if (bytes_.empty()) {
+    // A new packet: room for the size of the last one, then its count slot.
+    bytes_.reserve(std::max(last_size_, sizeof(count_)));
+    bytes_.resize(sizeof(count_));
   }
-  append_origin(bytes_, origin);
-  if (repr_ == haralick::Representation::Sparse) {
-    const haralick::SparseGlcm sparse = haralick::SparseGlcm::from_dense(glcm);
-    if (wc != nullptr) {
-      // Compression cost: scan the dense matrix, emit the non-zeros.
-      wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
-      wc->sparse_entries_emitted += static_cast<std::int64_t>(sparse.nnz());
+  const std::size_t base = bytes_.size();
+  bytes_.resize(base + n);
+  return bytes_.data() + base;
+}
+
+void MatrixPacketWriter::add(const Vec4& origin, std::int64_t total,
+                             std::span<const haralick::SparseEntry> entries,
+                             haralick::WorkCounters* wc) {
+  for (const haralick::SparseEntry& e : entries) {
+    if (e.i > e.j || e.j >= ng_) {
+      throw std::invalid_argument("MatrixPacketWriter: entry (" + std::to_string(e.i) + ", " +
+                                  std::to_string(e.j) + ") is not an upper cell of Ng " +
+                                  std::to_string(ng_));
     }
-    sparse.serialize(bytes_);
+  }
+  if (repr_ == haralick::Representation::Sparse) {
+    put_origin(grow(kOriginBytes), origin);
+    haralick::SparseGlcm::serialize(ng_, total, entries, bytes_);
+    if (wc != nullptr) {
+      // Modeled compression cost: scan the dense matrix, emit the non-zeros.
+      wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
+      wc->sparse_entries_emitted += static_cast<std::int64_t>(entries.size());
+    }
   } else {
+    // Ng, total, then the symmetric table, zeroed by grow(). An entry lands
+    // on (i, j) and (j, i); a diagonal entry already carries the dense
+    // value, so it is stored as is.
+    const auto ng = static_cast<std::size_t>(ng_);
     const auto ng32 = static_cast<std::uint32_t>(ng_);
-    const auto tot64 = static_cast<std::uint64_t>(glcm.total());
-    append_bytes(bytes_, &ng32, sizeof(ng32));
-    append_bytes(bytes_, &tot64, sizeof(tot64));
-    append_bytes(bytes_, glcm.counts(),
-                 static_cast<std::size_t>(ng_) * static_cast<std::size_t>(ng_) *
-                     sizeof(std::uint32_t));
+    const auto tot64 = static_cast<std::uint64_t>(total);
+    std::byte* p = grow(kOriginBytes + sizeof(ng32) + sizeof(tot64) +
+                        ng * ng * sizeof(std::uint32_t));
+    p = put_origin(p, origin);
+    p = put(p, ng32);
+    std::byte* const table = put(p, tot64);
+    for (const haralick::SparseEntry& e : entries) {
+      put(table + (e.i * ng + e.j) * sizeof(std::uint32_t), e.count);
+      put(table + (e.j * ng + e.i) * sizeof(std::uint32_t), e.count);
+    }
   }
   ++count_;
 }
@@ -65,14 +92,11 @@ fs::BufferPtr MatrixPacketWriter::take(std::int64_t chunk_id, std::int64_t seq) 
   h.seq = seq;
   h.aux = repr_ == haralick::Representation::Sparse ? 1 : 0;
 
-  std::vector<std::byte> payload;
-  payload.reserve(sizeof(std::uint32_t) + bytes_.size());
-  append_bytes(payload, &count_, sizeof(count_));
-  payload.insert(payload.end(), bytes_.begin(), bytes_.end());
-
+  if (bytes_.empty()) bytes_.resize(sizeof(count_));
+  put(bytes_.data(), count_);
+  last_size_ = bytes_.size();
   count_ = 0;
-  bytes_.clear();
-  return fs::make_buffer(h, std::move(payload));
+  return fs::make_buffer(h, std::exchange(bytes_, {}));
 }
 
 MatrixPacketReader::MatrixPacketReader(const fs::DataBuffer& buffer, int num_levels)
@@ -96,13 +120,15 @@ bool MatrixPacketReader::next() {
   if (index_ >= count_) return false;
   ++index_;
   origin_ = read_origin(cursor_, remaining_);
+  // The previous matrix's entry storage becomes this one's.
+  std::vector<haralick::SparseEntry> entries = std::move(matrix_).release_entries();
   if (repr_ == haralick::Representation::Sparse) {
     std::size_t used = 0;
-    matrix_ = haralick::SparseGlcm::deserialize(cursor_, remaining_, used);
+    matrix_ = haralick::SparseGlcm::deserialize(cursor_, remaining_, used, std::move(entries));
     cursor_ += used;
     remaining_ -= used;
   } else {
-    read_dense();
+    read_dense(std::move(entries));
   }
   if (matrix_.num_levels() != ng_) {
     throw haralick::MalformedMatrixError("MatrixPacket: matrix Ng " +
@@ -112,7 +138,7 @@ bool MatrixPacketReader::next() {
   return true;
 }
 
-void MatrixPacketReader::read_dense() {
+void MatrixPacketReader::read_dense(std::vector<haralick::SparseEntry> entries) {
   std::uint32_t ng32 = 0;
   std::uint64_t tot64 = 0;
   if (remaining_ < sizeof(ng32) + sizeof(tot64)) {
@@ -131,18 +157,23 @@ void MatrixPacketReader::read_dense() {
   if (remaining_ < bytes) {
     throw haralick::MalformedMatrixError("MatrixPacket: truncated dense counts");
   }
-  table_.resize(ng * ng);
-  std::memcpy(table_.data(), cursor_, bytes);
+  const std::byte* const table = cursor_;
+  const auto cell = [table](std::size_t idx) {
+    std::uint32_t c;
+    std::memcpy(&c, table + idx * sizeof c, sizeof c);
+    return c;
+  };
   cursor_ += bytes;
   remaining_ -= bytes;
 
-  // The upper triangle in row-major order, exactly SparseGlcm::from_dense.
-  std::vector<haralick::SparseEntry> entries;
+  // The upper triangle in row-major order, exactly SparseGlcm::from_dense,
+  // gathered straight from the payload.
+  entries.clear();
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < ng; ++i) {
     for (std::size_t j = i; j < ng; ++j) {
-      const std::uint32_t c = table_[i * ng + j];
-      if (c != table_[j * ng + i]) {
+      const std::uint32_t c = cell(i * ng + j);
+      if (c != cell(j * ng + i)) {
         throw haralick::MalformedMatrixError("MatrixPacket: dense table is not symmetric");
       }
       if (c == 0) continue;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fs/buffer.hpp"
@@ -44,35 +45,50 @@ static_assert(sizeof(FeatureSample) == 20);
 /// Serializes a batch of co-occurrence matrices (with their ROI origins)
 /// into a MatrixPacket payload. Full representation ships all Ng^2 counts;
 /// sparse ships only the non-zero upper-triangular entries — the traffic
-/// reduction behind Fig. 7(b).
+/// reduction behind Fig. 7(b). The packet is built in place: the payload
+/// starts with its count slot, and take() hands the vector itself to the
+/// buffer.
 class MatrixPacketWriter {
  public:
   MatrixPacketWriter(haralick::Representation repr, int num_levels)
       : repr_(repr), ng_(num_levels) {}
 
-  /// Append one matrix. In sparse representation `wc`, when non-null, is
-  /// credited with the compression (Ng^2 cells scanned, entries emitted).
-  void add(const Vec4& origin, const haralick::Glcm& glcm,
+  /// Append one matrix given as its entry list: the non-zero upper cells in
+  /// SparseGlcm::from_dense order, the diagonal carrying the dense cell
+  /// value, and the total (what KernelScratch::entries_of_rois hands out).
+  /// Sparse writes the entries as SparseGlcm::serialize would; Full writes
+  /// the symmetric Ng^2 table. Throws std::invalid_argument when an entry
+  /// is not an upper cell below Ng. In sparse representation `wc`, when
+  /// non-null, is credited with the modeled compression (Ng^2 cells
+  /// scanned, entries emitted).
+  void add(const Vec4& origin, std::int64_t total,
+           std::span<const haralick::SparseEntry> entries,
            haralick::WorkCounters* wc = nullptr);
 
   std::uint32_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Move the accumulated payload into a buffer and reset the writer.
+  /// Move the accumulated payload into a buffer and reset the writer. The
+  /// next packet reserves the size of this one.
   fs::BufferPtr take(std::int64_t chunk_id, std::int64_t seq);
 
  private:
+  std::byte* grow(std::size_t n);  // n more payload bytes, zeroed
+
   haralick::Representation repr_;
   int ng_;
   std::uint32_t count_ = 0;
-  std::vector<std::byte> bytes_;
+  std::vector<std::byte> bytes_;  // count slot, then the matrices
+  std::size_t last_size_ = 0;     // payload size of the last packet taken
 };
 
 /// Iterates the matrices of a MatrixPacket payload. Either wire format is
 /// read into the same SparseGlcm (a dense table in SparseGlcm::from_dense
 /// order), so the feature sweep has one input. Everything read is
-/// validated; a malformed packet, or one whose Ng differs from the
-/// receiver's `num_levels`, throws haralick::MalformedMatrixError.
+/// validated, straight from the payload; a malformed packet, or one whose
+/// Ng differs from the receiver's `num_levels`, throws
+/// haralick::MalformedMatrixError. Successive matrices reuse one entry
+/// vector.
 class MatrixPacketReader {
  public:
   MatrixPacketReader(const fs::DataBuffer& buffer, int num_levels);
@@ -86,7 +102,7 @@ class MatrixPacketReader {
   const haralick::SparseGlcm& matrix() const { return matrix_; }
 
  private:
-  void read_dense();
+  void read_dense(std::vector<haralick::SparseEntry> entries);
 
   haralick::Representation repr_;
   int ng_;
@@ -96,7 +112,6 @@ class MatrixPacketReader {
   std::size_t remaining_ = 0;
   Vec4 origin_;
   haralick::SparseGlcm matrix_;
-  std::vector<std::uint32_t> table_;  // dense counts of the current matrix
 };
 
 }  // namespace h4d::filters

@@ -8,7 +8,6 @@ namespace h4d::filters {
 
 using haralick::Feature;
 using haralick::FeatureVector;
-using haralick::Glcm;
 
 namespace {
 
@@ -76,23 +75,27 @@ void HaralickCoMatrixCalculator::process(int port, const fs::BufferPtr& buffer,
   const auto view = chunk_view(*buffer);
   const Region4& region = buffer->header.region;
   const Region4& owned = buffer->header.region2;
-  const auto dirs = p_->engine.effective_directions();
 
   const std::int64_t total = owned.empty() ? 0 : owned.volume();
   const std::int64_t per_packet =
       std::max<std::int64_t>(1, total / std::max(1, p_->packets_per_chunk));
 
+  // One construction call for the chunk; the k-th matrix belongs to the
+  // k-th owned origin in raster order and goes straight into the packet.
+  haralick::WorkCounters& wc = ctx.meter().work;
+  scratch_.configure(p_->engine.num_levels);
   std::int64_t since_flush = 0;
-  for (const Vec4& origin : raster(owned)) {
-    const Region4 roi{origin - region.origin, p_->engine.roi_dims};
-    const Glcm g = haralick::glcm_for_roi(view, roi, dirs, p_->engine.num_levels,
-                                          &ctx.meter().work, &scratch_);
-    writer_.add(origin, g, &ctx.meter().work);
-    if (++since_flush >= per_packet) {
-      ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++));
-      since_flush = 0;
-    }
-  }
+  scratch_.entries_of_rois(
+      view, Region4{owned.origin - region.origin, owned.size}, p_->engine.roi_dims,
+      p_->engine.effective_directions(), &wc,
+      [&](std::int64_t k, std::span<const haralick::SparseEntry> entries,
+          std::int64_t matrix_total) {
+        writer_.add(owned.origin + delinearize(k, owned.size), matrix_total, entries, &wc);
+        if (++since_flush >= per_packet) {
+          ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++));
+          since_flush = 0;
+        }
+      });
   if (!writer_.empty()) {
     ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++));
   }

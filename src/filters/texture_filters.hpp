@@ -70,7 +70,7 @@ class HaralickCoMatrixCalculator final : public fs::Filter {
  private:
   ParamsPtr p_;
   MatrixPacketWriter writer_;
-  haralick::KernelScratch scratch_{2};  // per-copy, reused across ROIs
+  haralick::KernelScratch scratch_{2};  // per-copy, reused across chunks
   std::int64_t seq_ = 0;
 };
 

@@ -68,14 +68,17 @@ BottleneckReport analyze_bottleneck(const RunStats& stats) {
   BottleneckReport r;
   r.makespan = stats.total_seconds;
 
+  std::vector<int> idle;  // per filter: copies that received no input buffer
   for (const CopyStats& c : stats.copies) {
     auto it = std::find_if(r.filters.begin(), r.filters.end(),
                            [&](const FilterMetrics& f) { return f.filter == c.filter; });
     if (it == r.filters.end()) {
       r.filters.push_back(FilterMetrics{});
+      idle.push_back(0);
       it = std::prev(r.filters.end());
       it->filter = c.filter;
     }
+    if (c.meter.buffers_in == 0) ++idle[static_cast<std::size_t>(it - r.filters.begin())];
     it->copies++;
     it->meter += c.meter;
     it->busy_seconds += c.busy_seconds;
@@ -103,17 +106,39 @@ BottleneckReport analyze_bottleneck(const RunStats& stats) {
 
   // Verdict: who is the bound stage, and is the rest of the pipeline
   // backpressured on it (the paper Fig. 9 / Fig. 7(b) plateau analysis)?
+  // A filter whose input reached only some of its copies is starved: its
+  // idle copies drag the mean utilization down, so it can look "balanced"
+  // while its busy copies are the limit. Sources (no copy takes input) are
+  // not counted.
+  std::string starved;
+  for (std::size_t i = 0; i < r.filters.size(); ++i) {
+    const FilterMetrics& f = r.filters[i];
+    if (f.meter.buffers_in == 0 || idle[i] == 0) continue;
+    starved += (starved.empty() ? "chunk-starved: " : "; ") + std::to_string(idle[i]) +
+               " of " + std::to_string(f.copies) + " " + f.filter +
+               " copies received no input (" + std::to_string(f.meter.buffers_in) +
+               " input buffers for " + std::to_string(f.copies) + " copies)";
+  }
+
   std::ostringstream v;
   if (r.filters.empty() || r.makespan <= 0.0) {
     v << "no data";
   } else if (r.bound_utilization < 0.5) {
-    v << "balanced: no filter dominates (max utilization "
-      << fmt(r.bound_utilization * 100, 1) << "% at " << r.bound_filter
-      << "); the run is likely bound by stream traffic or startup/drain";
+    if (starved.empty()) {
+      v << "balanced: no filter dominates (max utilization "
+        << fmt(r.bound_utilization * 100, 1) << "% at " << r.bound_filter
+        << "); the run is likely bound by stream traffic or startup/drain";
+    } else {
+      v << starved << "; max utilization " << fmt(r.bound_utilization * 100, 1) << "% at "
+        << r.bound_filter;
+    }
   } else {
+    if (!starved.empty()) v << starved << "; ";
     double upstream_stall = 0.0;
+    const FilterMetrics* bound = nullptr;
     for (const FilterMetrics& f : r.filters) {
       if (f.filter != r.bound_filter) upstream_stall += f.blocked_output_seconds;
+      if (f.filter == r.bound_filter) bound = &f;
     }
     v << r.bound_filter << "-bound: utilization "
       << fmt(r.bound_utilization * 100, 1) << "%";
@@ -121,9 +146,14 @@ BottleneckReport analyze_bottleneck(const RunStats& stats) {
       v << "; other filters spent " << fmt(upstream_stall) << " s blocked on full "
         << "downstream inboxes / sends (pipeline backpressured on " << r.bound_filter
         << ")";
-    } else {
+    } else if (bound->meter.buffers_in > bound->copies) {
       v << "; upstream filters are not significantly backpressured (compute-bound "
         << "stage, adding " << r.bound_filter << " copies should help)";
+    } else {
+      // Another copy would receive nothing: the input comes in too few buffers.
+      v << "; upstream filters are not significantly backpressured (compute-bound "
+        << "stage with " << bound->meter.buffers_in << " input buffers for "
+        << bound->copies << " copies, so more copies would sit idle)";
     }
   }
   r.verdict = v.str();

@@ -33,21 +33,22 @@ Glcm SparseGlcm::to_dense() const {
   return g;
 }
 
-void SparseGlcm::serialize(std::vector<std::byte>& out) const {
+void SparseGlcm::serialize(int num_levels, std::int64_t total,
+                           std::span<const SparseEntry> entries, std::vector<std::byte>& out) {
   const std::size_t base = out.size();
-  out.resize(base + wire_size());
+  out.resize(base + kWireHeader + entries.size() * sizeof(SparseEntry));
   std::byte* p = out.data() + base;
-  const auto ng32 = static_cast<std::uint32_t>(ng_);
-  const auto nnz32 = static_cast<std::uint32_t>(entries_.size());
-  const auto tot64 = static_cast<std::uint64_t>(total_);
+  const auto ng32 = static_cast<std::uint32_t>(num_levels);
+  const auto nnz32 = static_cast<std::uint32_t>(entries.size());
+  const auto tot64 = static_cast<std::uint64_t>(total);
   std::memcpy(p, &ng32, sizeof(ng32));
   p += sizeof(ng32);
   std::memcpy(p, &nnz32, sizeof(nnz32));
   p += sizeof(nnz32);
   std::memcpy(p, &tot64, sizeof(tot64));
   p += sizeof(tot64);
-  if (!entries_.empty()) {
-    std::memcpy(p, entries_.data(), entries_.size() * sizeof(SparseEntry));
+  if (!entries.empty()) {
+    std::memcpy(p, entries.data(), entries.size() * sizeof(SparseEntry));
   }
 }
 
@@ -59,7 +60,7 @@ void SparseGlcm::check_num_levels(std::uint64_t num_levels) {
 }
 
 SparseGlcm SparseGlcm::deserialize(const std::byte* data, std::size_t size,
-                                   std::size_t& consumed) {
+                                   std::size_t& consumed, std::vector<SparseEntry> storage) {
   if (size < kWireHeader) throw MalformedMatrixError("malformed matrix: short sparse header");
   std::uint32_t ng32 = 0, nnz32 = 0;
   std::uint64_t tot64 = 0;
@@ -80,7 +81,8 @@ SparseGlcm SparseGlcm::deserialize(const std::byte* data, std::size_t size,
   }
   const std::size_t need = kWireHeader + std::size_t{nnz32} * sizeof(SparseEntry);
   if (size < need) throw MalformedMatrixError("malformed matrix: truncated sparse entries");
-  std::vector<SparseEntry> entries(nnz32);
+  std::vector<SparseEntry> entries = std::move(storage);
+  entries.resize(nnz32);
   if (nnz32 != 0) std::memcpy(entries.data(), p, nnz32 * sizeof(SparseEntry));
 
   // Each off-diagonal entry stands for two dense cells; at most 32,896

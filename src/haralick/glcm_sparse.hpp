@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -48,6 +49,8 @@ class SparseGlcm {
   std::int64_t total() const { return total_; }
   const std::vector<SparseEntry>& entries() const { return entries_; }
   std::size_t nnz() const { return entries_.size(); }
+  /// Hand the entry storage on (a reader reuses it for its next matrix).
+  std::vector<SparseEntry> release_entries() && { return std::move(entries_); }
 
   /// Normalized probability of one stored entry (upper-triangular count).
   double p_of(const SparseEntry& e) const {
@@ -70,9 +73,15 @@ class SparseGlcm {
 
   /// Append the serialized form to `out`; parse with deserialize(), which
   /// validates everything it reads and throws MalformedMatrixError, so the
-  /// feature sweep can index by the entries' levels without checks.
-  void serialize(std::vector<std::byte>& out) const;
-  static SparseGlcm deserialize(const std::byte* data, std::size_t size, std::size_t& consumed);
+  /// feature sweep can index by the entries' levels without checks. The
+  /// result's entries reuse the capacity of `storage` (its contents are
+  /// overwritten).
+  void serialize(std::vector<std::byte>& out) const { serialize(ng_, total_, entries_, out); }
+  /// The same bytes for an entry list held elsewhere (the packet writer).
+  static void serialize(int num_levels, std::int64_t total,
+                        std::span<const SparseEntry> entries, std::vector<std::byte>& out);
+  static SparseGlcm deserialize(const std::byte* data, std::size_t size, std::size_t& consumed,
+                                std::vector<SparseEntry> storage = {});
 
   /// Throws MalformedMatrixError unless `num_levels` is in [2, 256].
   static void check_num_levels(std::uint64_t num_levels);

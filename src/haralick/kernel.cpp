@@ -412,10 +412,19 @@ void KernelScratch::features_of_rois(Vol4View<const Level> vol, const Region4& o
                                      const Vec4& roi_dims, const std::vector<Vec4>& dirs,
                                      FeatureSet set, WorkCounters* wc, SweepMode mode,
                                      Representation repr, const RoiSink& sink) {
+  entries_of_rois(vol, origins, roi_dims, dirs, wc,
+                  [&](std::int64_t k, std::span<const SparseEntry> entries, std::int64_t total) {
+                    sink(k, sweep_entries(entries, total, set, wc, mode, repr));
+                  });
+}
+
+void KernelScratch::entries_of_rois(Vol4View<const Level> vol, const Region4& origins,
+                                    const Vec4& roi_dims, const std::vector<Vec4>& dirs,
+                                    WorkCounters* wc, const EntrySink& sink) {
   if (origins.empty()) return;
   const Region4 reach{origins.origin, origins.size + roi_dims - Vec4{1, 1, 1, 1}};
   if (!Region4::whole(vol.dims()).contains(reach)) {
-    throw std::invalid_argument("KernelScratch::features_of_rois: rois of origins " +
+    throw std::invalid_argument("KernelScratch::entries_of_rois: rois of origins " +
                                 origins.str() + " leave volume " + vol.dims().str());
   }
 
@@ -451,7 +460,9 @@ void KernelScratch::features_of_rois(Vol4View<const Level> vol, const Region4& o
         wc->glcm_pair_updates += updates;
         wc->matrices_built += 1;
       }
-      sink(k++, features_fused(set, wc, nullptr, mode, repr));
+      const std::int64_t total = total_;
+      gather_tile();
+      sink(k++, entries_, total);
     }
     return;
   }
@@ -540,7 +551,7 @@ void KernelScratch::features_of_rois(Vol4View<const Level> vol, const Region4& o
             wc->glcm_pair_updates += total;  // reference units: 2 stores/pair
             wc->matrices_built += 1;
           }
-          sink(k++, sweep_entries({entries_.data(), nnz}, total, set, wc, mode, repr));
+          sink(k++, {entries_.data(), nnz}, total);
           if (i + 1 == width) break;
           const std::size_t leave = static_cast<std::size_t>(i) * nb;
           const std::uint16_t* const a = c0 + enter;

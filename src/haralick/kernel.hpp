@@ -24,11 +24,13 @@
 //     reset cannot reach 65,536 (knowable up front from the ROI and
 //     direction set); past that bound a checked variant spills any
 //     saturating cell to a 32-bit side table;
-//   * a whole chunk of ROIs (features_of_rois, the HMP filter) is built
-//     from sliding column histograms instead: per x column, the pairs of
-//     the current y/z/t window in upper-triangle bins, slid in y by one
-//     anchor row and summed in x by whole-vector uint16 adds, so adjacent
-//     ROIs share the work of their common columns (docs/KERNEL.md §3);
+//   * a whole chunk of ROIs (entries_of_rois, for the HMP and HCC filters)
+//     is built from sliding column histograms instead: per x column, the
+//     pairs of the current y/z/t window in upper-triangle bins, slid in y by
+//     one anchor row and summed in x by whole-vector uint16 adds, so
+//     adjacent ROIs share the work of their common columns
+//     (docs/KERNEL.md §3). Its entry lists go to the sweep
+//     (features_of_rois, HMP) or into a matrix packet (HCC);
 //   * the feature sweep is the only feature pass in the library. It reduces
 //     the row-major upper-triangle entry list (the SparseGlcm order) to the
 //     cell terms, px, p_{x+y} and p_{x-y}. Three producers feed it: the
@@ -40,7 +42,7 @@
 // tests/oracle): accumulate + fold is bit-identical to the reference
 // construction, and the Strict sweep is bit-identical to the reference
 // sparse feature pass over SparseGlcm::from_dense — same entries, same
-// floating-point accumulation order. features_of_rois emits, per ROI, the
+// floating-point accumulation order. entries_of_rois emits, per ROI, the
 // same entry list as accumulate + the tile gather.
 #pragma once
 
@@ -128,21 +130,34 @@ class KernelScratch {
   FeatureVector features_of(const SparseGlcm& m, FeatureSet set, WorkCounters* wc,
                             SweepMode mode, Representation repr);
 
-  /// Receives the features of the k-th ROI origin, in raster order.
-  using RoiSink = std::function<void(std::int64_t k, const FeatureVector& fv)>;
+  /// Receives the co-occurrence matrix of the k-th ROI origin, in raster
+  /// order: its non-zero upper cells in SparseGlcm::from_dense order (the
+  /// diagonal carrying the dense cell value, twice the pair count) and its
+  /// total. The entries are valid only during the call.
+  using EntrySink = std::function<void(std::int64_t k, std::span<const SparseEntry> entries,
+                                       std::int64_t total)>;
 
-  /// Features of every ROI of extent `roi_dims` whose origin lies in
-  /// `origins` (coordinates local to `vol`; throws std::invalid_argument
-  /// unless every such ROI fits in `vol`). `sink` receives them in raster
-  /// order of the origins. Each
-  /// ROI's entry list is the one accumulate + features_fused would gather,
-  /// so the features are bit-identical to that per-origin loop and `wc` is
-  /// credited the same: 2 pair updates per pair, one matrix built, then the
-  /// sweep's credits.
+  /// The construction entry point for a chunk: the matrix of every ROI of
+  /// extent `roi_dims` whose origin lies in `origins` (coordinates local to
+  /// `vol`; throws std::invalid_argument unless every such ROI fits in
+  /// `vol`), handed to `sink` in raster order of the origins. Each entry
+  /// list is exactly the one accumulate + the tile gather would emit; `wc`
+  /// is credited the same: 2 pair updates per pair and one matrix built.
   ///
   /// Builds the ROIs from sliding column histograms when Ng <= 64, every
   /// direction component is -1, 0 or 1, and a ROI holds at most 65,535
   /// pairs; otherwise runs the per-ROI scan. The tile must be empty.
+  void entries_of_rois(Vol4View<const Level> vol, const Region4& origins, const Vec4& roi_dims,
+                       const std::vector<Vec4>& dirs, WorkCounters* wc,
+                       const EntrySink& sink);
+
+  /// Receives the features of the k-th ROI origin, in raster order.
+  using RoiSink = std::function<void(std::int64_t k, const FeatureVector& fv)>;
+
+  /// Features of every ROI entries_of_rois builds (the HMP filter): each
+  /// entry list goes through the sweep, so the features are bit-identical
+  /// to the per-origin accumulate + features_fused loop and `wc` is
+  /// credited the same: the construction, then the sweep's credits.
   void features_of_rois(Vol4View<const Level> vol, const Region4& origins,
                         const Vec4& roi_dims, const std::vector<Vec4>& dirs, FeatureSet set,
                         WorkCounters* wc, SweepMode mode, Representation repr,
@@ -181,7 +196,7 @@ class KernelScratch {
   std::vector<std::uint32_t> spill_;       // 32-bit overflow, same layout
   std::vector<std::int32_t> spill_cells_;  // indices with non-zero spill_
 
-  // Column-histogram state of features_of_rois, sized on first use. A bin
+  // Column-histogram state of entries_of_rois, sized on first use. A bin
   // is an unordered level pair; bins follow SparseGlcm::from_dense order.
   int bins_ng_ = 0;                      // Ng the bin tables were built for
   std::size_t bin_stride_ = 0;           // Ng(Ng+1)/2 bins, padded to 16

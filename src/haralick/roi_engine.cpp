@@ -14,17 +14,6 @@ std::vector<Vec4> EngineConfig::effective_directions() const {
   return unique_directions(ActiveDims::all4(), 1);
 }
 
-Glcm glcm_for_roi(Vol4View<const Level> vol, const Region4& roi, const std::vector<Vec4>& dirs,
-                  int num_levels, WorkCounters* wc, KernelScratch* scratch) {
-  Glcm g(num_levels);
-  const std::int64_t updates = g.accumulate(vol, roi, dirs, scratch);
-  if (wc != nullptr) {
-    wc->glcm_pair_updates += updates;
-    wc->matrices_built += 1;
-  }
-  return g;
-}
-
 std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
                                         const Region4& chunk_region,
                                         const Region4& owned_origins, const EngineConfig& cfg,

@@ -67,12 +67,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
                                         WorkCounters* wc = nullptr,
                                         KernelScratch* scratch = nullptr);
 
-/// Build the co-occurrence matrix of a single ROI (used by the HCC filter).
-/// `roi` is in the local coordinates of `vol`. `scratch` as in analyze_chunk.
-Glcm glcm_for_roi(Vol4View<const Level> vol, const Region4& roi,
-                  const std::vector<Vec4>& dirs, int num_levels, WorkCounters* wc = nullptr,
-                  KernelScratch* scratch = nullptr);
-
 /// Reference sequential path: analyze a whole in-memory quantized volume.
 /// Equivalent to one chunk covering everything.
 std::vector<FeatureBlock> analyze_volume(const Volume4<Level>& vol, const EngineConfig& cfg,

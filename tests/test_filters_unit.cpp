@@ -1,15 +1,19 @@
 // Unit tests of the pipeline filters in isolation, with a mock context.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <random>
 #include <set>
 
 #include "filters/input_filters.hpp"
 #include "filters/output_filters.hpp"
 #include "filters/texture_filters.hpp"
+#include "haralick/directions.hpp"
 #include "io/phantom.hpp"
 #include "mock_context.hpp"
 #include "nd/raster.hpp"
+#include "oracle/reference.hpp"
 
 namespace h4d::filters {
 namespace {
@@ -309,6 +313,175 @@ TEST_F(FilterUnitTest, JiwWritesNormalizedSeries) {
   }
   EXPECT_EQ(pgms, 4u);  // z * t slices
   EXPECT_GT(ctx.work().disk_bytes_written, 0);
+}
+
+// ---- HCC on column histograms: every packet against the oracle ----
+
+using haralick::Representation;
+
+/// Runs one HCC copy over a random chunk at `chunk_origin` and checks every
+/// packet it emits, origin by origin in raster order, against the oracle's
+/// per-ROI construction: the decoded matrix, the wire bytes (a Full table
+/// is the dense counts), the packet split and all six WorkCounters.
+void check_hcc_packets(const Volume4<Level>& levels, const Vec4& chunk_origin,
+                       const Region4& owned_local, const haralick::EngineConfig& engine,
+                       int packets_per_chunk, const std::string& label) {
+  SCOPED_TRACE(label + " repr=" +
+               (engine.representation == Representation::Full ? "full" : "sparse") +
+               " packets=" + std::to_string(packets_per_chunk) +
+               " owned=" + owned_local.str());
+  auto params = std::make_shared<PipelineParams>();
+  params->engine = engine;
+  params->packets_per_chunk = packets_per_chunk;
+  HaralickCoMatrixCalculator hcc(params);
+
+  const Region4 region{chunk_origin, levels.dims()};
+  const Region4 owned{chunk_origin + owned_local.origin, owned_local.size};
+  fs::BufferHeader h;
+  h.kind = BufferKind::TextureChunk;
+  h.chunk_id = 5;
+  h.region = region;
+  h.region2 = owned;
+  std::vector<std::byte> payload(levels.storage().size());
+  std::memcpy(payload.data(), levels.storage().data(), payload.size());
+  MockContext ctx;
+  hcc.process(kPortChunks, fs::make_buffer(h, std::move(payload)), ctx);
+  hcc.flush(ctx);
+  const auto packets = ctx.of_kind(BufferKind::MatrixPacket);
+
+  // The packet rule: a packet every total / packets_per_chunk ROIs (at
+  // least 1), the remainder in a last one.
+  const std::int64_t total = owned.volume();
+  const std::int64_t per = std::max<std::int64_t>(1, total / packets_per_chunk);
+  ASSERT_EQ(static_cast<std::int64_t>(packets.size()), (total + per - 1) / per);
+
+  const int ng = engine.num_levels;
+  const auto dirs = engine.effective_directions();
+  const bool full = engine.representation == Representation::Full;
+  haralick::WorkCounters want;
+  std::int64_t k = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    EXPECT_EQ(packets[i]->header.chunk_id, 5);
+    EXPECT_EQ(packets[i]->header.seq, static_cast<std::int64_t>(i));
+    MatrixPacketReader reader(*packets[i], ng);
+    ASSERT_EQ(static_cast<std::int64_t>(reader.count()),
+              i + 1 < packets.size() ? per : total - per * static_cast<std::int64_t>(i));
+    const std::byte* record = packets[i]->payload.data() + sizeof(std::uint32_t);
+    while (reader.next()) {
+      const Vec4 origin = owned.origin + delinearize(k++, owned.size);
+      ASSERT_EQ(reader.origin(), origin);
+      haralick::Glcm g(ng);
+      want.glcm_pair_updates += oracle::accumulate_reference(
+          g, levels.view(), Region4{origin - chunk_origin, engine.roi_dims}, dirs);
+      want.matrices_built += 1;
+      const haralick::SparseGlcm sparse = haralick::SparseGlcm::from_dense(g);
+      ASSERT_EQ(reader.matrix().entries(), sparse.entries()) << "origin " << origin.str();
+      ASSERT_EQ(reader.matrix().total(), sparse.total());
+
+      // The wire bytes after the origin: the dense counts, or the header
+      // SparseGlcm::serialize writes (the entries were compared above; their
+      // padding bytes carry no value).
+      record += 4 * sizeof(std::int64_t);
+      if (full) {
+        record += sizeof(std::uint32_t) + sizeof(std::uint64_t);
+        const std::size_t bytes = static_cast<std::size_t>(ng) * ng * sizeof(std::uint32_t);
+        ASSERT_EQ(std::memcmp(record, g.counts(), bytes), 0) << "origin " << origin.str();
+        record += bytes;
+      } else {
+        std::vector<std::byte> wire;
+        sparse.serialize(wire);
+        ASSERT_EQ(std::memcmp(record, wire.data(), haralick::SparseGlcm::kWireHeader), 0)
+            << "origin " << origin.str();
+        record += wire.size();
+        want.sparse_compress_cells += static_cast<std::int64_t>(ng) * ng;
+        want.sparse_entries_emitted += static_cast<std::int64_t>(sparse.nnz());
+      }
+    }
+    EXPECT_EQ(record, packets[i]->payload.data() + packets[i]->payload.size());
+  }
+  EXPECT_EQ(k, total);
+
+  const haralick::WorkCounters& got = ctx.work().work;
+  EXPECT_EQ(got.glcm_pair_updates, want.glcm_pair_updates);
+  EXPECT_EQ(got.matrices_built, want.matrices_built);
+  EXPECT_EQ(got.sparse_compress_cells, want.sparse_compress_cells);
+  EXPECT_EQ(got.sparse_entries_emitted, want.sparse_entries_emitted);
+  EXPECT_EQ(got.feature_cells_scanned, 0);
+  EXPECT_EQ(got.feature_cell_ops, 0);
+}
+
+Volume4<Level> random_levels(const Vec4& dims, int ng, unsigned seed) {
+  Volume4<Level> v(dims);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> u(0, ng - 1);
+  for (Level& l : v.storage()) l = static_cast<Level>(u(rng));
+  return v;
+}
+
+TEST(HccPackets, ColumnPathMatchesOracleForEveryOwnedWidth) {
+  const Vec4 chunk{9, 5, 4, 3};
+  haralick::EngineConfig engine;
+  engine.roi_dims = {3, 2, 2, 2};
+  unsigned seed = 400;
+  for (const int ng : {2, 7, 32, 64}) {
+    engine.num_levels = ng;
+    const Volume4<Level> levels = random_levels(chunk, ng, seed++);
+    for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+      engine.representation = repr;
+      for (const int packets : {1, 4, 7}) {
+        // Owned widths 1 .. the chunk's origin width (7), at varying x.
+        for (std::int64_t w = 1; w <= chunk[0] - engine.roi_dims[0] + 1; ++w) {
+          const Region4 owned{{(w * 3) % (8 - w), 1, 0, 0}, {w, 3, 2, 2}};
+          check_hcc_packets(levels, {4, 2, 1, 0}, owned, engine, packets,
+                            "ng=" + std::to_string(ng));
+        }
+      }
+    }
+  }
+  // Axis and random unit direction sets.
+  engine.num_levels = 32;
+  const Volume4<Level> levels = random_levels(chunk, 32, seed++);
+  std::vector<Vec4> random_dirs;
+  std::mt19937_64 rng(seed);
+  for (const Vec4& d : haralick::unique_directions(haralick::ActiveDims::all4())) {
+    if (rng() % 3 == 0) random_dirs.push_back(d[0] == 0 ? d : -d);
+  }
+  for (const auto& dirs : {haralick::axis_directions(haralick::ActiveDims::all4()), random_dirs}) {
+    engine.directions = dirs;
+    for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+      engine.representation = repr;
+      check_hcc_packets(levels, {0, 0, 0, 0}, Region4{{0, 0, 0, 0}, {7, 4, 3, 2}}, engine, 4,
+                        std::to_string(dirs.size()) + " dirs");
+    }
+  }
+}
+
+TEST(HccPackets, FallbackCasesMatchOracle) {
+  haralick::EngineConfig engine;
+  engine.roi_dims = {4, 3, 2, 2};
+  const Region4 owned{{0, 1, 0, 0}, {4, 2, 2, 1}};
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    engine.representation = repr;
+    for (const int packets : {1, 4, 7}) {
+      // Ng above 64.
+      engine.num_levels = 65;
+      engine.directions.clear();
+      check_hcc_packets(random_levels({7, 6, 3, 2}, 65, 481), {0, 0, 0, 0}, owned, engine,
+                        packets, "ng=65");
+      // A distance-2 step.
+      engine.num_levels = 32;
+      engine.directions = {Vec4{1, 0, 0, 0}, Vec4{2, 0, 0, 0}, Vec4{0, 1, 1, 0}};
+      check_hcc_packets(random_levels({7, 6, 3, 2}, 32, 482), {0, 0, 0, 0}, owned, engine,
+                        packets, "distance 2");
+    }
+    // More than 65,535 pairs per ROI.
+    engine.num_levels = 32;
+    engine.directions.clear();
+    engine.roi_dims = {12, 12, 6, 6};
+    check_hcc_packets(random_levels({13, 12, 6, 6}, 32, 483), {0, 0, 0, 0},
+                      Region4{{0, 0, 0, 0}, {2, 1, 1, 1}}, engine, 4, "pairs > 65535");
+    engine.roi_dims = {4, 3, 2, 2};
+  }
 }
 
 }  // namespace

@@ -316,5 +316,56 @@ TEST(Bottleneck, BalancedGraphGetsBalancedVerdict) {
   EXPECT_NE(report.verdict.find("balanced"), std::string::npos);
 }
 
+CopyStats copy_stats(const std::string& filter, int copy, double busy,
+                     std::int64_t buffers_in) {
+  CopyStats c;
+  c.filter = filter;
+  c.copy = copy;
+  c.busy_seconds = busy;
+  c.finish_time = 1.0;
+  c.meter.buffers_in = buffers_in;
+  return c;
+}
+
+TEST(Bottleneck, IdleCopyMakesTheVerdictChunkStarved) {
+  // The default split run's shape: 3 chunks for 3 HCC copies, one copy
+  // took two and another none, so HCC's mean utilization falls under 50%.
+  RunStats stats;
+  stats.total_seconds = 1.0;
+  stats.copies = {copy_stats("RFR", 0, 0.05, 0),  copy_stats("IIC", 0, 0.10, 24),
+                  copy_stats("HCC", 0, 0.62, 2),  copy_stats("HCC", 1, 0.61, 1),
+                  copy_stats("HCC", 2, 0.0, 0),   copy_stats("HPC", 0, 0.30, 8)};
+  const BottleneckReport report = analyze_bottleneck(stats);
+  EXPECT_EQ(report.bound_filter, "HCC");
+  EXPECT_LT(report.bound_utilization, 0.5);
+  EXPECT_EQ(report.verdict.rfind("chunk-starved: 1 of 3 HCC copies received no input", 0), 0u)
+      << report.verdict;
+  EXPECT_EQ(report.verdict.find("balanced"), std::string::npos) << report.verdict;
+  // RFR is a source: none of its copies takes input, so it is not starved.
+  EXPECT_EQ(report.verdict.find("RFR"), std::string::npos) << report.verdict;
+}
+
+TEST(Bottleneck, AddCopiesAdviceOnlyWhenInputOutnumbersCopies) {
+  RunStats stats;
+  stats.total_seconds = 1.0;
+  stats.copies = {copy_stats("RFR", 0, 0.05, 0), copy_stats("IIC", 0, 0.10, 24),
+                  copy_stats("HCC", 0, 0.90, 1), copy_stats("HCC", 1, 0.92, 1),
+                  copy_stats("HCC", 2, 0.88, 1), copy_stats("HPC", 0, 0.30, 8)};
+  BottleneckReport report = analyze_bottleneck(stats);
+  EXPECT_EQ(report.bound_filter, "HCC");
+  EXPECT_EQ(report.verdict.rfind("HCC-bound", 0), 0u) << report.verdict;
+  // One chunk per copy: a fourth copy would get nothing.
+  EXPECT_EQ(report.verdict.find("should help"), std::string::npos) << report.verdict;
+  EXPECT_NE(report.verdict.find("3 input buffers for 3 copies"), std::string::npos)
+      << report.verdict;
+
+  for (CopyStats& c : stats.copies) {
+    if (c.filter == "HCC") c.meter.buffers_in = 2;
+  }
+  report = analyze_bottleneck(stats);
+  EXPECT_NE(report.verdict.find("adding HCC copies should help"), std::string::npos)
+      << report.verdict;
+}
+
 }  // namespace
 }  // namespace h4d::fs

@@ -24,6 +24,12 @@ Glcm sample_glcm(int ng, unsigned seed) {
   return g;
 }
 
+/// Packs `g` the way HCC does: as its entry list and total.
+void add_glcm(MatrixPacketWriter& writer, const Vec4& origin, const Glcm& g) {
+  const haralick::SparseGlcm sparse = haralick::SparseGlcm::from_dense(g);
+  writer.add(origin, sparse.total(), sparse.entries());
+}
+
 TEST(FeatureSample, PacksOriginAndValue) {
   const FeatureSample s = FeatureSample::make({1, 2, 3, 4}, 7.5f);
   EXPECT_EQ(s.origin(), Vec4(1, 2, 3, 4));
@@ -40,7 +46,7 @@ TEST_P(MatrixPacketRoundTrip, PreservesMatricesAndOrigins) {
   for (unsigned seed = 1; seed <= 5; ++seed) {
     matrices.push_back(sample_glcm(16, seed));
     origins.push_back({seed, seed + 1, seed + 2, seed + 3});
-    writer.add(origins.back(), matrices.back());
+    add_glcm(writer, origins.back(), matrices.back());
   }
   EXPECT_EQ(writer.count(), 5u);
   const fs::BufferPtr buffer = writer.take(/*chunk_id=*/9, /*seq=*/2);
@@ -82,8 +88,8 @@ TEST(MatrixPacket, SparsePayloadMuchSmallerOnSparseData) {
   MatrixPacketWriter full(Representation::Full, 32);
   MatrixPacketWriter sparse(Representation::Sparse, 32);
   for (int i = 0; i < 10; ++i) {
-    full.add({0, 0, 0, 0}, g);
-    sparse.add({0, 0, 0, 0}, g);
+    add_glcm(full, {0, 0, 0, 0}, g);
+    add_glcm(sparse, {0, 0, 0, 0}, g);
   }
   const auto fb = full.take(0, 0);
   const auto sb = sparse.take(0, 0);
@@ -91,8 +97,28 @@ TEST(MatrixPacket, SparsePayloadMuchSmallerOnSparseData) {
 }
 
 TEST(MatrixPacket, WriterRejectsNgMismatch) {
+  // An entry whose level is at or past the writer's Ng (from a 32-level
+  // matrix) is refused in either wire format, and nothing is written.
+  const std::vector<haralick::SparseEntry> past_ng{{0, 1, 1}, {3, 16, 1}};
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    MatrixPacketWriter writer(repr, 16);
+    EXPECT_THROW(writer.add({0, 0, 0, 0}, 4, past_ng), std::invalid_argument);
+    EXPECT_TRUE(writer.empty());
+  }
+}
+
+TEST(MatrixPacket, FullTableIsTheDenseGlcm) {
+  // The Full writer scatters the entry list into exactly the dense counts:
+  // off-diagonal cells mirrored, diagonal cells as carried.
+  const Glcm g = sample_glcm(16, 7);
   MatrixPacketWriter writer(Representation::Full, 16);
-  EXPECT_THROW(writer.add({0, 0, 0, 0}, Glcm(32)), std::invalid_argument);
+  add_glcm(writer, {1, 2, 3, 4}, g);
+  const auto buf = writer.take(0, 0);
+  const std::size_t table = sizeof(std::uint32_t) + 4 * sizeof(std::int64_t) +
+                            sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  const std::size_t bytes = 16 * 16 * sizeof(std::uint32_t);
+  ASSERT_EQ(buf->payload.size(), table + bytes);
+  EXPECT_EQ(std::memcmp(buf->payload.data() + table, g.counts(), bytes), 0);
 }
 
 TEST(MatrixPacket, ReaderRejectsWrongKind) {
@@ -104,7 +130,7 @@ TEST(MatrixPacket, ReaderRejectsWrongKind) {
 
 TEST(MatrixPacket, ReaderRejectsTruncatedPayload) {
   MatrixPacketWriter writer(Representation::Full, 16);
-  writer.add({0, 0, 0, 0}, sample_glcm(16, 3));
+  add_glcm(writer, {0, 0, 0, 0}, sample_glcm(16, 3));
   auto buf = writer.take(0, 0);
   buf->payload.resize(buf->payload.size() / 2);
   MatrixPacketReader reader(*buf, 16);
@@ -169,6 +195,64 @@ const std::vector<std::uint32_t> kDense{2, 3, 0, 0,  //
 
 void expect_malformed(const fs::BufferPtr& buf, int receiver_levels = 4) {
   MatrixPacketReader reader(*buf, receiver_levels);
+  EXPECT_THROW(reader.next(), haralick::MalformedMatrixError);
+}
+
+// ---- the reader reuses one entry vector across the matrices of a packet ----
+
+// Ng=4 matrices of 3, 1 and 5 entries: nnz falls, then rises.
+const std::vector<std::vector<haralick::SparseEntry>> kSeries{
+    kEntries, {{1, 1, 4}}, {{0, 0, 2}, {0, 1, 3}, {0, 3, 1}, {2, 3, 1}, {3, 3, 2}}};
+const std::vector<std::int64_t> kSeriesTotals{10, 4, 14};
+
+fs::BufferPtr series_packet(Representation repr) {
+  MatrixPacketWriter writer(repr, 4);
+  for (std::size_t m = 0; m < kSeries.size(); ++m) {
+    writer.add({static_cast<std::int64_t>(m), 0, 0, 0}, kSeriesTotals[m], kSeries[m]);
+  }
+  return writer.take(0, 0);
+}
+
+TEST(MatrixPacket, ReaderDecodesEachMatrixWhenNnzFallsThenRises) {
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    const auto buf = series_packet(repr);
+    MatrixPacketReader reader(*buf, 4);
+    for (std::size_t m = 0; m < kSeries.size(); ++m) {
+      ASSERT_TRUE(reader.next());
+      EXPECT_EQ(reader.origin(), Vec4(static_cast<std::int64_t>(m), 0, 0, 0));
+      EXPECT_EQ(reader.matrix().entries(), kSeries[m]) << "matrix " << m;
+      EXPECT_EQ(reader.matrix().total(), kSeriesTotals[m]);
+    }
+    EXPECT_FALSE(reader.next());
+  }
+}
+
+TEST(MalformedPacket, SecondMatrixTruncatedOrAsymmetric) {
+  constexpr std::size_t kCount = sizeof(std::uint32_t);
+  constexpr std::size_t kOrigin = 4 * sizeof(std::int64_t);
+  constexpr std::size_t kDenseHeader = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  constexpr std::size_t kDenseRecord = kOrigin + kDenseHeader + 16 * sizeof(std::uint32_t);
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    // Cut inside the second matrix's header: the first still decodes.
+    auto buf = series_packet(repr);
+    const std::size_t first =
+        repr == Representation::Full
+            ? kDenseRecord
+            : kOrigin + haralick::SparseGlcm::kWireHeader +
+                  kSeries[0].size() * sizeof(haralick::SparseEntry);
+    buf->payload.resize(kCount + first + kOrigin + 8);
+    MatrixPacketReader reader(*buf, 4);
+    ASSERT_TRUE(reader.next());
+    EXPECT_EQ(reader.matrix().entries(), kSeries[0]);
+    EXPECT_THROW(reader.next(), haralick::MalformedMatrixError);
+  }
+  // An asymmetric second table: (1, 0) gets a count that (0, 1) lacks.
+  auto buf = series_packet(Representation::Full);
+  const std::size_t second_table = kCount + kDenseRecord + kOrigin + kDenseHeader;
+  const std::uint32_t one = 1;
+  std::memcpy(buf->payload.data() + second_table + 4 * sizeof(std::uint32_t), &one, sizeof one);
+  MatrixPacketReader reader(*buf, 4);
+  ASSERT_TRUE(reader.next());
   EXPECT_THROW(reader.next(), haralick::MalformedMatrixError);
 }
 

@@ -62,7 +62,8 @@ TEST(AnalyzeVolume, ValuesMatchDirectPerRoiComputation) {
   const auto dirs = cfg.effective_directions();
   std::int64_t k = 0;
   for (const Vec4& o : raster(blocks[0].origins)) {
-    const Glcm g = glcm_for_roi(v.view(), Region4{o, cfg.roi_dims}, dirs, cfg.num_levels);
+    Glcm g(cfg.num_levels);
+    oracle::accumulate_reference(g, v.view(), Region4{o, cfg.roi_dims}, dirs);
     const FeatureVector f =
         oracle::compute_features(g, cfg.features, oracle::ZeroPolicy::SkipZeros);
     EXPECT_FLOAT_EQ(blocks[0].values[static_cast<std::size_t>(k)],
