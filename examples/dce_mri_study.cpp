@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   cfg.engine.features = {haralick::Feature::AngularSecondMoment,
                          haralick::Feature::Contrast, haralick::Feature::Entropy,
                          haralick::Feature::InverseDifferenceMoment};
-  cfg.engine.representation = haralick::Representation::Sparse;
   cfg.texture_chunk = {24, 24, 8, 6};
   cfg.variant = core::Variant::Split;
   cfg.rfr_copies = kStorageNodes;

@@ -33,7 +33,6 @@ int main() {
     cfg.engine.roi_dims = {5, 5, 3, 3};
     cfg.engine.num_levels = 32;
     cfg.engine.features = haralick::FeatureSet::paper_eval();
-    cfg.engine.representation = haralick::Representation::Sparse;
     cfg.texture_chunk = {16, 16, 8, 6};
     cfg.variant = core::Variant::Split;
     cfg.chunk_policy = policy;

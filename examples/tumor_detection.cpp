@@ -31,7 +31,6 @@ core::AnalysisResult analyze_study(const io::Phantom& study, const fsys::path& w
   cfg.engine = engine;
   cfg.texture_chunk = {24, 24, 8, 6};
   cfg.variant = core::Variant::Split;
-  cfg.engine.representation = haralick::Representation::Sparse;
   cfg.rfr_copies = 2;
   cfg.hcc_copies = 2;
   cfg.hpc_copies = 1;

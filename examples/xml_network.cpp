@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   cfg.dataset_root = dataset_dir;
   cfg.engine.roi_dims = {5, 5, 3, 3};
   cfg.engine.num_levels = 32;
-  cfg.engine.representation = haralick::Representation::Sparse;
   cfg.texture_chunk = {16, 16, 8, 6};
   const filters::ParamsPtr params = core::make_params(cfg);
 

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -33,6 +35,18 @@ namespace h4d::cli {
 
 namespace {
 
+/// `value` when it is one of `values`; otherwise throws
+/// "NAME must be one of a|b, got 'x'".
+const std::string& check_choice(const std::string& name, const std::string& value,
+                                std::initializer_list<const char*> values) {
+  std::string listed;
+  for (const char* v : values) {
+    if (value == v) return value;
+    listed += (listed.empty() ? "" : "|") + std::string(v);
+  }
+  throw std::runtime_error(name + " must be one of " + listed + ", got '" + value + "'");
+}
+
 /// Minimal option parser: --key value pairs plus positional arguments.
 class Args {
  public:
@@ -60,6 +74,14 @@ class Args {
     return it->second;
   }
   bool has(const std::string& key) const { return options_.count(key) != 0; }
+
+  /// The value of --KEY, which must be one of `values` (nullopt when absent).
+  std::optional<std::string> choice(const std::string& key,
+                                    std::initializer_list<const char*> values) const {
+    const auto it = options_.find(key);
+    if (it == options_.end()) return std::nullopt;
+    return check_choice("--" + key, it->second, values);
+  }
 
   int get_int(const std::string& key, int fallback) const {
     const auto it = options_.find(key);
@@ -113,29 +135,28 @@ class Args {
   std::vector<std::string> positional_;
 };
 
+/// The engine defaults of haralick::EngineConfig, overridden only by the
+/// options given.
 haralick::EngineConfig engine_from_args(const Args& args) {
   haralick::EngineConfig engine;
-  engine.roi_dims = args.get_vec4("roi", {7, 7, 3, 3});
-  engine.num_levels = args.get_int("levels", 32);
-  const std::string features = args.get("features", "paper");
-  if (features == "paper") {
-    engine.features = haralick::FeatureSet::paper_eval();
-  } else if (features == "all") {
-    engine.features = haralick::FeatureSet::all();
-  } else {
-    throw std::runtime_error("--features must be 'paper' or 'all'");
+  engine.roi_dims = args.get_vec4("roi", engine.roi_dims);
+  engine.num_levels = args.get_int("levels", engine.num_levels);
+  if (const auto features = args.choice("features", {"paper", "all"})) {
+    engine.features = *features == "all" ? haralick::FeatureSet::all()
+                                         : haralick::FeatureSet::paper_eval();
   }
-  if (args.get("repr", "full") == "sparse") {
-    engine.representation = haralick::Representation::Sparse;
+  if (const auto repr = args.choice("repr", {"full", "sparse"})) {
+    engine.representation = *repr == "sparse" ? haralick::Representation::Sparse
+                                               : haralick::Representation::Full;
   }
-  if (args.get("dirs", "all") == "axis") {
-    engine.directions = haralick::axis_directions(haralick::ActiveDims::all4());
+  if (const auto dirs = args.choice("dirs", {"all", "axis"})) {
+    engine.directions = *dirs == "axis"
+                            ? haralick::axis_directions(haralick::ActiveDims::all4())
+                            : std::vector<Vec4>{};  // empty = all unique directions
   }
-  const std::string sweep = args.get("sweep", "fast");
-  if (sweep == "strict") {
-    engine.sweep_mode = haralick::SweepMode::Strict;
-  } else if (sweep != "fast") {
-    throw std::runtime_error("--sweep must be 'strict' or 'fast'");
+  if (const auto sweep = args.choice("sweep", {"fast", "strict"})) {
+    engine.sweep_mode =
+        *sweep == "strict" ? haralick::SweepMode::Strict : haralick::SweepMode::Fast;
   }
   return engine;
 }
@@ -259,8 +280,8 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   cfg.texture_chunk = args.get_vec4("chunk", {64, 64, 8, 8});
   // Clamp the chunk to the dataset so small studies work out of the box.
   cfg.texture_chunk = Vec4::min(cfg.texture_chunk, meta.dims);
-  cfg.variant = args.get("variant", "split") == "hmp" ? core::Variant::HMP
-                                                      : core::Variant::Split;
+  cfg.variant = args.choice("variant", {"split", "hmp"}) == "hmp" ? core::Variant::HMP
+                                                                  : core::Variant::Split;
 
   // Resilience: --faults injects deterministic storage faults, --retry sets
   // the retry budget, --on-corrupt picks the degradation policy.
@@ -273,7 +294,7 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
       cfg.resilience.policy = io::DegradePolicy::Retry;
     }
   }
-  cfg.resilience.verify_checksums = args.get("checksums", "on") == "on";
+  cfg.resilience.verify_checksums = args.choice("checksums", {"on", "off"}) != "off";
   cfg.resilience.fill_value = static_cast<std::uint16_t>(args.get_int("fill", 0));
   // Degraded mode: nodes listed here read nothing; their slices come from
   // the surviving replicas (missing node directories are detected on top).
@@ -282,7 +303,7 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   // Checkpoint/resume: --checkpoint names the chunk-completion manifest;
   // --resume on prunes chunks the manifest already records as complete.
   cfg.checkpoint_path = args.get("checkpoint", "");
-  cfg.resume = args.get("resume", "off") == "on";
+  cfg.resume = args.choice("resume", {"off", "on"}) == "on";
   if (cfg.resume && cfg.checkpoint_path.empty()) {
     throw std::runtime_error("--resume on requires --checkpoint FILE");
   }
@@ -296,7 +317,7 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   const int workers = args.get_int("workers", 4);
   if (cfg.variant == core::Variant::HMP) {
     cfg.hmp_copies = workers;
-  } else if (args.get("plan", "fixed") == "auto" && workers >= 2) {
+  } else if (args.choice("plan", {"fixed", "auto"}) == "auto" && workers >= 2) {
     // Probe the dataset (through the resilient read path) and split the
     // worker budget by the measured HCC:HPC cost ratio (paper Sec. 5.2).
     const core::SplitPlan plan = core::plan_split_dataset(
@@ -487,7 +508,7 @@ int cmd_repair(const Args& args, std::ostream& out) {
   const std::string dataset = args.positional()[0];
   const io::RepairReport report = io::repair_dataset(dataset);
   out << "repair " << dataset << ": " << report.summary() << "\n";
-  if (args.get("add-checksums", "off") == "on") {
+  if (args.choice("add-checksums", {"off", "on"}) == "on") {
     const io::ChecksumMigrationReport migration = io::add_checksums(dataset);
     out << "add-checksums: " << migration.summary() << "\n";
   }
@@ -573,7 +594,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
   wl.deadline_s = args.get_int("deadline-ms", 500) / 1000.0;
   wl.max_retries = args.get_int("job-retries", 0);
   wl.est_scale = args.get_int("est-ms", 0) / 1000.0;
-  wl.simulate = args.get("mode", "threaded") == "sim";
+  wl.simulate = args.choice("mode", {"threaded", "sim"}) == "sim";
   wl.base.config = pipeline_from_args(args, dataset);
   wl.base.threaded.supervise = supervisor_from_args(args);
   if (wl.simulate) {
@@ -634,8 +655,10 @@ svc::JobSpec parse_job_line(const std::string& line, const svc::JobSpec& base) {
     } else if (key == "levels") {
       spec.config.engine.num_levels = std::stoi(value);
     } else if (key == "features") {
-      spec.config.engine.features = value == "all" ? haralick::FeatureSet::all()
-                                                   : haralick::FeatureSet::paper_eval();
+      spec.config.engine.features =
+          check_choice("jobs: features", value, {"paper", "all"}) == "all"
+              ? haralick::FeatureSet::all()
+              : haralick::FeatureSet::paper_eval();
     } else if (key == "roi") {
       std::istringstream rs(value);
       std::string part;
@@ -646,7 +669,7 @@ svc::JobSpec parse_job_line(const std::string& line, const svc::JobSpec& base) {
         spec.config.engine.roi_dims[d] = std::stoll(part);
       }
     } else if (key == "sim") {
-      spec.simulate = value == "on";
+      spec.simulate = check_choice("jobs: sim", value, {"off", "on"}) == "on";
     } else {
       throw std::runtime_error("jobs: unknown key '" + key + "' in job line");
     }
@@ -662,7 +685,7 @@ int cmd_jobs(const Args& args, std::ostream& out) {
   svc::JobSpec base;
   base.config = pipeline_from_args(args, dataset);
   base.threaded.supervise = supervisor_from_args(args);
-  const bool any_sim = args.get("mode", "threaded") == "sim";
+  const bool any_sim = args.choice("mode", {"threaded", "sim"}) == "sim";
   if (any_sim) {
     const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
     const int first_texture = place_for_simulation(base.config, meta);
@@ -798,10 +821,12 @@ int usage(std::ostream& err) {
          "                      (e.g. seed=7,crash=0.05,policy=quarantine)\n"
          "\n"
          "kernel (see docs/KERNEL.md):\n"
-         "  --repr MODE         wire format + cost model: full (default, Ng^2\n"
-         "                      dense counts on the HCC->HPC stream) | sparse\n"
-         "                      (non-zero upper-triangle entries). Features\n"
-         "                      are the same; both go through one sweep\n"
+         "  --repr MODE         wire format + cost model: sparse (default,\n"
+         "                      non-zero upper-triangle entries on the\n"
+         "                      HCC->HPC stream, paper Sec. 4.4.1) | full\n"
+         "                      (Ng^2 dense counts, the paper's Full curves).\n"
+         "                      Features are the same; both go through one\n"
+         "                      sweep\n"
          "  --sweep MODE        floating-point mode of the feature sweep, for\n"
          "                      every variant and representation: fast\n"
          "                      (default, SoA/SIMD reductions + fast_log,\n"

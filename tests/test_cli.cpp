@@ -5,10 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
+#include <vector>
 
 #include "io/mhd.hpp"
 #include "io/phantom.hpp"
+#include "json_lite.hpp"
 
 namespace h4d::cli {
 namespace {
@@ -26,9 +29,9 @@ class CliTest : public ::testing::Test {
   }
   void TearDown() override { fsys::remove_all(dir_); }
 
-  int invoke(std::initializer_list<std::string> argv) {
+  int invoke(std::vector<std::string> argv) {
     std::vector<const char*> raw{"h4d"};
-    args_.assign(argv);
+    args_ = std::move(argv);
     for (const std::string& a : args_) raw.push_back(a.c_str());
     out_.str("");
     err_.str("");
@@ -37,6 +40,56 @@ class CliTest : public ::testing::Test {
 
   std::string stdout_text() const { return out_.str(); }
   std::string stderr_text() const { return err_.str(); }
+
+  /// A small phantom dataset under the test directory; returns its path.
+  std::string small_dataset() {
+    const std::string ds = (dir_ / "ds").string();
+    EXPECT_EQ(invoke({"phantom", "--out", ds, "--dims", "12,12,4,3", "--nodes", "2"}), 0);
+    return ds;
+  }
+
+  /// The last command failed with exit code 1 naming `message`.
+  void expect_rejected(int code, const std::string& message) {
+    EXPECT_EQ(code, 1) << stdout_text();
+    EXPECT_NE(stderr_text().find(message), std::string::npos) << stderr_text();
+  }
+
+  /// Analyze `ds` with a fast configuration plus `extra` options; returns the
+  /// exit code.
+  int analyze_small(const std::string& ds, const std::vector<std::string>& extra) {
+    std::vector<std::string> argv{"analyze", ds, "--roi", "3,3,3,3", "--chunk", "6,12,4,3"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return invoke(std::move(argv));
+  }
+
+  static std::string file_text(const fsys::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+  /// HCC's bytes_out (over all its copies) in a --metrics JSON file.
+  static double hcc_bytes_out(const fsys::path& metrics) {
+    const testing::json::Value doc = testing::json::parse(file_text(metrics));
+    for (const auto& f : doc.at("filters").array) {
+      if (f.at("filter").str() == "HCC") return f.at("meter").at("bytes_out").num();
+    }
+    ADD_FAILURE() << "no HCC filter in " << metrics;
+    return 0.0;
+  }
+
+  /// Every file under `a` exists under `b` with the same bytes, and vice versa.
+  static void expect_same_tree(const fsys::path& a, const fsys::path& b) {
+    std::size_t files = 0;
+    for (const auto& e : fsys::directory_iterator(a)) {
+      ASSERT_TRUE(fsys::exists(b / e.path().filename())) << e.path().filename();
+      EXPECT_EQ(file_text(e.path()), file_text(b / e.path().filename()))
+          << e.path().filename();
+      ++files;
+    }
+    EXPECT_GT(files, 0u);
+    EXPECT_EQ(files, static_cast<std::size_t>(std::distance(fsys::directory_iterator(b),
+                                                            fsys::directory_iterator())));
+  }
 
   fsys::path dir_;
   std::vector<std::string> args_;
@@ -223,6 +276,102 @@ TEST_F(CliTest, AnalyzeFailsWhenDeadNodesUncovered) {
                     "0"}),
             1);
   EXPECT_NE(stderr_text().find("no surviving replica"), std::string::npos);
+}
+
+TEST_F(CliTest, DefaultRunShipsTheSparseStream) {
+  // The default split run sends the paper's sparse matrices (Sec. 4.4.1):
+  // HCC's wire bytes equal an explicit --repr sparse run's and undercut
+  // --repr full, which must still run full and give the same maps.
+  const std::string ds = small_dataset();
+  const std::map<std::string, std::vector<std::string>> runs = {
+      {"default", {}}, {"sparse", {"--repr", "sparse"}}, {"full", {"--repr", "full"}}};
+  std::map<std::string, double> bytes;
+  for (auto [name, opts] : runs) {
+    const fsys::path metrics = dir_ / (name + ".json");
+    opts.insert(opts.end(), {"--out", (dir_ / ("maps_" + name)).string(), "--metrics",
+                             metrics.string()});
+    ASSERT_EQ(analyze_small(ds, opts), 0) << stderr_text();
+    bytes[name] = hcc_bytes_out(metrics);
+  }
+  EXPECT_GT(bytes["default"], 0.0);
+  EXPECT_EQ(bytes["default"], bytes["sparse"]);
+  EXPECT_LT(bytes["default"], bytes["full"]);
+  expect_same_tree(dir_ / "maps_default", dir_ / "maps_full");
+  expect_same_tree(dir_ / "maps_default", dir_ / "maps_sparse");
+}
+
+// Every two-valued option rejects a value outside its set instead of quietly
+// picking one of the two.
+TEST_F(CliTest, ReprRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  expect_rejected(analyze_small(ds, {"--repr", "bogus"}),
+                  "--repr must be one of full|sparse, got 'bogus'");
+}
+
+TEST_F(CliTest, DirsRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  expect_rejected(analyze_small(ds, {"--dirs", "nonsense"}),
+                  "--dirs must be one of all|axis, got 'nonsense'");
+}
+
+TEST_F(CliTest, VariantRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  expect_rejected(analyze_small(ds, {"--variant", "hpm"}),
+                  "--variant must be one of split|hmp, got 'hpm'");
+}
+
+TEST_F(CliTest, PlanRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  expect_rejected(analyze_small(ds, {"--plan", "automatic"}),
+                  "--plan must be one of fixed|auto, got 'automatic'");
+}
+
+TEST_F(CliTest, ResumeRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  expect_rejected(analyze_small(ds, {"--resume", "yes"}),
+                  "--resume must be one of off|on, got 'yes'");
+}
+
+TEST_F(CliTest, ChecksumsRejectsUnknownValue) {
+  // "yes" used to switch CRC verification off.
+  const std::string ds = small_dataset();
+  expect_rejected(analyze_small(ds, {"--checksums", "yes"}),
+                  "--checksums must be one of on|off, got 'yes'");
+}
+
+TEST_F(CliTest, AddChecksumsRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  expect_rejected(invoke({"repair", ds, "--add-checksums", "yes"}),
+                  "--add-checksums must be one of off|on, got 'yes'");
+}
+
+TEST_F(CliTest, ModeRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  const std::string jobs = (dir_ / "jobs.txt").string();
+  std::ofstream(jobs) << "tenant=a\n";
+  const std::string message = "--mode must be one of threaded|sim, got 'simulated'";
+  expect_rejected(
+      invoke({"serve", ds, "--roi", "3,3,3,3", "--jobs", "1", "--mode", "simulated"}),
+      message);
+  expect_rejected(
+      invoke({"jobs", ds, "--file", jobs, "--roi", "3,3,3,3", "--mode", "simulated"}),
+      message);
+}
+
+TEST_F(CliTest, JobLineFeaturesRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  const std::string jobs = (dir_ / "jobs.txt").string();
+  std::ofstream(jobs) << "tenant=a features=everything\n";
+  expect_rejected(invoke({"jobs", ds, "--file", jobs, "--roi", "3,3,3,3"}),
+                  "jobs: features must be one of paper|all, got 'everything'");
+}
+
+TEST_F(CliTest, JobLineSimRejectsUnknownValue) {
+  const std::string ds = small_dataset();
+  const std::string jobs = (dir_ / "jobs.txt").string();
+  std::ofstream(jobs) << "tenant=a sim=yes\n";
+  expect_rejected(invoke({"jobs", ds, "--file", jobs, "--roi", "3,3,3,3"}),
+                  "jobs: sim must be one of off|on, got 'yes'");
 }
 
 }  // namespace

@@ -57,6 +57,8 @@ class PlannerFixture : public ::testing::Test {
     e.num_levels = 32;
     e.features = haralick::FeatureSet::paper_eval();
     e.directions = haralick::axis_directions(haralick::ActiveDims::all4());
+    // The paper's HCC:HPC ratio (Sec. 5.2) is measured with full matrices.
+    e.representation = haralick::Representation::Full;
     return e;
   }
 };

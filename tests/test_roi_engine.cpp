@@ -34,6 +34,12 @@ TEST(EngineConfig, DefaultDirectionsAreAll4D) {
   EXPECT_EQ(cfg.effective_directions().size(), 1u);
 }
 
+TEST(EngineConfig, DefaultRepresentationIsSparse) {
+  // The paper's sparse stream (Sec. 4.4.1) is what every caller ships unless
+  // it asks for full matrices.
+  EXPECT_EQ(EngineConfig{}.representation, Representation::Sparse);
+}
+
 TEST(AnalyzeVolume, ProducesOneBlockPerFeature) {
   const Volume4<Level> v = random_volume({6, 6, 3, 3}, 8, 1);
   const EngineConfig cfg = small_config();

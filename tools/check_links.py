@@ -39,7 +39,7 @@ CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 
 # Args accessor calls in cli.cpp: .get("roi", ...), .require("out"), ...
 FLAG_CALL_RE = re.compile(
-    r'\.(?:get|get_int|get_int_list|get_vec4|require|has)\(\s*"([a-z][a-z0-9-]*)"')
+    r'\.(?:get|get_int|get_int_list|get_vec4|require|has|choice)\(\s*"([a-z][a-z0-9-]*)"')
 # A --flag token anywhere (usage text, doc prose, code blocks, tables).
 FLAG_TOKEN_RE = re.compile(r"--([a-z][a-z0-9-]*)")
 
