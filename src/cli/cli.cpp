@@ -814,7 +814,9 @@ int usage(std::ostream& err) {
          "  --checkpoint FILE   append-only fsync'd manifest of completed\n"
          "                      chunks, written as output is persisted\n"
          "  --resume on|off     prune chunks the --checkpoint manifest already\n"
-         "                      records as complete, then continue the run\n"
+         "                      records as complete, then continue the run;\n"
+         "                      analyze assembles maps from one run, so it\n"
+         "                      refuses once any chunk would be pruned\n"
          "  --sim-failures SPEC simulate seeded copy crashes (simulate only);\n"
          "                      comma-separated k=v among seed, crash, delay,\n"
          "                      max_restarts, poison, policy\n"

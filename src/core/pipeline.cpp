@@ -45,6 +45,15 @@ fs::FilterGraph build_pipeline(const PipelineConfig& config, filters::ParamsPtr 
   if (config.output == OutputMode::Collect && !collected) {
     throw std::invalid_argument("build_pipeline: Collect output needs a CollectedResults");
   }
+  // A collected map is assembled in memory from this run's samples alone, so
+  // every pruned chunk's origins would stay 0.0f and shift the map's min/max.
+  // Only USO's per-stream sample files carry the earlier run's output.
+  if (config.output == OutputMode::Collect && params->chunks_resumed > 0) {
+    throw std::invalid_argument(
+        "build_pipeline: resume pruned " + std::to_string(params->chunks_resumed) +
+        " completed chunks, but collected maps hold only this run's chunks; resume needs "
+        "the unstitched (USO) output");
+  }
 
   fs::FilterGraph g;
 
@@ -91,20 +100,6 @@ fs::FilterGraph build_pipeline(const PipelineConfig& config, filters::ParamsPtr 
            [params, dir] { return std::make_unique<filters::UnstitchedOutput>(params, dir); },
            config.uso_copies, config.uso_nodes});
       g.connect(texture_out, kPortFeatures, uso, fs::Policy::DemandDriven);
-      break;
-    }
-    case OutputMode::Images: {
-      const int hic = g.add_filter(
-          {"HIC",
-           [params] { return std::make_unique<filters::HaralickImageConstructor>(params); },
-           1, first_node(config.uso_nodes)});
-      const auto dir = config.output_dir;
-      const int jiw = g.add_filter(
-          {"JIW",
-           [params, dir] { return std::make_unique<filters::ImageSeriesWriter>(params, dir); },
-           1, first_node(config.uso_nodes)});
-      g.connect(texture_out, kPortFeatures, hic, fs::Policy::RoundRobin);
-      g.connect(hic, kPortMaps, jiw, fs::Policy::RoundRobin);
       break;
     }
     case OutputMode::Collect: {

@@ -20,8 +20,7 @@ enum class Variant {
 /// Where the pipeline's results go.
 enum class OutputMode {
   Unstitched,  ///< USO filter: per-stream sample files (or accounting only)
-  Images,      ///< HIC -> JIW: assembled maps written as PGM slice series
-  Collect,     ///< HIC -> in-memory collector (library API)
+  Collect,     ///< HIC -> in-memory collector; callers write images from it
 };
 
 /// A run's settings (filters::RunSettings, shared with PipelineParams) plus
@@ -30,7 +29,7 @@ enum class OutputMode {
 struct PipelineConfig : filters::RunSettings {
   Variant variant = Variant::HMP;
   OutputMode output = OutputMode::Unstitched;
-  std::filesystem::path output_dir;  ///< empty => account writes, keep no files
+  std::filesystem::path output_dir;  ///< USO files; empty => account writes only
 
   /// Copies and their node placement. An empty node list places every copy
   /// on node 0. RFR copy k always reads storage node k, so rfr copies must
@@ -45,7 +44,7 @@ struct PipelineConfig : filters::RunSettings {
   std::vector<int> hcc_nodes;
   int hpc_copies = 1;
   std::vector<int> hpc_nodes;
-  int uso_copies = 1;              ///< also hosts HIC/JIW/collector
+  int uso_copies = 1;              ///< also hosts HIC/collector
   std::vector<int> uso_nodes;
 
   fs::Policy chunk_policy = fs::Policy::DemandDriven;   ///< IIC -> texture
@@ -54,7 +53,9 @@ struct PipelineConfig : filters::RunSettings {
 };
 
 /// Build the filter graph for a configuration. When `collected` is non-null
-/// and output == Collect, assembled maps land there after execution.
+/// and output == Collect, assembled maps land there after execution. Throws
+/// std::invalid_argument for Collect output on a resumed run (pruned chunks
+/// would leave holes in the collected maps).
 fs::FilterGraph build_pipeline(const PipelineConfig& config,
                                std::shared_ptr<filters::CollectedResults> collected = {});
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "io/durable_file.hpp"
-#include "io/image_write.hpp"
 #include "nd/chunking.hpp"
 
 namespace h4d::filters {
@@ -77,21 +76,16 @@ void HaralickImageConstructor::process(int port, const fs::BufferPtr& buffer,
     fs::BufferPtr map = fs::make_buffer(h);
     map->alloc_as<float>(static_cast<std::size_t>(origins.volume()));  // zeroed: 0.0f
     it = maps_.emplace(f, std::move(map)).first;
-    ranges_.emplace(f, std::pair<float, float>(std::numeric_limits<float>::infinity(),
-                                               -std::numeric_limits<float>::infinity()));
   }
   const std::span<float> map = it->second->as<float>();
-  auto& [lo, hi] = ranges_.at(f);
 
   for (const FeatureSample& s : buffer->as<FeatureSample>()) {
     const Vec4 o = s.origin();
     if (!origins.contains(o)) {
       throw std::runtime_error("HIC: sample origin " + o.str() + " outside " + origins.str());
     }
-    const float v = static_cast<float>(s.value);
-    map[static_cast<std::size_t>(linear_index(o - origins.origin, origins.size))] = v;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    map[static_cast<std::size_t>(linear_index(o - origins.origin, origins.size))] =
+        static_cast<float>(s.value);
   }
   ctx.meter().bytes_memcpy += static_cast<std::int64_t>(buffer->payload.size());
 }
@@ -105,46 +99,6 @@ void HaralickImageConstructor::flush(fs::FilterContext& ctx) {
     ctx.emit(kPortMaps, std::move(map));
   }
   maps_.clear();
-}
-
-void ImageSeriesWriter::process(int port, const fs::BufferPtr& buffer,
-                                fs::FilterContext& ctx) {
-  if (port != kPortMaps || buffer->header.kind != fs::BufferKind::FeatureMap) {
-    throw std::runtime_error("JIW: unexpected input buffer");
-  }
-  const Feature f = static_cast<Feature>(buffer->header.feature);
-  const auto values = buffer->as<float>();
-  const Region4& origins = buffer->header.region;
-
-  Volume4<float> map(origins.size);
-  std::copy(values.begin(), values.end(), map.storage().begin());
-
-  float lo = std::numeric_limits<float>::infinity();
-  float hi = -lo;
-  for (float v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-
-  ctx.meter().disk_bytes_written +=
-      static_cast<std::int64_t>(origins.size[0] * origins.size[1]) * origins.size[2] *
-      origins.size[3];
-  if (!dir_.empty()) {
-    counted_write(p_, [&] {
-      io::write_feature_map_images(dir_, std::string(haralick::feature_slug(f)), map, lo,
-                                   hi);
-    });
-    // The whole map for this feature is now on disk; credit every origin so
-    // chunks whose remaining features were already accounted go durable.
-    if (p_->completion) {
-      Vec4 o;
-      for (o[3] = 0; o[3] < origins.size[3]; ++o[3])
-        for (o[2] = 0; o[2] < origins.size[2]; ++o[2])
-          for (o[1] = 0; o[1] < origins.size[1]; ++o[1])
-            for (o[0] = 0; o[0] < origins.size[0]; ++o[0])
-              p_->completion->note_origin(origins.origin + o);
-    }
-  }
 }
 
 void ResultCollector::process(int port, const fs::BufferPtr& buffer, fs::FilterContext&) {
@@ -167,9 +121,9 @@ void ResultCollector::process(int port, const fs::BufferPtr& buffer, fs::FilterC
     out_->maps.insert_or_assign(f, std::move(map));
     out_->ranges.insert_or_assign(f, std::pair<float, float>(lo, hi));
   }
-  // The collected map is the run's durable product (the CLI writes images
-  // from it right after the run): credit every origin like JIW does, so
-  // --checkpoint works in Collect mode too.
+  // The collected map is the run's product (the CLI writes images from it
+  // right after the run): credit every origin, so --checkpoint records
+  // progress in Collect mode too.
   if (p_->completion) {
     const Region4& origins = buffer->header.region;
     Vec4 o;

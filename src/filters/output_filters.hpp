@@ -1,7 +1,8 @@
 // Output filter set (paper Sec. 4.3.3): UnstitchedOutput, the
-// HaralickImageConstructor output stitch, and the JPGImageWriter equivalent
-// (PGM series — JPEG was only a viewing format). A ResultCollector sink is
-// provided for programmatic use of the pipeline (tests, library API).
+// HaralickImageConstructor output stitch, and the ResultCollector sink that
+// hands assembled maps to the caller. The paper's JPGImageWriter (JIW) is
+// io::write_feature_map_images, run on the collected maps (a PGM series —
+// JPEG was only a viewing format).
 #pragma once
 
 #include <filesystem>
@@ -35,8 +36,7 @@ class UnstitchedOutput final : public fs::Filter {
 
 /// HaralickImageConstructor (HIC, the output stitch): places incoming
 /// feature samples into per-feature 4D maps, each held in the FeatureMap
-/// buffer it emits when all inputs have drained. Tracks min/max for the
-/// writer.
+/// buffer it emits when all inputs have drained.
 class HaralickImageConstructor final : public fs::Filter {
  public:
   explicit HaralickImageConstructor(ParamsPtr params) : p_(std::move(params)) {}
@@ -48,22 +48,6 @@ class HaralickImageConstructor final : public fs::Filter {
  private:
   ParamsPtr p_;
   std::map<int, fs::BufferPtr> maps_;  ///< FeatureMap buffers, by feature
-  std::map<int, std::pair<float, float>> ranges_;
-};
-
-/// JPGImageWriter equivalent (JIW): normalizes a complete feature map by its
-/// min/max and writes it as a PGM slice series (paper: JPEG series).
-class ImageSeriesWriter final : public fs::Filter {
- public:
-  ImageSeriesWriter(ParamsPtr params, std::filesystem::path dir)
-      : p_(std::move(params)), dir_(std::move(dir)) {}
-
-  std::string_view name() const override { return "JIW"; }
-  void process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) override;
-
- private:
-  ParamsPtr p_;
-  std::filesystem::path dir_;
 };
 
 /// Thread-safe destination for assembled feature maps (library API sink).

@@ -25,7 +25,7 @@ inline constexpr int kPortPieces = 0;    ///< RFR -> IIC
 inline constexpr int kPortChunks = 0;    ///< IIC -> HMP/HCC
 inline constexpr int kPortMatrices = 0;  ///< HCC -> HPC
 inline constexpr int kPortFeatures = 0;  ///< HMP/HPC -> USO/HIC
-inline constexpr int kPortMaps = 0;      ///< HIC -> JIW
+inline constexpr int kPortMaps = 0;      ///< HIC -> Collector
 
 /// One feature value with its ROI origin (the paper's "parameter values
 /// along with corresponding positional information", Sec. 4.3.3).

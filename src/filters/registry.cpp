@@ -23,9 +23,6 @@ fs::FilterRegistry make_pipeline_registry(ParamsPtr params,
   });
   reg.register_type("hic",
                     [params] { return std::make_unique<HaralickImageConstructor>(params); });
-  reg.register_type("jiw", [params, output_dir] {
-    return std::make_unique<ImageSeriesWriter>(params, output_dir);
-  });
   if (collected) {
     reg.register_type("collector",
                       [params, collected] { return std::make_unique<ResultCollector>(params, collected); });

@@ -9,9 +9,10 @@
 
 namespace h4d::filters {
 
-/// Registers the paper's eight filter types — "rfr", "iic", "hmp", "hcc",
-/// "hpc", "uso", "hic", "jiw" — plus "collector" when `collected` is given.
-/// USO and JIW write under `output_dir` (accounting-only when empty).
+/// Registers the pipeline's filter types — "rfr", "iic", "hmp", "hcc",
+/// "hpc", "uso", "hic" — plus "collector" when `collected` is given. USO
+/// writes under `output_dir` (accounting-only when empty). The paper's JIW is
+/// not a filter here: images are written from the collected maps.
 fs::FilterRegistry make_pipeline_registry(
     ParamsPtr params, std::filesystem::path output_dir = {},
     std::shared_ptr<CollectedResults> collected = {});

@@ -25,7 +25,7 @@ enum class BufferKind : std::uint8_t {
   TextureChunk,   ///< IIC->HMP/HCC: assembled 4D chunk of quantized levels
   MatrixPacket,   ///< HCC->HPC: batch of co-occurrence matrices
   FeatureValues,  ///< texture->output: feature values for a run of ROI origins
-  FeatureMap,     ///< HIC->JIW: a complete assembled 4D feature map
+  FeatureMap,     ///< HIC->Collector: a complete assembled 4D feature map
   Control,        ///< small in-band metadata messages
 };
 

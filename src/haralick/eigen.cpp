@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "haralick/simd.hpp"
@@ -71,72 +70,6 @@ void householder_tridiag(std::vector<double>& a, int n, std::vector<double>& d,
   for (int i = 0; i < n; ++i) d[static_cast<std::size_t>(i)] = at(i, i);
 }
 
-// Implicit-shift QL iteration on a tridiagonal matrix (d = diagonal,
-// e[1..n-1] = sub-diagonal). Eigenvalues land in d, unsorted. Returns false
-// when any eigenvalue failed to isolate within the iteration cap — d then
-// holds the current (possibly unconverged) diagonal.
-bool tql_eigenvalues(std::vector<double>& d, std::vector<double>& e, int n) {
-  bool converged = true;
-  for (int i = 1; i < n; ++i) e[static_cast<std::size_t>(i - 1)] = e[static_cast<std::size_t>(i)];
-  e[static_cast<std::size_t>(n - 1)] = 0.0;
-  for (int l = 0; l < n; ++l) {
-    int iter = 0;
-    int m;
-    do {
-      for (m = l; m < n - 1; ++m) {
-        const double dd = std::abs(d[static_cast<std::size_t>(m)]) +
-                          std::abs(d[static_cast<std::size_t>(m + 1)]);
-        if (std::abs(e[static_cast<std::size_t>(m)]) <= 1e-300 ||
-            std::abs(e[static_cast<std::size_t>(m)]) + dd == dd) {
-          break;
-        }
-      }
-      if (m != l) {
-        if (++iter == 50) {
-          // Iteration cap hit: give up on isolating d[l] and report it.
-          // Real symmetric tridiagonals converge in 2-3 iterations per
-          // eigenvalue; the cap only trips on pathological input (NaN/Inf
-          // entries), which the caller surfaces via the returned flag.
-          converged = false;
-          break;
-        }
-        double g = (d[static_cast<std::size_t>(l + 1)] - d[static_cast<std::size_t>(l)]) /
-                   (2.0 * e[static_cast<std::size_t>(l)]);
-        double r = std::hypot(g, 1.0);
-        g = d[static_cast<std::size_t>(m)] - d[static_cast<std::size_t>(l)] +
-            e[static_cast<std::size_t>(l)] / (g + (g >= 0.0 ? std::abs(r) : -std::abs(r)));
-        double s = 1.0;
-        double c = 1.0;
-        double p = 0.0;
-        int i = m - 1;
-        for (; i >= l; --i) {
-          double f = s * e[static_cast<std::size_t>(i)];
-          const double b = c * e[static_cast<std::size_t>(i)];
-          r = std::hypot(f, g);
-          e[static_cast<std::size_t>(i + 1)] = r;
-          if (r == 0.0) {
-            d[static_cast<std::size_t>(i + 1)] -= p;
-            e[static_cast<std::size_t>(m)] = 0.0;
-            break;
-          }
-          s = f / r;
-          c = g / r;
-          g = d[static_cast<std::size_t>(i + 1)] - p;
-          r = (d[static_cast<std::size_t>(i)] - g) * s + 2.0 * c * b;
-          p = s * r;
-          d[static_cast<std::size_t>(i + 1)] = g + p;
-          g = c * r - b;
-        }
-        if (r == 0.0 && i >= l) continue;
-        d[static_cast<std::size_t>(l)] -= p;
-        e[static_cast<std::size_t>(l)] = g;
-        e[static_cast<std::size_t>(m)] = 0.0;
-      }
-    } while (m != l);
-  }
-  return converged;
-}
-
 // Eigenvalues of the tridiagonal (d, e[1..n-1]) strictly below sigma, via the
 // LDL^T Sturm count: q_i = (d_i - sigma) - e_i^2 / q_{i-1}; each negative
 // pivot is one eigenvalue below the shift. e2 holds e squared.
@@ -197,31 +130,6 @@ double symmetric_lambda2(std::vector<double> a, int n) {
   std::vector<double> d;
   std::vector<double> e;
   return symmetric_lambda2(a, n, d, e);
-}
-
-bool symmetric_eigenvalues_fast(std::vector<double>& a, int n, std::vector<double>& d,
-                                std::vector<double>& e) {
-  if (n < 0 || a.size() != static_cast<std::size_t>(n) * static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("symmetric_eigenvalues_fast: size mismatch");
-  }
-  d.resize(static_cast<std::size_t>(n));
-  e.resize(static_cast<std::size_t>(n));
-  if (n == 0) return true;
-  if (n == 1) {
-    d[0] = a[0];
-    return true;
-  }
-  householder_tridiag(a, n, d, e);
-  const bool converged = tql_eigenvalues(d, e, n);
-  std::sort(d.begin(), d.end(), std::greater<>());
-  return converged;
-}
-
-std::vector<double> symmetric_eigenvalues_fast(std::vector<double> a, int n) {
-  std::vector<double> d;
-  std::vector<double> e;
-  symmetric_eigenvalues_fast(a, n, d, e);
-  return d;
 }
 
 }  // namespace h4d::haralick

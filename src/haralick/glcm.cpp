@@ -64,13 +64,4 @@ std::int64_t Glcm::nonzero_upper() const {
   return n;
 }
 
-bool Glcm::is_symmetric() const {
-  for (int i = 0; i < ng_; ++i) {
-    for (int j = i + 1; j < ng_; ++j) {
-      if (count(i, j) != count(j, i)) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace h4d::haralick

@@ -89,10 +89,6 @@ class Glcm {
             (static_cast<std::size_t>(i) & 63)) & 1u;
   }
 
-  /// True when the matrix is exactly symmetric (invariant; cheap check for
-  /// tests and assertions).
-  bool is_symmetric() const;
-
  private:
   friend class KernelScratch;  // finalize_add writes counts_ + row_bits_
 

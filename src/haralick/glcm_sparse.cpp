@@ -22,17 +22,6 @@ SparseGlcm SparseGlcm::from_dense(const Glcm& g) {
   return SparseGlcm(ng, g.total(), std::move(entries));
 }
 
-Glcm SparseGlcm::to_dense() const {
-  Glcm g(ng_);
-  std::vector<std::uint32_t> table(static_cast<std::size_t>(ng_) * static_cast<std::size_t>(ng_), 0);
-  for (const SparseEntry& e : entries_) {
-    table[static_cast<std::size_t>(e.i) * static_cast<std::size_t>(ng_) + e.j] = e.count;
-    table[static_cast<std::size_t>(e.j) * static_cast<std::size_t>(ng_) + e.i] = e.count;
-  }
-  g.set_raw(std::move(table), total_);
-  return g;
-}
-
 void SparseGlcm::serialize(int num_levels, std::int64_t total,
                            std::span<const SparseEntry> entries, std::vector<std::byte>& out) {
   const std::size_t base = out.size();

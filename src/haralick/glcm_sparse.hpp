@@ -57,9 +57,6 @@ class SparseGlcm {
     return total_ == 0 ? 0.0 : static_cast<double>(e.count) / static_cast<double>(total_);
   }
 
-  /// Expand back to the dense symmetric form (testing / interoperability).
-  Glcm to_dense() const;
-
   /// Serialized size in bytes: header (Ng, total, nnz) + packed entries.
   /// This is what travels on an HCC->HPC stream in sparse mode.
   std::size_t wire_size() const { return kWireHeader + entries_.size() * sizeof(SparseEntry); }

@@ -1,10 +1,10 @@
 // Durable file writes and typed storage-write errors.
 //
-// Output that feeds --resume (USO sample streams, JIW image slices, repaired
-// replica copies, rebuilt index files) must never be observable half-written:
-// a crash between "bytes issued" and "bytes durable" would leave a torn file
-// that a later resume or scrub trusts. Two primitives cover the repo's write
-// shapes:
+// Output that feeds --resume or a later reader (USO sample streams, feature
+// map image slices, repaired replica copies, rebuilt index files) must never
+// be observable half-written: a crash between "bytes issued" and "bytes
+// durable" would leave a torn file that a later resume or scrub trusts. Two
+// primitives cover the repo's write shapes:
 //
 //   * atomic_write_file: write <path>.tmp, fsync, rename over <path>, fsync
 //     the directory — a reader sees the old file or the new file, never a

@@ -1,5 +1,6 @@
-// Output writers: PGM image series (the JIW filter's format; stands in for
-// the paper's JPEG output, which it uses purely as a viewing format) and a
+// Output writers: PGM image series (the paper's JIW stage, run on collected
+// maps; stands in for the paper's JPEG output, which it uses purely as a
+// viewing format) and a
 // small CSV table writer for bench harnesses.
 #pragma once
 

@@ -7,10 +7,6 @@
 
 namespace h4d {
 
-Vec4 chunk_overlap(const Vec4& roi_dims) {
-  return roi_dims - Vec4{1, 1, 1, 1};
-}
-
 Region4 roi_origin_region(const Vec4& dims, const Vec4& roi_dims) {
   Region4 r;
   r.origin = Vec4{};

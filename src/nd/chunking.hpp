@@ -36,9 +36,6 @@ struct Chunk {
 std::vector<Chunk> partition_overlapping(const Vec4& dims, const Vec4& chunk_dims,
                                          const Vec4& roi_dims);
 
-/// Per-dimension overlap between adjacent chunks: roi - 1 (paper Eqs. 1-2).
-Vec4 chunk_overlap(const Vec4& roi_dims);
-
 /// Total number of valid ROI origins for a volume/ROI combination.
 std::int64_t num_roi_origins(const Vec4& dims, const Vec4& roi_dims);
 

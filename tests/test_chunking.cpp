@@ -9,11 +9,6 @@
 namespace h4d {
 namespace {
 
-TEST(ChunkOverlap, IsRoiMinusOne) {
-  EXPECT_EQ(chunk_overlap({7, 7, 3, 3}), Vec4(6, 6, 2, 2));
-  EXPECT_EQ(chunk_overlap({1, 1, 1, 1}), Vec4(0, 0, 0, 0));
-}
-
 TEST(RoiOrigins, CountsAndRegion) {
   const Vec4 dims{10, 10, 4, 4};
   const Vec4 roi{3, 3, 2, 2};

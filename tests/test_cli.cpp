@@ -150,6 +150,23 @@ TEST_F(CliTest, AnalyzeWritesMaps) {
   EXPECT_GT(pgms, 0u);
 }
 
+TEST_F(CliTest, AnalyzeRefusesToResumeIntoCollectedMaps) {
+  // analyze --out assembles maps in memory from one run's samples: a resume
+  // that prunes chunks would write maps with holes, so it must fail before
+  // touching the output directory.
+  const std::string ds = small_dataset();
+  const std::string ck = (dir_ / "ck").string();
+  const fsys::path maps = dir_ / "maps";
+  ASSERT_EQ(analyze_small(ds, {"--checkpoint", ck, "--out", maps.string()}), 0);
+  const fsys::path before = dir_ / "before";
+  fsys::copy(maps, before);
+
+  expect_rejected(
+      analyze_small(ds, {"--checkpoint", ck, "--resume", "on", "--out", maps.string()}),
+      "resume needs the unstitched (USO) output");
+  expect_same_tree(before, maps);
+}
+
 TEST_F(CliTest, SimulateReportsVirtualTime) {
   const std::string ds = (dir_ / "ds").string();
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,16,6,4", "--nodes", "2"}), 0);

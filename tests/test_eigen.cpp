@@ -1,5 +1,4 @@
 // Eigen.*: sanity checks of the cyclic-Jacobi oracle itself.
-// EigenFast.*: the Householder + QL full-spectrum solver against that oracle.
 // EigenLambda2.*: the production f14 solver against that oracle.
 #include "haralick/eigen.hpp"
 
@@ -85,66 +84,6 @@ TEST(Eigen, SortedDescending) {
     }
   const auto e = jacobi_eigenvalues(a, n);
   for (std::size_t i = 1; i < e.size(); ++i) EXPECT_GE(e[i - 1], e[i]);
-}
-
-TEST(EigenFast, MatchesJacobiOracleOnRandomSymmetric) {
-  // The tridiagonal QL path must agree with the Jacobi oracle to tight
-  // absolute tolerance across sizes spanning the f14 support range.
-  std::mt19937_64 rng(2026);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  for (int n : {1, 2, 3, 5, 16, 32, 64}) {
-    std::vector<double> a(static_cast<std::size_t>(n) * n);
-    for (int i = 0; i < n; ++i)
-      for (int j = i; j < n; ++j) {
-        const double v = u(rng);
-        a[static_cast<std::size_t>(i) * n + j] = v;
-        a[static_cast<std::size_t>(j) * n + i] = v;
-      }
-    const auto slow = jacobi_eigenvalues(a, n);
-    std::vector<double> scratch = a, fast, e;
-    EXPECT_TRUE(symmetric_eigenvalues_fast(scratch, n, fast, e)) << "n=" << n;
-    ASSERT_EQ(slow.size(), fast.size()) << "n=" << n;
-    for (std::size_t i = 0; i < slow.size(); ++i) {
-      EXPECT_NEAR(fast[i], slow[i], 1e-9) << "n=" << n << " idx=" << i;
-    }
-  }
-}
-
-TEST(EigenFast, MatchesJacobiOnPsdGramMatrices) {
-  // f14 feeds S = A A^T (PSD, spectral radius 1). Cross-check on that shape.
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  for (int n : {4, 8, 32}) {
-    std::vector<double> b(static_cast<std::size_t>(n) * n);
-    for (double& v : b) v = u(rng);
-    std::vector<double> s(static_cast<std::size_t>(n) * n, 0.0);
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (int k = 0; k < n; ++k)
-          acc += b[static_cast<std::size_t>(i) * n + k] * b[static_cast<std::size_t>(j) * n + k];
-        s[static_cast<std::size_t>(i) * n + j] = acc;
-      }
-    const auto slow = jacobi_eigenvalues(s, n);
-    std::vector<double> scratch = s, fast, e;
-    EXPECT_TRUE(symmetric_eigenvalues_fast(scratch, n, fast, e)) << "n=" << n;
-    for (std::size_t i = 0; i < slow.size(); ++i) {
-      EXPECT_NEAR(fast[i], slow[i], 1e-8) << "n=" << n << " idx=" << i;
-    }
-  }
-}
-
-TEST(EigenFast, EdgeCasesAndErrors) {
-  EXPECT_TRUE(symmetric_eigenvalues_fast({}, 0).empty());
-  const auto one = symmetric_eigenvalues_fast({4.0}, 1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_DOUBLE_EQ(one[0], 4.0);
-  const auto diag = symmetric_eigenvalues_fast({3, 0, 0, 0, 1, 0, 0, 0, 2}, 3);
-  EXPECT_NEAR(diag[0], 3.0, 1e-12);
-  EXPECT_NEAR(diag[1], 2.0, 1e-12);
-  EXPECT_NEAR(diag[2], 1.0, 1e-12);
-  EXPECT_THROW(symmetric_eigenvalues_fast({1, 2, 3}, 2), std::invalid_argument);
-  EXPECT_THROW(symmetric_eigenvalues_fast({1}, -1), std::invalid_argument);
 }
 
 TEST(EigenLambda2, MatchesJacobiOnPsdGramMatrices) {

@@ -10,6 +10,7 @@
 #include "filters/output_filters.hpp"
 #include "filters/texture_filters.hpp"
 #include "haralick/directions.hpp"
+#include "io/image_write.hpp"
 #include "io/phantom.hpp"
 #include "mock_context.hpp"
 #include "nd/raster.hpp"
@@ -293,6 +294,9 @@ TEST_F(FilterUnitTest, HicRejectsOutOfRangeOrigin) {
 }
 
 TEST_F(FilterUnitTest, JiwWritesNormalizedSeries) {
+  // The paper's JIW stage runs as write_feature_map_images on what the
+  // Collector holds: the map's own min/max spans black to white, one slice
+  // per (z, t).
   const Region4 origins{{0, 0, 0, 0}, {4, 4, 2, 2}};
   fs::BufferHeader h;
   h.kind = BufferKind::FeatureMap;
@@ -302,17 +306,27 @@ TEST_F(FilterUnitTest, JiwWritesNormalizedSeries) {
   auto span = buf->alloc_as<float>(static_cast<std::size_t>(origins.volume()));
   for (std::size_t i = 0; i < span.size(); ++i) span[i] = static_cast<float>(i);
 
-  const fsys::path out = root_ / "jiw";
+  auto collected = std::make_shared<CollectedResults>();
   MockContext ctx;
-  ImageSeriesWriter jiw(params_, out);
-  jiw.process(kPortMaps, buf, ctx);
+  ResultCollector collector(params_, collected);
+  collector.process(kPortMaps, buf, ctx);
+  ASSERT_EQ(collected->maps.count(Feature::Contrast), 1u);
+  const auto [lo, hi] = collected->ranges.at(Feature::Contrast);
+  EXPECT_FLOAT_EQ(lo, 0.0f);
+  EXPECT_FLOAT_EQ(hi, 63.0f);
 
+  const fsys::path out = root_ / "jiw";
+  EXPECT_EQ(io::write_feature_map_images(out, "contrast", collected->maps.at(Feature::Contrast),
+                                         lo, hi),
+            4);  // z * t slices
   std::size_t pgms = 0;
   for (const auto& e : fsys::directory_iterator(out)) {
     if (e.path().extension() == ".pgm") ++pgms;
   }
-  EXPECT_EQ(pgms, 4u);  // z * t slices
-  EXPECT_GT(ctx.work().disk_bytes_written, 0);
+  EXPECT_EQ(pgms, 4u);
+  std::int64_t w = 0, ht = 0;
+  EXPECT_EQ(io::read_pgm(out / "contrast_t0_z0.pgm", w, ht).front(), 0);
+  EXPECT_EQ(io::read_pgm(out / "contrast_t1_z1.pgm", w, ht).back(), 255);
 }
 
 // ---- HCC on column histograms: every packet against the oracle ----

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "glcm_test_util.hpp"
 #include "haralick/directions.hpp"
 
 namespace h4d::haralick {
@@ -28,7 +29,7 @@ TEST(SparseGlcm, RoundTripsThroughDense) {
   for (unsigned seed : {1u, 2u, 3u}) {
     const Glcm g = sample_glcm(32, seed);
     const SparseGlcm s = SparseGlcm::from_dense(g);
-    const Glcm back = s.to_dense();
+    const Glcm back = to_dense(s);
     EXPECT_EQ(back.total(), g.total());
     for (int i = 0; i < 32; ++i)
       for (int j = 0; j < 32; ++j) EXPECT_EQ(back.count(i, j), g.count(i, j));
@@ -51,7 +52,7 @@ TEST(SparseGlcm, EmptyMatrix) {
   const SparseGlcm s = SparseGlcm::from_dense(g);
   EXPECT_EQ(s.nnz(), 0u);
   EXPECT_EQ(s.total(), 0);
-  const Glcm back = s.to_dense();
+  const Glcm back = to_dense(s);
   EXPECT_EQ(back.total(), 0);
 }
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "io/durable_file.hpp"
 
@@ -74,6 +76,34 @@ TEST_F(ImageWriteTest, FeatureMapConstantInputIsBlack) {
   std::int64_t w, h;
   const auto img = read_pgm(dir_ / "flat_t0_z0.pgm", w, h);
   for (auto px : img) EXPECT_EQ(px, 0);
+}
+
+TEST_F(ImageWriteTest, RampMapWritesNormalizedSeries) {
+  // The paper's JIW stage as every map-producing path runs it: a map's own
+  // min/max spans black to white, one <slug>_t<k>_z<k>.pgm per (z, t).
+  Volume4<float> ramp({4, 4, 2, 2});
+  for (std::size_t i = 0; i < ramp.storage().size(); ++i) {
+    ramp.storage()[i] = static_cast<float>(i);
+  }
+  EXPECT_EQ(write_feature_map_images(dir_, "contrast", ramp, 0.0f, 63.0f), 4);
+
+  std::vector<std::string> names;
+  for (const auto& e : fsys::directory_iterator(dir_)) names.push_back(e.path().filename());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"contrast_t0_z0.pgm", "contrast_t0_z1.pgm",
+                                             "contrast_t1_z0.pgm", "contrast_t1_z1.pgm"}));
+  std::int64_t w = 0, h = 0;
+  EXPECT_EQ(read_pgm(dir_ / "contrast_t0_z0.pgm", w, h).front(), 0);
+  EXPECT_EQ(w, 4);
+  EXPECT_EQ(h, 4);
+  EXPECT_EQ(read_pgm(dir_ / "contrast_t1_z1.pgm", w, h).back(), 255);
+
+  const Volume4<float> flat({4, 4, 2, 2}, 3.5f);
+  EXPECT_EQ(write_feature_map_images(dir_, "flat", flat, 3.5f, 3.5f), 4);
+  for (const char* name : {"flat_t0_z0.pgm", "flat_t0_z1.pgm", "flat_t1_z0.pgm",
+                           "flat_t1_z1.pgm"}) {
+    for (auto px : read_pgm(dir_ / name, w, h)) EXPECT_EQ(px, 0) << name;
+  }
 }
 
 TEST(CsvWriter, FormatsHeaderAndRows) {

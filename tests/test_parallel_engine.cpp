@@ -1,110 +1,156 @@
-#include "haralick/parallel_engine.hpp"
-
+// The library's parallel engine is the threaded pipeline (analyze_threaded):
+// chunks of a disk-resident dataset spread over transparent HMP copies (or
+// the split variant's HCC and HPC copies), one thread each. Whatever the copy
+// count or chunk extents, its maps must equal the sequential reference of
+// paper Fig. 2.
 #include <gtest/gtest.h>
 
-#include <random>
+#include <unistd.h>
 
-namespace h4d::haralick {
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <memory>
+
+#include "core/analysis.hpp"
+#include "io/phantom.hpp"
+#include "nd/chunking.hpp"
+
+namespace h4d::core {
 namespace {
 
-Volume4<Level> random_volume(Vec4 dims, int ng, unsigned seed) {
-  Volume4<Level> v(dims);
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<int> u(0, ng - 1);
-  for (Level& l : v.storage()) l = static_cast<Level>(u(rng));
-  return v;
-}
+namespace fsys = std::filesystem;
 
-EngineConfig config() {
-  EngineConfig cfg;
-  cfg.roi_dims = {4, 4, 3, 3};
-  cfg.num_levels = 16;
-  cfg.features = FeatureSet::paper_eval();
-  return cfg;
-}
+struct ParallelFixture {
+  explicit ParallelFixture(Vec4 dims, unsigned seed) {
+    root = fsys::temp_directory_path() /
+           ("h4d_parallel_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+            std::to_string(seed));
+    fsys::remove_all(root);
+    io::PhantomConfig pcfg;
+    pcfg.dims = dims;
+    pcfg.num_tumors = 1;
+    pcfg.seed = seed;
+    volume = io::generate_phantom(pcfg).volume;
+    io::DiskDataset::create(root, volume, 2, 1);
+  }
+  ~ParallelFixture() { fsys::remove_all(root); }
 
-void expect_blocks_equal(const std::vector<FeatureBlock>& a,
-                         const std::vector<FeatureBlock>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].feature, b[i].feature);
-    EXPECT_EQ(a[i].origins, b[i].origins);
-    ASSERT_EQ(a[i].values.size(), b[i].values.size());
-    for (std::size_t j = 0; j < a[i].values.size(); ++j) {
-      EXPECT_FLOAT_EQ(a[i].values[j], b[i].values[j])
-          << feature_name(a[i].feature) << " @" << j;
+  PipelineConfig config() const {
+    PipelineConfig cfg;
+    cfg.dataset_root = root;
+    cfg.engine.roi_dims = {4, 4, 3, 3};
+    cfg.engine.num_levels = 16;
+    cfg.engine.features = haralick::FeatureSet::paper_eval();
+    cfg.rfr_copies = 2;
+    return cfg;
+  }
+
+  fsys::path root;
+  Volume4<std::uint16_t> volume{Vec4{1, 1, 1, 1}};
+};
+
+void expect_maps_equal(const AnalysisResult& ref, const AnalysisResult& got) {
+  EXPECT_EQ(got.origins, ref.origins);
+  ASSERT_EQ(got.maps.size(), ref.maps.size());
+  for (const auto& [f, map] : ref.maps) {
+    ASSERT_TRUE(got.maps.count(f)) << haralick::feature_name(f);
+    const auto& gmap = got.maps.at(f);
+    ASSERT_EQ(gmap.dims(), map.dims());
+    for (std::size_t i = 0; i < map.storage().size(); ++i) {
+      EXPECT_FLOAT_EQ(map.storage()[i], gmap.storage()[i])
+          << haralick::feature_name(f) << " @" << i;
     }
   }
 }
 
-class ParallelThreads : public ::testing::TestWithParam<unsigned> {};
+class ParallelThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelThreads, MatchesSequentialExactly) {
-  const auto v = random_volume({14, 12, 6, 5}, 16, 1);
-  const EngineConfig cfg = config();
-  const auto seq = analyze_volume(v, cfg);
-  ParallelOptions opt;
-  opt.threads = GetParam();
-  const auto par = analyze_volume_parallel(v, cfg, opt);
-  expect_blocks_equal(seq, par);
+  const ParallelFixture fx({14, 12, 6, 5}, 1);
+  PipelineConfig cfg = fx.config();
+  cfg.variant = Variant::HMP;
+  cfg.hmp_copies = GetParam();
+  cfg.texture_chunk = {6, 6, 4, 4};  // several chunks per copy
+  expect_maps_equal(analyze_in_memory(fx.volume, cfg.engine), analyze_threaded(cfg));
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelThreads, ::testing::Values(1u, 2u, 4u, 8u));
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelThreads, ::testing::Values(1, 2, 4, 8));
 
 TEST(ParallelEngine, ExplicitChunkDimsRespected) {
-  const auto v = random_volume({14, 12, 6, 5}, 16, 2);
-  const EngineConfig cfg = config();
-  ParallelOptions opt;
-  opt.threads = 3;
-  opt.chunk_dims = {7, 7, 4, 4};
-  expect_blocks_equal(analyze_volume(v, cfg), analyze_volume_parallel(v, cfg, opt));
+  const ParallelFixture fx({14, 12, 6, 5}, 2);
+  PipelineConfig cfg = fx.config();
+  cfg.hmp_copies = 3;
+  cfg.texture_chunk = {7, 7, 4, 4};
+  expect_maps_equal(analyze_in_memory(fx.volume, cfg.engine), analyze_threaded(cfg));
 }
 
 TEST(ParallelEngine, SparseRepresentationComposes) {
-  const auto v = random_volume({12, 12, 5, 4}, 16, 4);
-  EngineConfig cfg = config();
-  cfg.representation = Representation::Sparse;
-  ParallelOptions opt;
-  opt.threads = 4;
-  const auto seq = analyze_volume(v, config());
-  const auto par = analyze_volume_parallel(v, cfg, opt);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    for (std::size_t j = 0; j < seq[i].values.size(); ++j) {
-      EXPECT_NEAR(seq[i].values[j], par[i].values[j],
-                  1e-5f * std::max(1.0f, std::abs(seq[i].values[j])));
+  // Split copies shipping sparse matrices agree with the dense reference.
+  const ParallelFixture fx({12, 12, 5, 4}, 4);
+  PipelineConfig cfg = fx.config();
+  cfg.variant = Variant::Split;
+  cfg.engine.representation = haralick::Representation::Sparse;
+  cfg.hcc_copies = 4;
+  cfg.hpc_copies = 2;
+  cfg.texture_chunk = {6, 6, 4, 4};
+  haralick::EngineConfig dense = cfg.engine;
+  dense.representation = haralick::Representation::Full;
+  const AnalysisResult seq = analyze_in_memory(fx.volume, dense);
+  const AnalysisResult par = analyze_threaded(cfg);
+  ASSERT_EQ(seq.maps.size(), par.maps.size());
+  for (const auto& [f, map] : seq.maps) {
+    const auto& pmap = par.maps.at(f);
+    ASSERT_EQ(pmap.dims(), map.dims());
+    for (std::size_t i = 0; i < map.storage().size(); ++i) {
+      const float a = map.storage()[i];
+      EXPECT_NEAR(a, pmap.storage()[i], 1e-5f * std::max(1.0f, std::abs(a)))
+          << haralick::feature_name(f) << " @" << i;
     }
   }
 }
 
 TEST(ParallelEngine, WorkCountersSummed) {
-  const auto v = random_volume({12, 12, 5, 4}, 16, 5);
-  const EngineConfig cfg = config();
-  WorkCounters seq{}, par{};
-  analyze_volume(v, cfg, &seq);
-  ParallelOptions opt;
-  opt.threads = 4;
-  analyze_volume_parallel(v, cfg, opt, &par);
+  // Every ROI is owned by exactly one chunk, so the HMP copies' counters sum
+  // to the single-copy totals.
+  const ParallelFixture fx({12, 12, 5, 4}, 5);
+  auto hmp_work = [&fx](int copies) {
+    PipelineConfig cfg = fx.config();
+    cfg.hmp_copies = copies;
+    cfg.texture_chunk = {6, 6, 4, 4};
+    haralick::WorkCounters sum{};
+    for (const auto& c : analyze_threaded(cfg).stats.copies) {
+      if (c.filter == "HMP") sum += c.meter.work;
+    }
+    return sum;
+  };
+  const haralick::WorkCounters seq = hmp_work(1);
+  const haralick::WorkCounters par = hmp_work(4);
+  EXPECT_GT(seq.matrices_built, 0);
   EXPECT_EQ(par.matrices_built, seq.matrices_built);
-  // Chunk overlap means the parallel path may do slightly more GLCM work
-  // only if chunks were smaller than the volume... pair updates are
-  // per-ROI, so they match exactly.
   EXPECT_EQ(par.glcm_pair_updates, seq.glcm_pair_updates);
 }
 
 TEST(ParallelEngine, OversizeRoiRejected) {
-  const auto v = random_volume({6, 6, 4, 4}, 16, 6);
-  EngineConfig cfg = config();
-  cfg.roi_dims = {8, 4, 3, 3};
-  EXPECT_THROW(analyze_volume_parallel(v, cfg), std::invalid_argument);
+  const ParallelFixture fx({6, 6, 4, 4}, 6);
+  PipelineConfig cfg = fx.config();
+  cfg.engine.roi_dims = {8, 4, 3, 3};
+  EXPECT_THROW(analyze_threaded(cfg), std::invalid_argument);
 }
 
 TEST(ParallelEngine, DefaultsWork) {
-  const auto v = random_volume({10, 10, 5, 4}, 16, 7);
-  const auto blocks = analyze_volume_parallel(v, config());
-  ASSERT_EQ(blocks.size(), 4u);
-  EXPECT_EQ(blocks[0].origins, roi_origin_region(v.dims(), config().roi_dims));
+  // Default chunk extents, copy counts and variant: one map per feature over
+  // every valid ROI origin.
+  const ParallelFixture fx({10, 10, 5, 4}, 7);
+  const PipelineConfig cfg = fx.config();
+  const AnalysisResult result = analyze_threaded(cfg);
+  ASSERT_EQ(result.maps.size(), 4u);
+  EXPECT_EQ(result.origins, roi_origin_region(fx.volume.dims(), cfg.engine.roi_dims));
+  for (const auto& [f, map] : result.maps) {
+    EXPECT_EQ(map.dims(), result.origins.size) << haralick::feature_name(f);
+  }
 }
 
 }  // namespace
-}  // namespace h4d::haralick
+}  // namespace h4d::core

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <random>
 
+#include "glcm_test_util.hpp"
 #include "haralick/directions.hpp"
 
 namespace h4d::filters {
@@ -61,7 +62,7 @@ TEST_P(MatrixPacketRoundTrip, PreservesMatricesAndOrigins) {
   while (reader.next()) {
     ASSERT_LT(i, matrices.size());
     EXPECT_EQ(reader.origin(), origins[i]);
-    const Glcm restored = reader.matrix().to_dense();
+    const Glcm restored = to_dense(reader.matrix());
     EXPECT_EQ(restored.total(), matrices[i].total());
     for (int a = 0; a < 16; ++a)
       for (int b = 0; b < 16; ++b) EXPECT_EQ(restored.count(a, b), matrices[i].count(a, b));

@@ -61,14 +61,6 @@ TEST_F(BuilderTest, SplitGraphShape) {
   EXPECT_EQ(g.edges().size(), 4u);
 }
 
-TEST_F(BuilderTest, ImageOutputAppendsHicJiw) {
-  PipelineConfig cfg = config(Variant::HMP);
-  cfg.output = OutputMode::Images;
-  const fs::FilterGraph g = build_pipeline(cfg);
-  EXPECT_EQ(filter_names(g),
-            (std::vector<std::string>{"RFR", "IIC", "HMP", "HIC", "JIW"}));
-}
-
 TEST_F(BuilderTest, CollectOutputAppendsCollector) {
   PipelineConfig cfg = config(Variant::Split);
   cfg.output = OutputMode::Collect;

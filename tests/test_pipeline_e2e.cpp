@@ -7,6 +7,7 @@
 
 #include "core/analysis.hpp"
 #include "fs/executor_threads.hpp"
+#include "io/image_write.hpp"
 #include "io/phantom.hpp"
 
 namespace h4d::core {
@@ -295,18 +296,44 @@ TEST_F(E2EFixture, UnstitchedOutputWritesSampleFiles) {
 }
 
 TEST_F(E2EFixture, ImageOutputWritesPgmSeries) {
+  // Image output as every map-producing path runs it: the Collector's maps,
+  // each written as a slice series by write_feature_map_images.
   PipelineConfig cfg = base_config(2);
   cfg.variant = Variant::HMP;
-  cfg.output = OutputMode::Images;
-  cfg.output_dir = root_ / "img";
-  fs::run_threaded(build_pipeline(cfg));
+  const AnalysisResult result = analyze_threaded(cfg);
+  const fsys::path dir = root_ / "img";
+  for (const auto& [f, map] : result.maps) {
+    const auto [lo, hi] = result.ranges.at(f);
+    io::write_feature_map_images(dir, std::string(haralick::feature_slug(f)), map, lo, hi);
+  }
 
   std::size_t pgms = 0;
-  for (const auto& e : fsys::directory_iterator(cfg.output_dir)) {
+  for (const auto& e : fsys::directory_iterator(dir)) {
     if (e.path().extension() == ".pgm") ++pgms;
   }
   const Region4 origins = roi_origin_region(phantom_.dims(), cfg.engine.roi_dims);
   EXPECT_EQ(pgms, static_cast<std::size_t>(4 * origins.size[2] * origins.size[3]));
+}
+
+TEST_F(E2EFixture, CollectOutputRefusesResumedRun) {
+  // A resumed run prunes the chunks its manifest records. Collected maps
+  // would hold 0.0f at their origins (and a shifted min/max), so Collect
+  // output must refuse before anything runs.
+  PipelineConfig cfg = base_config(2);
+  cfg.checkpoint_path = root_ / "ck.txt";
+  expect_matches_reference(analyze_threaded(cfg));  // records every chunk
+
+  cfg.resume = true;
+  cfg.output = OutputMode::Collect;
+  const filters::ParamsPtr params = make_params(cfg);
+  ASSERT_GT(params->chunks_resumed, 0);
+  EXPECT_THROW(build_pipeline(cfg, params, std::make_shared<filters::CollectedResults>()),
+               std::invalid_argument);
+  EXPECT_THROW(analyze_threaded(cfg), std::invalid_argument);
+
+  // USO's sample files keep the earlier run's output, so it may resume.
+  cfg.output = OutputMode::Unstitched;
+  EXPECT_NO_THROW(build_pipeline(cfg, params, nullptr));
 }
 
 }  // namespace

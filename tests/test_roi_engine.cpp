@@ -101,45 +101,88 @@ TEST(AnalyzeVolume, FullAndSparseRepresentationsAgree) {
   }
 }
 
-// Chunking must be invisible: per-chunk analysis reassembles to exactly the
-// monolithic result (core out-of-core invariant).
-class ChunkingInvisible : public ::testing::TestWithParam<Vec4> {};
-
-TEST_P(ChunkingInvisible, ChunkedEqualsMonolithic) {
-  const Vec4 dims{12, 10, 5, 4};
-  const Volume4<Level> v = random_volume(dims, 8, 5);
-  EngineConfig cfg = small_config();
-
-  const auto mono = analyze_volume(v, cfg);
-  const Region4 all = roi_origin_region(dims, cfg.roi_dims);
-  const Volume4<float> mono_map =
-      assemble_feature_map({&mono[0]}, all);
-
-  const Vec4 chunk_dims = GetParam();
-  const auto chunks = partition_overlapping(dims, chunk_dims, cfg.roi_dims);
+// Chunked analysis as a texture filter copy runs it: partition_overlapping,
+// each chunk copied out contiguously (as IIC hands it on) and analyzed with
+// one KernelScratch reused across chunks. Returns one assembled map per
+// selected feature, in the order analyze_volume returns its blocks.
+std::vector<Volume4<float>> analyze_chunked(const Volume4<Level>& v, const EngineConfig& cfg,
+                                            const Vec4& chunk_dims,
+                                            WorkCounters* wc = nullptr) {
+  const auto chunks = partition_overlapping(v.dims(), chunk_dims, cfg.roi_dims);
   EXPECT_GT(chunks.size(), 1u);
-
+  KernelScratch scratch(cfg.num_levels);
   std::vector<std::vector<FeatureBlock>> per_chunk;
   for (const Chunk& c : chunks) {
     Volume4<Level> local(c.region.size);
-    copy_region<Level>(v.view(), Region4::whole(dims), local.view(), c.region);
-    per_chunk.push_back(analyze_chunk(local.view(), c.region, c.owned_origins, cfg));
+    copy_region<Level>(v.view(), Region4::whole(v.dims()), local.view(), c.region);
+    per_chunk.push_back(
+        analyze_chunk(local.view(), c.region, c.owned_origins, cfg, wc, &scratch));
   }
+  std::vector<Volume4<float>> maps;
+  for (std::size_t f = 0; f < per_chunk.front().size(); ++f) {
+    std::vector<const FeatureBlock*> blocks;
+    for (const auto& chunk_blocks : per_chunk) blocks.push_back(&chunk_blocks[f]);
+    maps.push_back(assemble_feature_map(blocks, roi_origin_region(v.dims(), cfg.roi_dims)));
+  }
+  return maps;
+}
 
-  std::vector<const FeatureBlock*> first_feature;
-  for (const auto& blocks : per_chunk) first_feature.push_back(&blocks[0]);
-  const Volume4<float> chunked_map = assemble_feature_map(first_feature, all);
+// Chunking must be invisible: per-chunk analysis reassembles to exactly the
+// monolithic result for every feature (core out-of-core invariant).
+class ChunkingInvisible : public ::testing::TestWithParam<Vec4> {};
 
-  ASSERT_EQ(chunked_map.size(), mono_map.size());
-  for (std::int64_t i = 0; i < mono_map.size(); ++i) {
-    EXPECT_FLOAT_EQ(chunked_map.storage()[static_cast<std::size_t>(i)],
-                    mono_map.storage()[static_cast<std::size_t>(i)]);
+TEST_P(ChunkingInvisible, ChunkedEqualsMonolithic) {
+  const Volume4<Level> v = random_volume({12, 10, 5, 4}, 8, 5);
+  const EngineConfig cfg = small_config();
+  const auto mono = analyze_volume(v, cfg);
+  const auto chunked = analyze_chunked(v, cfg, GetParam());
+  ASSERT_EQ(chunked.size(), mono.size());
+  for (std::size_t f = 0; f < mono.size(); ++f) {
+    ASSERT_EQ(chunked[f].storage().size(), mono[f].values.size());
+    for (std::size_t i = 0; i < mono[f].values.size(); ++i) {
+      EXPECT_FLOAT_EQ(chunked[f].storage()[i], mono[f].values[i])
+          << feature_name(mono[f].feature) << " @" << i;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkShapes, ChunkingInvisible,
                          ::testing::Values(Vec4{6, 6, 3, 3}, Vec4{5, 4, 4, 4},
-                                           Vec4{12, 10, 3, 3}, Vec4{4, 4, 2, 2}));
+                                           Vec4{12, 10, 3, 3}, Vec4{4, 4, 2, 2},
+                                           Vec4{7, 7, 4, 4}));
+
+TEST(ChunkedAnalysis, SparseRepresentationComposes) {
+  const Volume4<Level> v = random_volume({12, 12, 5, 4}, 16, 4);
+  EngineConfig full = small_config();
+  full.num_levels = 16;
+  full.representation = Representation::Full;
+  EngineConfig sparse = full;
+  sparse.representation = Representation::Sparse;
+  const auto whole = analyze_volume(v, full);
+  const auto chunked = analyze_chunked(v, sparse, {6, 6, 4, 4});
+  ASSERT_EQ(whole.size(), chunked.size());
+  for (std::size_t f = 0; f < whole.size(); ++f) {
+    ASSERT_EQ(whole[f].values.size(), chunked[f].storage().size());
+    for (std::size_t i = 0; i < whole[f].values.size(); ++i) {
+      EXPECT_NEAR(whole[f].values[i], chunked[f].storage()[i],
+                  1e-5f * std::max(1.0f, std::abs(whole[f].values[i])));
+    }
+  }
+}
+
+TEST(ChunkedAnalysis, WorkCountersSummed) {
+  // Counters are per ROI, so the chunks' sums equal the whole volume's even
+  // though chunks overlap.
+  const Volume4<Level> v = random_volume({12, 12, 5, 4}, 16, 5);
+  EngineConfig cfg = small_config();
+  cfg.num_levels = 16;
+  WorkCounters whole{}, chunked{};
+  analyze_volume(v, cfg, &whole);
+  analyze_chunked(v, cfg, {6, 6, 4, 4}, &chunked);
+  EXPECT_EQ(chunked.matrices_built, whole.matrices_built);
+  EXPECT_EQ(chunked.glcm_pair_updates, whole.glcm_pair_updates);
+  EXPECT_EQ(chunked.feature_cell_ops, whole.feature_cell_ops);
+}
 
 TEST(AnalyzeChunk, RejectsViewRegionMismatch) {
   const Volume4<Level> v = random_volume({6, 6, 3, 3}, 8, 6);

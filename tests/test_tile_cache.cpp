@@ -513,18 +513,24 @@ TEST_F(CacheE2E, ResumedRunWithCacheStaysByteIdentical) {
   const core::AnalysisResult first = core::analyze_threaded(cfg);
   expect_identical(reference, first);
 
-  // Resume over the completed manifest: everything prunes, and the (cached)
-  // run still reports a well-formed cache section.
+  // Resume over the completed manifest: everything prunes. Collected maps
+  // would hold none of the pruned chunks' values, so analyze_threaded
+  // refuses; the USO output resumes through the cache and emits nothing.
   cfg.resume = true;
-  const core::AnalysisResult resumed = core::analyze_threaded(cfg);
+  EXPECT_THROW(core::analyze_threaded(cfg), std::invalid_argument);
+  cfg.output = core::OutputMode::Unstitched;
+  const filters::ParamsPtr params = core::make_params(cfg);
+  ASSERT_TRUE(params->tile_cache);
+  const fs::RunStats resumed = fs::run_threaded(core::build_pipeline(cfg, params, nullptr));
   std::int64_t resumed_chunks = 0;
-  for (const auto& copy : resumed.stats.copies) {
+  std::int64_t written = 0;
+  for (const auto& copy : resumed.copies) {
     resumed_chunks += copy.meter.chunks_resumed;
+    written += copy.meter.disk_bytes_written;
   }
   EXPECT_GT(resumed_chunks, 0);
-  ASSERT_TRUE(resumed.stats.cache.present);
-  EXPECT_EQ(resumed.stats.cache.lookups,
-            resumed.stats.cache.hits + resumed.stats.cache.misses);
+  EXPECT_EQ(resumed_chunks, params->chunks_resumed);
+  EXPECT_EQ(written, 0);
 }
 
 }  // namespace

@@ -85,10 +85,11 @@ TEST(XmlPipeline, RegistryExposesAllPaperFilterTypes) {
   const filters::ParamsPtr params = core::make_params(cfg);
 
   const fs::FilterRegistry reg = filters::make_pipeline_registry(params);
-  for (const char* type : {"rfr", "iic", "hmp", "hcc", "hpc", "uso", "hic", "jiw"}) {
+  for (const char* type : {"rfr", "iic", "hmp", "hcc", "hpc", "uso", "hic"}) {
     EXPECT_TRUE(reg.has(type)) << type;
     EXPECT_NE(reg.get(type)(), nullptr) << type;
   }
+  EXPECT_FALSE(reg.has("jiw"));  // images are written from the collected maps
   EXPECT_FALSE(reg.has("collector"));  // only with a CollectedResults
   fsys::remove_all(root);
 }
