@@ -195,6 +195,7 @@ int cmd_import(const Args& args, std::ostream& out) {
 int cmd_info(const Args& args, std::ostream& out) {
   if (args.positional().empty()) throw std::runtime_error("info: need a dataset directory");
   const io::DiskDataset ds = io::DiskDataset::open(args.positional()[0]);
+  ds.check_slice_files();
   const io::DatasetMeta& m = ds.meta();
   out << "dims           " << m.dims.str() << "\n"
       << "dtype          " << io::dtype_name(m.dtype) << "\n"
@@ -267,7 +268,7 @@ io::TailConfig tail_config_from_args(const Args& args) {
 core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dataset) {
   // Removed options fail loudly instead of being silently ignored: a script
   // that asked for them would otherwise measure something else.
-  for (const char* removed : {"sliding", "queue", "cache-policy", "tile-shape"}) {
+  for (const char* removed : {"sliding", "queue", "cache-policy", "tile-shape", "resume"}) {
     if (args.has(removed)) {
       throw std::runtime_error(std::string("--") + removed + " was removed; drop the option");
     }
@@ -300,13 +301,10 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   // the surviving replicas (missing node directories are detected on top).
   cfg.dead_nodes = args.get_int_list("dead-nodes");
 
-  // Checkpoint/resume: --checkpoint names the chunk-completion manifest;
-  // --resume on prunes chunks the manifest already records as complete.
+  // --checkpoint names the chunk-completion manifest. Resuming from it is a
+  // library feature (PipelineConfig::resume with the unstitched output):
+  // analyze assembles its maps from one run's samples.
   cfg.checkpoint_path = args.get("checkpoint", "");
-  cfg.resume = args.choice("resume", {"off", "on"}) == "on";
-  if (cfg.resume && cfg.checkpoint_path.empty()) {
-    throw std::runtime_error("--resume on requires --checkpoint FILE");
-  }
 
   // Out-of-core tile cache between the RFR readers and the slice files.
   cfg.cache = cache_config_from_args(args);
@@ -744,7 +742,7 @@ int usage(std::ostream& err) {
          "           [--checksums on|off] [--fill V] [--dead-nodes N,M]\n"
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"
          "           [--poison N] [--watchdog-ms N]\n"
-         "           [--checkpoint FILE] [--resume on|off]\n"
+         "           [--checkpoint FILE]\n"
          "           [--tile-cache-mb N] [--prefetch-depth N]\n"
          "           [--read-deadline-ms auto|N] [--hedge-pct P]\n"
          "           [--hedge-max-inflight N]\n"
@@ -813,10 +811,6 @@ int usage(std::ostream& err) {
          "                      sibling copies (0 = watchdog off)\n"
          "  --checkpoint FILE   append-only fsync'd manifest of completed\n"
          "                      chunks, written as output is persisted\n"
-         "  --resume on|off     prune chunks the --checkpoint manifest already\n"
-         "                      records as complete, then continue the run;\n"
-         "                      analyze assembles maps from one run, so it\n"
-         "                      refuses once any chunk would be pruned\n"
          "  --sim-failures SPEC simulate seeded copy crashes (simulate only);\n"
          "                      comma-separated k=v among seed, crash, delay,\n"
          "                      max_restarts, poison, policy\n"

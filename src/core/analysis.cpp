@@ -1,6 +1,8 @@
 #include "core/analysis.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <thread>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -120,7 +122,21 @@ AnalysisResult analyze_in_memory(const Volume4<std::uint16_t>& volume,
 
 AnalysisResult analyze_threaded(PipelineConfig config,
                                 const fs::ThreadedOptions& threaded_options) {
+#if defined(__GLIBC__)
+  // glibc gives threads up to 8 arenas per core, and a filter thread's
+  // freed chunks stay in its arena after it exits; malloc_trim below cannot
+  // release a non-main arena's top chunk, so every extra arena carries one
+  // run's heap into the next (resident, free, and reused only by chance).
+  // One arena per core bounds what the runs of a process leave behind. Set
+  // once, before the first run starts its threads.
+  static const bool arenas_capped = [] {
+    const unsigned cores = std::max(2u, std::thread::hardware_concurrency());
+    return mallopt(M_ARENA_MAX, static_cast<int>(cores)) == 1;
+  }();
+  (void)arenas_capped;
+#endif
   config.output = OutputMode::Collect;
+  io::DiskDataset::open(config.dataset_root).check_slice_files();
   auto collected = std::make_shared<filters::CollectedResults>();
   const filters::ParamsPtr params = make_params(config);
   const fs::FilterGraph graph = build_pipeline(config, params, collected);
@@ -137,6 +153,7 @@ AnalysisResult analyze_threaded(PipelineConfig config,
 
 AnalysisResult analyze_simulated(PipelineConfig config, const sim::SimOptions& sim_options) {
   config.output = OutputMode::Collect;
+  io::DiskDataset::open(config.dataset_root).check_slice_files();
   auto collected = std::make_shared<filters::CollectedResults>();
   const filters::ParamsPtr params = make_params(config);
   const fs::FilterGraph graph = build_pipeline(config, params, collected);

@@ -174,6 +174,15 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
       int owner = replicas.read_owner(z, t);
       if (owner < 0) owner = replicas.first_alive_node();
       if (owner != node) continue;
+      // Which IIC copies need this slice? The owners of every overlapping
+      // chunk. A slice no remaining chunk needs (every chunk over it was
+      // pruned by resume) is not read at all.
+      const Region4 piece{{0, 0, z, t}, {p_->meta.dims[0], p_->meta.dims[1], 1, 1}};
+      std::set<int> targets;
+      for (const Chunk& c : p_->chunks) {
+        if (c.region.intersects(piece)) targets.insert(p_->iic_copy_of_chunk(c.id));
+      }
+      if (targets.empty()) continue;
       // Owning a slice whose primary node is dead is a (planned) failover:
       // the read was rerouted to this replica before it was ever attempted.
       if (p_->meta.node_of_slice(z, t) != node) {
@@ -189,28 +198,19 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
       meter_reads(ctx.meter(), now - before);
       before = now;
 
-      // Which IIC copies need this slice? The owners of every overlapping
-      // chunk. Quantize once and send one piece to each.
-      const Region4 piece{{0, 0, slice.z, slice.t},
-                          {p_->meta.dims[0], p_->meta.dims[1], 1, 1}};
-      std::set<int> targets;
-      for (const Chunk& c : p_->chunks) {
-        if (c.region.intersects(piece)) targets.insert(p_->iic_copy_of_chunk(c.id));
+      // Quantize once and send one piece to each target.
+      std::vector<std::byte> levels(raw.size());
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        levels[i] = static_cast<std::byte>(quant(static_cast<double>(raw[i])));
       }
-      if (!targets.empty()) {
-        std::vector<std::byte> levels(raw.size());
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-          levels[i] = static_cast<std::byte>(quant(static_cast<double>(raw[i])));
-        }
-        ctx.meter().elements_quantized += static_cast<std::int64_t>(raw.size());
-        for (const int target : targets) {
-          fs::BufferHeader h;
-          h.kind = fs::BufferKind::RawChunkPiece;
-          h.region = piece;
-          h.seq = seq++;
-          h.aux = target;
-          ctx.emit(kPortPieces, fs::make_buffer(h, levels));
-        }
+      ctx.meter().elements_quantized += static_cast<std::int64_t>(raw.size());
+      for (const int target : targets) {
+        fs::BufferHeader h;
+        h.kind = fs::BufferKind::RawChunkPiece;
+        h.region = piece;
+        h.seq = seq++;
+        h.aux = target;
+        ctx.emit(kPortPieces, fs::make_buffer(h, levels));
       }
       if (prefetcher) prefetcher->slice_done();
     }

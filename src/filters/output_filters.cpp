@@ -46,7 +46,7 @@ void UnstitchedOutput::process(int port, const fs::BufferPtr& buffer, fs::Filter
                 std::to_string(ctx.copy_index()) + ".bin");
     // Durable append (O_APPEND + fsync): the samples are on disk before the
     // completion tracker can mark their chunk done, so a crash never leaves
-    // a recorded-but-lost chunk for --resume to trust.
+    // a recorded-but-lost chunk for a resume to trust.
     counted_write(p_, [&] {
       io::append_durable(path, samples.data(), samples.size_bytes());
     });

@@ -61,7 +61,7 @@ struct RunSettings {
   bool resume = false;
   /// Job identity folded into the manifest's ownership token, with the
   /// dataset and the chunk-grid parameters. src/svc namespaces manifests per
-  /// job and stamps the job id here, so --resume refuses a manifest written
+  /// job and stamps the job id here, so resume refuses a manifest written
   /// by a different job or configuration instead of pruning the wrong
   /// chunks. Empty for solo runs: the token then covers only dataset +
   /// chunk-grid identity.
@@ -151,7 +151,7 @@ struct PipelineParams : RunSettings {
               "checkpoint manifest " + p.checkpoint_path.string() +
               " belongs to a different job/configuration (owner " + found +
               ", this run is " + owner +
-              "); pass a fresh --checkpoint path or drop --resume");
+              "); pass a fresh checkpoint path or turn resume off");
         }
         for (std::int64_t id : io::ChunkManifest::load(p.checkpoint_path)) done.insert(id);
       }

@@ -177,6 +177,10 @@ void MatrixPacketReader::read_dense(std::vector<haralick::SparseEntry> entries) 
         throw haralick::MalformedMatrixError("MatrixPacket: dense table is not symmetric");
       }
       if (c == 0) continue;
+      if (i == j && c % 2 != 0) {
+        throw haralick::MalformedMatrixError("MatrixPacket: dense diagonal cell " +
+                                             std::to_string(i) + " holds an odd count");
+      }
       entries.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
       sum += i == j ? std::uint64_t{c} : 2 * std::uint64_t{c};
     }

@@ -27,7 +27,7 @@ struct ThreadedOptions {
   /// flight are drained into the loss inventory, and run_threaded throws
   /// CancelledError after all threads join. A checkpoint manifest written so
   /// far stays valid: completed chunks were recorded durably before the cut,
-  /// so a --resume run recomputes only what is missing. Must outlive the run.
+  /// so a resumed run recomputes only what is missing. Must outlive the run.
   const std::atomic<bool>* cancel = nullptr;
   /// How often the cancel token is polled. The poll period bounds the extra
   /// grace a cancelled run gets on top of its longest single filter call.

@@ -114,7 +114,7 @@ struct ExecutionReport {
   std::int64_t chunks_quarantined = 0;  ///< buffers dropped as poison
   std::int64_t watchdog_kills = 0;      ///< copies declared dead while hung
   std::int64_t buffers_lost = 0;        ///< dead-copy buffers with no sibling
-  std::int64_t chunks_resumed = 0;      ///< chunks pruned by --resume
+  std::int64_t chunks_resumed = 0;      ///< chunks pruned by resume
   std::int64_t replica_failovers = 0;   ///< reads rerouted to another replica
   std::int64_t nodes_evicted = 0;       ///< storage-node health evictions
   std::vector<QuarantinedBuffer> quarantined;  ///< exact dropped buffers

@@ -214,6 +214,39 @@ FeatureVector finalize(const Gathered& g, FeatureSet set, std::span<const Sparse
   return out;
 }
 
+void finalize_moments(const MomentSums& m, FeatureSet set, FeatureVector& out) {
+  // With no pairs every probability is 0: the sweep's values for an empty
+  // matrix.
+  const bool empty = m.n == 0;
+  const double n = static_cast<double>(m.n);
+  const double n2 = n * n;
+  // N^2 var: zero exactly when the region is constant.
+  const std::int64_t var_n2 = m.n * m.sum_ii - m.sum_i * m.sum_i;
+  if (set.has(Feature::AngularSecondMoment)) {
+    out[Feature::AngularSecondMoment] = empty ? 0.0 : static_cast<double>(m.sum_sq) / n2;
+  }
+  if (set.has(Feature::Correlation)) {
+    // A constant region is perfectly correlated, as in finalize().
+    out[Feature::Correlation] =
+        var_n2 > 0 ? static_cast<double>(m.n * m.sum_ij - m.sum_i * m.sum_i) /
+                         static_cast<double>(var_n2)
+                   : 1.0;
+  }
+  if (set.has(Feature::SumOfSquaresVariance)) {
+    out[Feature::SumOfSquaresVariance] = empty ? 0.0 : static_cast<double>(var_n2) / n2;
+  }
+  if (set.has(Feature::InverseDifferenceMoment)) {
+    double idm = 0.0;
+    if (!empty) {
+      for (int k = 0; k < m.ng; ++k) {
+        const std::int64_t dk = m.diff[static_cast<std::size_t>(k)];
+        if (dk != 0) idm += static_cast<double>(dk) / (n * (1.0 + static_cast<double>(k) * k));
+      }
+    }
+    out[Feature::InverseDifferenceMoment] = idm;
+  }
+}
+
 }  // namespace detail
 
 std::string_view feature_name(Feature f) {

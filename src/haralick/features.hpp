@@ -1,8 +1,9 @@
 // The fourteen Haralick textural features (Haralick, Shanmugam & Dinstein,
 // 1973) of a symmetric co-occurrence matrix: their identities and selection
-// sets. Every filter computes them through the one feature sweep in
-// kernel.hpp (KernelScratch::features_fused / features_of); the dense and
-// sparse reference passes of paper Sec. 4.4.1 live in tests/oracle.
+// sets. Every filter computes them through KernelScratch in kernel.hpp: the
+// feature sweep, and in Fast mode the integer moments of the bin window for
+// f1, f3, f4 and f5; the dense and sparse reference passes of paper
+// Sec. 4.4.1 live in tests/oracle.
 #pragma once
 
 #include <array>

@@ -1,10 +1,13 @@
 // Internal feature-computation machinery: the gathered sums of the feature
-// sweep (kernel.cpp) and their finalization into features (features.cpp).
+// sweep and the integer moments of a bin window (kernel.cpp), and their
+// finalization into features (features.cpp).
 // The reference passes in tests/oracle reuse it. Not part of the public
 // haralick API; include features.hpp instead.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -55,5 +58,31 @@ double maximal_correlation_of(const std::vector<double>& a, int m, WorkCounters*
 /// the maximal correlation coefficient (f14).
 FeatureVector finalize(const Gathered& g, FeatureSet set, std::span<const SparseEntry> entries,
                        std::int64_t total, WorkCounters* wc);
+
+/// The features the moment path computes: the paper's four (f1, f3, f4, f5).
+inline constexpr FeatureSet kMomentFeatures = FeatureSet::paper_eval();
+
+/// Exact integer sums over the symmetric matrix c of a bin window (u_b the
+/// pair count of bin b = (i <= j); docs/KERNEL.md §5). Every sum stays below
+/// 2^53 for a window of at most 65,535 pairs and Ng <= 64, so it is exact in
+/// int64 and in double.
+struct MomentSums {
+  int ng = 0;
+  std::int64_t n = 0;       // N = sum c = 2 sum u
+  std::int64_t sum_sq = 0;  // sum c^2
+  std::int64_t sum_i = 0;   // sum i c = sum u (i + j)
+  std::int64_t sum_ii = 0;  // sum i^2 c = sum u (i^2 + j^2)
+  std::int64_t sum_ij = 0;  // sum i j c = sum u 2ij
+  std::array<std::int64_t, 64> diff{};  // D_k = sum over |i - j| = k of c
+  std::int64_t nnz = 0;     // non-zero bins (stored upper entries)
+  std::int64_t cells = 0;   // non-zero cells of the symmetric matrix
+};
+
+/// Overwrite the selected moment features of `out` with their values from
+/// `m`: f1 = sum c^2 / N^2, f3 = (N sum ij c - (sum i c)^2) /
+/// (N sum i^2 c - (sum i c)^2) (1 for a constant region), f4 =
+/// (N sum i^2 c - (sum i c)^2) / N^2 and f5 = sum_k D_k / (N (1 + k^2)),
+/// summed in k order.
+void finalize_moments(const MomentSums& m, FeatureSet set, FeatureVector& out);
 
 }  // namespace h4d::haralick::detail

@@ -85,6 +85,11 @@ SparseGlcm SparseGlcm::deserialize(const std::byte* data, std::size_t size,
                                  std::to_string(e.j) + ", " + std::to_string(e.count) +
                                  ") is not a non-zero row-major upper cell");
     }
+    if (e.i == e.j && e.count % 2 != 0) {
+      throw MalformedMatrixError("malformed matrix: diagonal entry (" + std::to_string(e.i) +
+                                 ", " + std::to_string(e.j) + ", " + std::to_string(e.count) +
+                                 ") is odd; a diagonal cell counts each pair twice");
+    }
     prev = pos;
     sum += e.i == e.j ? std::uint64_t{e.count} : 2 * std::uint64_t{e.count};
   }

@@ -18,7 +18,8 @@ namespace h4d::haralick {
 
 /// A co-occurrence matrix read off the wire breaks the format: Ng outside
 /// [2, 256] (or not the receiver's), entries not strictly row-major with
-/// i <= j < Ng and count > 0, counts that do not sum to the total, an
+/// i <= j < Ng and count > 0, an odd diagonal count (a diagonal cell counts
+/// each of its pairs twice), counts that do not sum to the total, an
 /// asymmetric dense table, or a buffer too short for its declared size.
 class MalformedMatrixError : public std::runtime_error {
  public:

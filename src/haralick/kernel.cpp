@@ -113,6 +113,23 @@ void scan_pairs(Vol4View<const Level> vol, const Region4& roi,
   }
 }
 
+/// What a feature pass over a matrix of `nnz` stored entries standing for
+/// `cells` non-zero cells costs, in reference units. A dense pass scans all
+/// Ng^2 cells; the entry loop scans only the entries. Both compute the same
+/// non-zero cells. A producer evaluating its own matrix in Sparse also pays
+/// the modeled compression, which still scans Ng^2 dense cells.
+void credit_sweep(WorkCounters& wc, int ng, std::int64_t nnz, std::int64_t cells,
+                  FeatureSet set, Representation repr, bool compressed) {
+  const std::int64_t ng2 = static_cast<std::int64_t>(ng) * ng;
+  if (compressed && repr == Representation::Sparse) {
+    wc.sparse_entries_emitted += nnz;
+    wc.sparse_compress_cells += ng2;
+  }
+  wc.feature_cells_scanned += repr == Representation::Full ? ng2 : nnz;
+  const int terms = detail::analyse(set).cell_terms;
+  wc.feature_cell_ops += cells * (terms > 0 ? terms : 1);
+}
+
 }  // namespace
 
 KernelScratch::KernelScratch(int num_levels) { configure(num_levels); }
@@ -344,47 +361,131 @@ FeatureVector KernelScratch::features_fused(FeatureSet set, WorkCounters* wc,
                                             Representation repr) {
   const std::int64_t total = total_;
   gather_tile();
-  const FeatureVector out = sweep_entries(entries_, total, set, wc, mode, repr);
+  const FeatureVector out = evaluate(ng_, total, nullptr, entries_, set, wc, mode, repr,
+                                     /*compressed=*/true);
   if (sparse_out != nullptr) *sparse_out = SparseGlcm(ng_, total, entries_);
   return out;
 }
 
-FeatureVector KernelScratch::sweep_entries(std::span<const SparseEntry> entries,
-                                           std::int64_t total, FeatureSet set,
-                                           WorkCounters* wc, SweepMode mode,
-                                           Representation repr) {
-  if (wc != nullptr && repr == Representation::Sparse) {
-    // The modeled compression still scans Ng^2 dense cells.
-    wc->sparse_entries_emitted += static_cast<std::int64_t>(entries.size());
-    wc->sparse_compress_cells += static_cast<std::int64_t>(ng_) * ng_;
+void KernelScratch::prepare_bins(int num_levels, int lo, int hi) {
+  if (bins_ng_ == num_levels && bins_lo_ == lo && bins_hi_ == hi) return;
+  // Bins for the level pairs lo <= i <= j <= hi, in SparseGlcm::from_dense
+  // (row-major) order; no pair outside that range can occur.
+  const auto w = static_cast<std::size_t>(hi - lo + 1);
+  const std::size_t bins = w * (w + 1) / 2;
+  bin_stride_ = (bins + 15) & ~std::size_t{15};
+  bin_of_.assign(std::size_t{64} * 64, 0);
+  bin_cell_.assign(bin_stride_, SparseEntry{});
+  std::size_t b = 0;
+  for (int i = lo; i <= hi; ++i) {
+    for (int j = i; j <= hi; ++j, ++b) {
+      const auto ui = static_cast<std::size_t>(i);
+      const auto uj = static_cast<std::size_t>(j);
+      bin_of_[ui * 64 + uj] = static_cast<std::uint16_t>(b);
+      bin_of_[uj * 64 + ui] = static_cast<std::uint16_t>(b);
+      // The dense matrix holds the pair count off-diagonal and twice it on
+      // the diagonal.
+      bin_cell_[b] = {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j),
+                      i == j ? 2u : 1u};
+    }
   }
-  return sweep(ng_, total, entries, set, wc, mode, repr);
+  window_.assign(3 * bin_stride_, 0);
+  bins_ng_ = num_levels;
+  bins_lo_ = lo;
+  bins_hi_ = hi;
 }
 
-void KernelScratch::prepare_columns(std::int64_t columns) {
-  if (bins_ng_ != ng_) {
-    const auto ng = static_cast<std::size_t>(ng_);
-    const std::size_t bins = ng * (ng + 1) / 2;
-    bin_stride_ = (bins + 15) & ~std::size_t{15};
-    bin_of_.assign(std::size_t{64} * 64, 0);
-    bin_cell_.assign(bin_stride_, SparseEntry{});
-    std::size_t b = 0;
-    for (std::size_t i = 0; i < ng; ++i) {
-      for (std::size_t j = i; j < ng; ++j, ++b) {
-        bin_of_[i * 64 + j] = static_cast<std::uint16_t>(b);
-        bin_of_[j * 64 + i] = static_cast<std::uint16_t>(b);
-        // The dense matrix holds the pair count off-diagonal and twice it on
-        // the diagonal.
-        bin_cell_[b] = {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j),
-                        i == j ? 2u : 1u};
-      }
-    }
-    window_.assign(2 * bin_stride_, 0);
-    bins_ng_ = ng_;
-  }
+void KernelScratch::prepare_columns(std::int64_t columns, int lo, int hi) {
+  prepare_bins(ng_, lo, hi);
   entries_.resize(bin_stride_);
   const std::size_t need = 2 * static_cast<std::size_t>(columns) * bin_stride_;
   if (columns_.size() < need) columns_.resize(need);
+}
+
+const std::uint16_t* KernelScratch::scatter_bins(int num_levels,
+                                                 std::span<const SparseEntry> entries) {
+  prepare_bins(num_levels, 0, num_levels - 1);
+  std::uint16_t* const h = window_.data() + 2 * bin_stride_;
+  // A diagonal entry carries the dense value, twice the pair count. The
+  // caller checked that every count fits: at most 65,535 pairs in all.
+  for (const SparseEntry& e : entries) {
+    h[bin_of_[(static_cast<std::size_t>(e.i) << 6) | e.j]] =
+        static_cast<std::uint16_t>(e.i == e.j ? e.count / 2 : e.count);
+  }
+  return h;
+}
+
+void KernelScratch::unscatter_bins(std::span<const SparseEntry> entries) {
+  std::uint16_t* const h = window_.data() + 2 * bin_stride_;
+  for (const SparseEntry& e : entries) h[bin_of_[(static_cast<std::size_t>(e.i) << 6) | e.j]] = 0;
+}
+
+detail::MomentSums KernelScratch::moment_sums(const std::uint16_t* h) const {
+  // With s = i + j and k = j - i, a bin's pair count u weighs i + j = s,
+  // i^2 + j^2 = (s^2 + k^2) / 2 and 2ij = (s^2 - k^2) / 2 in the sums over
+  // the symmetric matrix. Most bins of a window are zero, so whole 4-bin
+  // words of zeros are skipped, as in gather_bins; every sum is an exact
+  // int64.
+  detail::MomentSums m;
+  std::int64_t sum_u = 0, sum_s = 0, sum_ss = 0, sum_kk = 0, sum_sq = 0, nnz = 0, cells = 0;
+  for (std::size_t b = 0; b < bin_stride_; b += 4) {
+    std::uint64_t word;
+    std::memcpy(&word, h + b, sizeof word);
+    if (word == 0) continue;
+    for (std::size_t q = b; q < b + 4; ++q) {
+      const std::int64_t u = h[q];
+      const SparseEntry& e = bin_cell_[q];  // padding bins hold u = 0
+      const std::int64_t si = e.i + e.j;
+      const std::int64_t k = e.j - e.i;
+      sum_u += u;
+      sum_s += u * si;
+      sum_ss += u * si * si;
+      sum_kk += u * k * k;
+      // Off-diagonal cells hold u twice; a diagonal cell (count 2) holds 2u.
+      sum_sq += u * u * e.count;
+      m.diff[static_cast<std::size_t>(k)] += 2 * u;  // both mirror cells
+      const std::int64_t nonzero = u != 0;
+      nnz += nonzero;
+      cells += nonzero * (3 - static_cast<std::int64_t>(e.count));
+    }
+  }
+  m.ng = bins_ng_;
+  m.n = 2 * sum_u;
+  m.sum_sq = 2 * sum_sq;
+  m.sum_i = sum_s;
+  m.sum_ii = (sum_ss + sum_kk) / 2;
+  m.sum_ij = (sum_ss - sum_kk) / 2;
+  m.nnz = nnz;
+  m.cells = cells;
+  return m;
+}
+
+FeatureVector KernelScratch::evaluate(int ng, std::int64_t total, const std::uint16_t* bins,
+                                      std::span<const SparseEntry> entries, FeatureSet set,
+                                      WorkCounters* wc, SweepMode mode, Representation repr,
+                                      bool compressed) {
+  // The rule depends only on what every producer of a matrix knows, so HMP,
+  // HPC and the tile path take the same branch for the same matrix.
+  const std::uint32_t moment_mask = set.mask() & detail::kMomentFeatures.mask();
+  const bool moments =
+      mode == SweepMode::Fast && ng <= 64 && total / 2 <= 65535 && moment_mask != 0;
+  const bool swept = !moments || set.mask() != moment_mask;
+  if (swept && bins != nullptr) entries = {entries_.data(), gather_bins(bins)};
+  FeatureVector fv;
+  // The sweep credits WorkCounters whenever it runs, even for the features
+  // the moments then overwrite: the counters stay in reference units.
+  if (swept) fv = sweep(ng, total, entries, set, wc, mode, repr, compressed);
+  if (!moments) return fv;
+
+  const bool scattered = bins == nullptr;
+  if (scattered) bins = scatter_bins(ng, entries);
+  const detail::MomentSums m = moment_sums(bins);
+  if (scattered) unscatter_bins(entries);
+  if (!swept && wc != nullptr) {
+    credit_sweep(*wc, ng, m.nnz, m.cells, set, repr, compressed);
+  }
+  detail::finalize_moments(m, set, fv);
+  return fv;
 }
 
 std::size_t KernelScratch::gather_bins(const std::uint16_t* h) {
@@ -412,15 +513,28 @@ void KernelScratch::features_of_rois(Vol4View<const Level> vol, const Region4& o
                                      const Vec4& roi_dims, const std::vector<Vec4>& dirs,
                                      FeatureSet set, WorkCounters* wc, SweepMode mode,
                                      Representation repr, const RoiSink& sink) {
-  entries_of_rois(vol, origins, roi_dims, dirs, wc,
-                  [&](std::int64_t k, std::span<const SparseEntry> entries, std::int64_t total) {
-                    sink(k, sweep_entries(entries, total, set, wc, mode, repr));
-                  });
+  rois_of_chunk(vol, origins, roi_dims, dirs, wc,
+                [&](std::int64_t k, const std::uint16_t* bins,
+                    std::span<const SparseEntry> entries, std::int64_t total) {
+                  sink(k, evaluate(ng_, total, bins, entries, set, wc, mode, repr,
+                                   /*compressed=*/true));
+                });
 }
 
 void KernelScratch::entries_of_rois(Vol4View<const Level> vol, const Region4& origins,
                                     const Vec4& roi_dims, const std::vector<Vec4>& dirs,
                                     WorkCounters* wc, const EntrySink& sink) {
+  rois_of_chunk(vol, origins, roi_dims, dirs, wc,
+                [&](std::int64_t k, const std::uint16_t* bins,
+                    std::span<const SparseEntry> entries, std::int64_t total) {
+                  if (bins != nullptr) entries = {entries_.data(), gather_bins(bins)};
+                  sink(k, entries, total);
+                });
+}
+
+void KernelScratch::rois_of_chunk(Vol4View<const Level> vol, const Region4& origins,
+                                  const Vec4& roi_dims, const std::vector<Vec4>& dirs,
+                                  WorkCounters* wc, const BinSink& sink) {
   if (origins.empty()) return;
   const Region4 reach{origins.origin, origins.size + roi_dims - Vec4{1, 1, 1, 1}};
   if (!Region4::whole(vol.dims()).contains(reach)) {
@@ -462,7 +576,7 @@ void KernelScratch::entries_of_rois(Vol4View<const Level> vol, const Region4& or
       }
       const std::int64_t total = total_;
       gather_tile();
-      sink(k++, entries_, total);
+      sink(k++, nullptr, entries_, total);
     }
     return;
   }
@@ -476,7 +590,24 @@ void KernelScratch::entries_of_rois(Vol4View<const Level> vol, const Region4& or
   const std::int64_t width = origins.size[0];
   const std::int64_t rx = roi_dims[0];
   const std::int64_t ncols = width + rx - 1;
-  prepare_columns(ncols);
+  // The chunk's level range bounds every pair of every ROI, so the bins
+  // cover lo <= i <= j <= hi only: a smooth region's few levels make the
+  // per-ROI window (and every whole-window pass below) a fraction of the
+  // Ng(Ng+1)/2 bins.
+  int lo = ng_ - 1;
+  int hi = 0;
+  for (std::int64_t t = reach.origin[3]; t < reach.end()[3]; ++t) {
+    for (std::int64_t z = reach.origin[2]; z < reach.end()[2]; ++z) {
+      for (std::int64_t y = reach.origin[1]; y < reach.end()[1]; ++y) {
+        const Level* p = &vol.at(reach.origin[0], y, z, t);
+        for (std::int64_t x = 0; x < reach.size[0]; ++x, p += vol.strides()[0]) {
+          lo = std::min<int>(lo, *p);
+          hi = std::max<int>(hi, *p);
+        }
+      }
+    }
+  }
+  prepare_columns(ncols, lo, hi);
   const std::size_t nb = bin_stride_;
   std::uint16_t* const c0 = columns_.data();
   std::uint16_t* const c1 = c0 + static_cast<std::size_t>(ncols) * nb;
@@ -546,12 +677,11 @@ void KernelScratch::entries_of_rois(Vol4View<const Level> vol, const Region4& or
         for (std::int64_t i = 0; i < width; ++i) {
           const std::size_t enter = static_cast<std::size_t>(i + rx - 1) * nb;
           sum_into(roi, run, c0 + enter);
-          const std::size_t nnz = gather_bins(roi);
           if (wc != nullptr) {
             wc->glcm_pair_updates += total;  // reference units: 2 stores/pair
             wc->matrices_built += 1;
           }
-          sink(k++, {entries_.data(), nnz}, total);
+          sink(k++, roi, {}, total);
           if (i + 1 == width) break;
           const std::size_t leave = static_cast<std::size_t>(i) * nb;
           const std::uint16_t* const a = c0 + enter;
@@ -570,12 +700,14 @@ void KernelScratch::entries_of_rois(Vol4View<const Level> vol, const Region4& or
 
 FeatureVector KernelScratch::features_of(const SparseGlcm& m, FeatureSet set, WorkCounters* wc,
                                          SweepMode mode, Representation repr) {
-  return sweep(m.num_levels(), m.total(), m.entries(), set, wc, mode, repr);
+  return evaluate(m.num_levels(), m.total(), nullptr, m.entries(), set, wc, mode, repr,
+                  /*compressed=*/false);
 }
 
 FeatureVector KernelScratch::sweep(int ng, std::int64_t total,
                                    std::span<const SparseEntry> entries, FeatureSet set,
-                                   WorkCounters* wc, SweepMode mode, Representation repr) {
+                                   WorkCounters* wc, SweepMode mode, Representation repr,
+                                   bool compressed) {
   const detail::Needs needs = detail::analyse(set);
   if (!gathered_) gathered_ = std::make_unique<detail::Gathered>();
   detail::Gathered& acc = *gathered_;
@@ -688,12 +820,8 @@ FeatureVector KernelScratch::sweep(int ng, std::int64_t total,
   }
 
   if (wc != nullptr) {
-    // A dense pass scans all Ng^2 cells; the entry loop scans only the
-    // entries. Both compute the same non-zero cells.
-    wc->feature_cells_scanned += repr == Representation::Full
-                                     ? static_cast<std::int64_t>(ng) * ng
-                                     : static_cast<std::int64_t>(nnz);
-    wc->feature_cell_ops += cells_computed * (needs.cell_terms > 0 ? needs.cell_terms : 1);
+    credit_sweep(*wc, ng, static_cast<std::int64_t>(nnz), cells_computed, set, repr,
+                 compressed);
   }
   return detail::finalize(acc, set, entries, total, wc);
 }

@@ -31,12 +31,17 @@
 //     adjacent ROIs share the work of their common columns
 //     (docs/KERNEL.md §3). Its entry lists go to the sweep
 //     (features_of_rois, HMP) or into a matrix packet (HCC);
-//   * the feature sweep is the only feature pass in the library. It reduces
-//     the row-major upper-triangle entry list (the SparseGlcm order) to the
-//     cell terms, px, p_{x+y} and p_{x-y}. Three producers feed it: the
-//     tile gather (features_fused), the column-histogram gather
-//     (features_of_rois) and a received matrix (features_of, the HPC filter
-//     and the split planner).
+//   * the feature sweep reduces the row-major upper-triangle entry list (the
+//     SparseGlcm order) to the cell terms, px, p_{x+y} and p_{x-y}. Three
+//     producers feed it: the tile gather (features_fused), the
+//     column-histogram gather (features_of_rois) and a received matrix
+//     (features_of, the HPC filter and the split planner);
+//   * in Fast mode the paper's four features (f1, f3, f4, f5) come instead
+//     from exact integer moments of the matrix's uint16 bin window
+//     (docs/KERNEL.md §5): the column path reads the window it already
+//     built, skipping the gather and, for the paper's feature set, the
+//     sweep; the other producers scatter their entry list into a zeroed
+//     window first, so every producer computes the same bits.
 //
 // Equivalence contract (property-tested in test_kernel.cpp against
 // tests/oracle): accumulate + fold is bit-identical to the reference
@@ -60,6 +65,7 @@ namespace h4d::haralick {
 
 namespace detail {
 struct Gathered;
+struct MomentSums;
 }  // namespace detail
 
 /// How the feature sweep evaluates its floating-point terms.
@@ -68,10 +74,12 @@ struct Gathered;
 /// scalar loop, libm log, true divisions — bit-identical to the oracle's
 /// sparse feature pass over the same entry list. Fast copies the entries
 /// into SoA term arrays and reduces them with SIMD-annotated loops (see
-/// simd.hpp) using the fast_log polynomial for the entropy terms; results
-/// agree with Strict to ~1e-10 relative (property-tested). The engine runs
-/// Fast by default; Strict remains for verification and for callers that
-/// need exact reference bits.
+/// simd.hpp) using the fast_log polynomial for the entropy terms, and takes
+/// f1, f3, f4 and f5 from exact integer moments of the bin window whenever
+/// Ng <= 64 and the matrix holds at most 65,535 pairs; results agree with
+/// Strict to ~1e-10 relative (property-tested). The engine runs Fast by
+/// default; Strict remains for verification and for callers that need
+/// exact reference bits.
 enum class SweepMode { Strict, Fast };
 
 /// How co-occurrence matrices travel between construction and feature
@@ -126,7 +134,9 @@ class KernelScratch {
 
   /// The same reduction over a received matrix `m` (the HPC filter and the
   /// split planner). Credits `wc` like features_fused minus the compression,
-  /// which the matrix's producer already paid. The tile is left untouched.
+  /// which the matrix's producer already paid. The tile is left untouched;
+  /// the bin tables follow `m`'s Ng. `m` must be symmetric-valid: its
+  /// diagonal entries hold twice a pair count (MatrixPacketReader checks).
   FeatureVector features_of(const SparseGlcm& m, FeatureSet set, WorkCounters* wc,
                             SweepMode mode, Representation repr);
 
@@ -155,9 +165,11 @@ class KernelScratch {
   using RoiSink = std::function<void(std::int64_t k, const FeatureVector& fv)>;
 
   /// Features of every ROI entries_of_rois builds (the HMP filter): each
-  /// entry list goes through the sweep, so the features are bit-identical
-  /// to the per-origin accumulate + features_fused loop and `wc` is
-  /// credited the same: the construction, then the sweep's credits.
+  /// matrix is evaluated as features_fused would evaluate it, so the
+  /// features are bit-identical to the per-origin accumulate +
+  /// features_fused loop and `wc` is credited the same: the construction,
+  /// then the sweep's credits. On the column path the moment features are
+  /// read straight off the ROI's bin window.
   void features_of_rois(Vol4View<const Level> vol, const Region4& origins,
                         const Vec4& roi_dims, const std::vector<Vec4>& dirs, FeatureSet set,
                         WorkCounters* wc, SweepMode mode, Representation repr,
@@ -179,14 +191,32 @@ class KernelScratch {
   void clear_side_state();                 // spills + counters (tile untouched)
   void gather_tile();                      // tile -> entries_, then reset
   std::size_t gather_bins(const std::uint16_t* h);  // bins -> entries_, returns nnz
-  void prepare_columns(std::int64_t columns);         // bin tables + column storage
-  // The sweep over a gathered entry list, plus the Sparse compression credits.
-  FeatureVector sweep_entries(std::span<const SparseEntry> entries, std::int64_t total,
-                              FeatureSet set, WorkCounters* wc, SweepMode mode,
-                              Representation repr);
+  void prepare_bins(int ng, int lo, int hi);          // bins of levels lo..hi
+  void prepare_columns(std::int64_t columns, int lo, int hi);  // + column storage
+  // A zeroed bin window holding `entries` (valid until unscatter_bins).
+  const std::uint16_t* scatter_bins(int ng, std::span<const SparseEntry> entries);
+  void unscatter_bins(std::span<const SparseEntry> entries);
+  detail::MomentSums moment_sums(const std::uint16_t* h) const;
+
+  // Receives the k-th ROI of a chunk: its bin window on the column path, or
+  // (with `bins` null) its gathered entry list on the per-ROI scan.
+  using BinSink = std::function<void(std::int64_t k, const std::uint16_t* bins,
+                                     std::span<const SparseEntry> entries,
+                                     std::int64_t total)>;
+  void rois_of_chunk(Vol4View<const Level> vol, const Region4& origins, const Vec4& roi_dims,
+                     const std::vector<Vec4>& dirs, WorkCounters* wc, const BinSink& sink);
+
+  // The features of one matrix, given as its bin window `bins` or (with
+  // `bins` null) its entry list: the moment path where it applies, the
+  // sweep for the rest. `compressed` adds the Sparse compression credits
+  // (a producer's own matrix, not a received one).
+  FeatureVector evaluate(int ng, std::int64_t total, const std::uint16_t* bins,
+                         std::span<const SparseEntry> entries, FeatureSet set,
+                         WorkCounters* wc, SweepMode mode, Representation repr,
+                         bool compressed);
   FeatureVector sweep(int ng, std::int64_t total, std::span<const SparseEntry> entries,
                       FeatureSet set, WorkCounters* wc, SweepMode mode,
-                      Representation repr);
+                      Representation repr, bool compressed);
 
   int ng_ = 0;
   std::int64_t total_ = 0;  // ordered pair observations (2 per pair)
@@ -197,13 +227,17 @@ class KernelScratch {
   std::vector<std::int32_t> spill_cells_;  // indices with non-zero spill_
 
   // Column-histogram state of entries_of_rois, sized on first use. A bin
-  // is an unordered level pair; bins follow SparseGlcm::from_dense order.
+  // is an unordered level pair (i, j) with lo <= i <= j <= hi, the chunk's
+  // level range (0 .. Ng-1 for a scattered matrix); bins follow
+  // SparseGlcm::from_dense order.
   int bins_ng_ = 0;                      // Ng the bin tables were built for
-  std::size_t bin_stride_ = 0;           // Ng(Ng+1)/2 bins, padded to 16
+  int bins_lo_ = 0;                      // their level range
+  int bins_hi_ = 0;
+  std::size_t bin_stride_ = 0;           // w(w+1)/2 bins (w = hi-lo+1), padded to 16
   std::vector<std::uint16_t> bin_of_;    // 64 x 64: (a, b) -> bin
   std::vector<SparseEntry> bin_cell_;    // bin -> (i, j, dense multiplier)
   std::vector<std::uint16_t> columns_;   // [x step][column][bin]
-  std::vector<std::uint16_t> window_;    // running sum, then one ROI
+  std::vector<std::uint16_t> window_;    // running sum, one ROI, a scatter
 
   // Feature-sweep buffers (owned here so workers reuse them across chunks).
   std::unique_ptr<detail::Gathered> gathered_;

@@ -266,6 +266,38 @@ DiskDataset DiskDataset::open(const std::filesystem::path& root) {
   return DiskDataset(root, DatasetMeta::load(root));
 }
 
+void DiskDataset::check_slice_files() const {
+  // Every slice read allocates slice_bytes() before it looks at the file, so
+  // the meta's dims must match what is on disk. One matching file settles
+  // it: first the one create() writes for slice (t=0, z=0), a single stat.
+  const auto want = static_cast<std::uintmax_t>(meta_.slice_bytes());
+  std::error_code ec;
+  if (std::filesystem::file_size(node_dir(meta_.node_of_slice(0, 0)) / slice_filename(0, 0),
+                                 ec) == want &&
+      !ec) {
+    return;
+  }
+  std::int64_t files = 0;
+  std::string example;
+  for (int n = 0; n < meta_.storage_nodes; ++n) {
+    if (!std::filesystem::exists(node_dir(n) / kIndexFileName)) continue;
+    const StorageNodeReader reader = node_reader(n);
+    for (const SliceRef& s : reader.slices()) {
+      const std::filesystem::path file = node_dir(n) / s.filename;
+      const std::uintmax_t size = std::filesystem::file_size(file, ec);
+      if (ec) continue;
+      if (size == want) return;
+      if (files++ == 0) example = file.string() + " holds " + std::to_string(size) + " B";
+    }
+  }
+  if (files > 0) {
+    throw DatasetShapeError("dataset.meta under " + root_.string() + ": dims " +
+                            meta_.dims.str() + " give " + std::to_string(want) +
+                            "-byte slices, but none of the " + std::to_string(files) +
+                            " indexed slice files has that size (" + example + ")");
+  }
+}
+
 std::filesystem::path DiskDataset::node_dir(int node) const {
   return root_ / node_dir_name(node);
 }

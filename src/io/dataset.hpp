@@ -130,6 +130,16 @@ class SliceReadError : public std::runtime_error {
   std::int64_t actual_bytes = 0;
 };
 
+/// dataset.meta's dims disagree with the slice files on disk: none of the
+/// indexed slice files that exist has the meta's slice size. Thrown by
+/// DiskDataset::check_slice_files before any slice buffer is allocated, so
+/// dims that would ask for a 128 GB slice fail with this error instead of
+/// an allocation failure.
+class DatasetShapeError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Read-side view of a single storage node: exactly what one RAWFileReader
 /// filter may touch. Local slices only.
 class StorageNodeReader {
@@ -180,8 +190,17 @@ class DiskDataset {
   static DiskDataset create(const std::filesystem::path& root, const Volume4<std::uint16_t>& vol,
                             int num_nodes, int replicas = 1);
 
-  /// Open an existing dataset.
+  /// Open an existing dataset (loads dataset.meta).
   static DiskDataset open(const std::filesystem::path& root);
+
+  /// Throws DatasetShapeError unless some slice file on disk has the meta's
+  /// slice size: the first slice's file where create() puts it (one stat),
+  /// else every indexed file until one matches. A single short or missing
+  /// file is left to the read path (retries, replicas, --on-corrupt), a
+  /// node without an index is skipped, and no files at all pass. `h4d info`
+  /// and the analyze entry points call it before anything allocates a
+  /// slice.
+  void check_slice_files() const;
 
   const std::filesystem::path& root() const { return root_; }
   const DatasetMeta& meta() const { return meta_; }

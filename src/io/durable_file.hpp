@@ -1,6 +1,6 @@
 // Durable file writes and typed storage-write errors.
 //
-// Output that feeds --resume or a later reader (USO sample streams, feature
+// Output that feeds a resume or a later reader (USO sample streams, feature
 // map image slices, repaired replica copies, rebuilt index files) must never
 // be observable half-written: a crash between "bytes issued" and "bytes
 // durable" would leave a torn file that a later resume or scrub trusts. Two

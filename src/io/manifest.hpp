@@ -3,7 +3,7 @@
 // The output filters append one line per texture chunk whose every feature
 // sample has reached stable storage. The file is append-only and fsync'd per
 // record, so after a crash it holds a prefix of the completed chunks (plus at
-// most one torn line, which the loader skips). `--resume` replays the
+// most one torn line, which the loader skips). A resumed run replays the
 // manifest and prunes those chunks from the planner's work list — the paper's
 // out-of-core runs take hours, and losing a node at 95% should not mean
 // recomputing the other 95%. Each line carries a CRC-32 tag like the slice
@@ -29,7 +29,7 @@ namespace h4d::io {
 /// The first line may be a CRC-tagged ownership header
 /// ("owner <token> <crc32-hex>\n") naming the job/configuration that wrote
 /// the file. Concurrent jobs namespace their manifests by job id (src/svc),
-/// and --resume refuses a manifest whose owner token names a different
+/// and resume refuses a manifest whose owner token names a different
 /// job/configuration — progress recorded for one chunk grid must never prune
 /// another job's work list. load() skips the header (and legacy manifests
 /// have none), so old files stay readable.

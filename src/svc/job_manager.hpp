@@ -19,7 +19,7 @@
 //     running one is cancelled cooperatively through the executor's cancel
 //     token — streams close, in-flight buffers drain into the loss
 //     inventory, the run throws fs::CancelledError, and the job's
-//     checkpoint manifest remains valid for --resume;
+//     checkpoint manifest remains valid for a resume;
 //   * retries: a failed attempt (filter error, injected fault) re-queues
 //     with exponential backoff, its fault-injection seed re-salted per
 //     attempt so the retry is deterministic but not doomed;

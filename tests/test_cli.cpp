@@ -151,8 +151,9 @@ TEST_F(CliTest, AnalyzeWritesMaps) {
 }
 
 TEST_F(CliTest, AnalyzeRefusesToResumeIntoCollectedMaps) {
-  // analyze --out assembles maps in memory from one run's samples: a resume
-  // that prunes chunks would write maps with holes, so it must fail before
+  // analyze --out assembles maps in memory from one run's samples, so it
+  // cannot resume: --resume is gone from the CLI (resume stays a library
+  // feature of the unstitched output), and asking for it fails before
   // touching the output directory.
   const std::string ds = small_dataset();
   const std::string ck = (dir_ / "ck").string();
@@ -163,8 +164,22 @@ TEST_F(CliTest, AnalyzeRefusesToResumeIntoCollectedMaps) {
 
   expect_rejected(
       analyze_small(ds, {"--checkpoint", ck, "--resume", "on", "--out", maps.string()}),
-      "resume needs the unstitched (USO) output");
+      "--resume was removed");
   expect_same_tree(before, maps);
+}
+
+TEST_F(CliTest, InfoAndAnalyzeRejectDimsTheSliceFilesDoNotBearOut) {
+  // A dataset.meta whose dims name 128 GB slices used to pass info and kill
+  // analyze with std::bad_alloc; both now exit 1 naming the mismatch.
+  const std::string ds = small_dataset();
+  {
+    std::ofstream meta(fsys::path(ds) / "dataset.meta", std::ios::trunc);
+    meta << "version 2\ndims 4000000000 16 4 3\ndtype u16\nrange 0 4000\n"
+         << "storage_nodes 2\nreplicas 1\n";
+  }
+  const std::string message = "128000000000-byte slices, but none of the";
+  expect_rejected(invoke({"info", ds}), message);
+  expect_rejected(analyze_small(ds, {}), message);
 }
 
 TEST_F(CliTest, SimulateReportsVirtualTime) {
@@ -344,9 +359,11 @@ TEST_F(CliTest, PlanRejectsUnknownValue) {
 }
 
 TEST_F(CliTest, ResumeRejectsUnknownValue) {
+  // The flag itself is unknown now, whatever its value.
   const std::string ds = small_dataset();
-  expect_rejected(analyze_small(ds, {"--resume", "yes"}),
-                  "--resume must be one of off|on, got 'yes'");
+  for (const char* value : {"yes", "on", "off"}) {
+    expect_rejected(analyze_small(ds, {"--resume", value}), "--resume was removed");
+  }
 }
 
 TEST_F(CliTest, ChecksumsRejectsUnknownValue) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <random>
 
 namespace h4d::io {
@@ -136,6 +137,42 @@ TEST_F(DatasetTest, MoreNodesThanSlicesStillWorks) {
   const DiskDataset ds = DiskDataset::create(root_, vol, 5);
   EXPECT_EQ(ds.read_all().storage(), vol.storage());
   EXPECT_TRUE(ds.node_reader(4).slices().empty());
+}
+
+TEST_F(DatasetTest, CheckSliceFilesRejectsDimsNoSliceFileBearsOut) {
+  // dims that fit int64 but name 128 GB slices: every read would allocate
+  // that much. The check refuses them with a typed error instead.
+  const auto vol = sample_volume({8, 8, 4, 3});
+  DiskDataset::create(root_, vol, 2);
+  const std::int64_t real = DiskDataset::open(root_).meta().slice_bytes();
+  {
+    std::ofstream meta(root_ / "dataset.meta", std::ios::trunc);
+    meta << "version 2\ndims 4000000000 16 4 3\ndtype u16\nrange 0 4000\n"
+         << "storage_nodes 2\nreplicas 1\n";
+  }
+  const DiskDataset ds = DiskDataset::open(root_);
+  try {
+    ds.check_slice_files();
+    FAIL() << "expected DatasetShapeError";
+  } catch (const DatasetShapeError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("128000000000-byte slices"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("none of the 12 indexed slice files"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(real) + " B"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(DatasetTest, CheckSliceFilesLeavesOneShortOrMissingSliceToTheReadPath) {
+  // A single damaged file is a read-time fault (retries, replicas, scrub),
+  // not a shape error: the check still passes.
+  const auto vol = sample_volume({8, 8, 4, 3});
+  const DiskDataset ds = DiskDataset::create(root_, vol, 2);
+  const fsys::path node0 = ds.node_dir(0);
+  const SliceRef first = ds.node_reader(0).slices().front();
+  fsys::resize_file(node0 / first.filename, 3);
+  EXPECT_NO_THROW(ds.check_slice_files());
+  fsys::remove(node0 / first.filename);
+  EXPECT_NO_THROW(ds.check_slice_files());
 }
 
 }  // namespace

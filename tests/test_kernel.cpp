@@ -572,6 +572,122 @@ TEST(KernelChunk, RejectsRoisLeavingTheChunk) {
                std::invalid_argument);
 }
 
+// ---- the moment path (Fast, Ng <= 64, <= 65,535 pairs) ----
+
+/// The paper features of one ROI from every producer of the moment path:
+/// the tile (features_fused), a received matrix (features_of) and the
+/// column path (features_of_rois). All three must give the same bits, and
+/// stay within the Fast bound of the Strict sweep. Returns the Fast values.
+FeatureVector check_moments(const Volume4<Level>& v, const Vec4& roi_dims,
+                            const std::vector<Vec4>& dirs, int ng, const std::string& what) {
+  const FeatureSet set = FeatureSet::paper_eval();
+  const Region4 roi{{0, 0, 0, 0}, roi_dims};
+  KernelScratch scratch(ng);
+  scratch.accumulate(v.view(), roi, dirs);
+  const FeatureVector strict = scratch.features_fused(set, nullptr, nullptr, SweepMode::Strict);
+  scratch.accumulate(v.view(), roi, dirs);
+  SparseGlcm matrix;
+  const FeatureVector fast = scratch.features_fused(set, nullptr, &matrix, SweepMode::Fast);
+  for (const Representation repr : {Representation::Sparse, Representation::Full}) {
+    const FeatureVector received = scratch.features_of(matrix, set, nullptr, SweepMode::Fast, repr);
+    EXPECT_EQ(std::memcmp(&received, &fast, sizeof fast), 0) << what << " features_of";
+  }
+  FeatureVector chunk;
+  scratch.features_of_rois(v.view(), Region4{{0, 0, 0, 0}, {1, 1, 1, 1}}, roi_dims, dirs, set,
+                           nullptr, SweepMode::Fast, Representation::Sparse,
+                           [&](std::int64_t, const FeatureVector& fv) { chunk = fv; });
+  EXPECT_EQ(std::memcmp(&chunk, &fast, sizeof fast), 0) << what << " features_of_rois";
+  for (int f = 0; f < kNumFeatures; ++f) {
+    const auto feat = static_cast<Feature>(f);
+    EXPECT_NEAR(fast[feat], strict[feat], 1e-9 * std::max(1.0, std::abs(strict[feat])))
+        << feature_name(feat) << " " << what;
+  }
+  return fast;
+}
+
+TEST(Kernel, MomentFeaturesMatchStrictWithinUlpBound) {
+  // The same bound as FastSweepMatchesStrictWithinUlpBound, on random ROIs
+  // with extents of 1 (directions that step along them find no pair),
+  // random unit directions, and constant and near-constant regions.
+  std::mt19937_64 rng(4231);
+  const auto units = unit_directions();
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int trial = 0;
+  for (const int ng : {2, 7, 32, 64}) {
+    for (int rep = 0; rep < 8; ++rep, ++trial) {
+      Vec4 roi_dims;
+      for (int k = 0; k < kDims; ++k) roi_dims[k] = pick(1, k < 2 ? 6 : 3);
+      std::vector<Vec4> dirs;
+      for (const Vec4& d : units) {
+        if (pick(0, 3) == 0) dirs.push_back(d);
+      }
+      if (dirs.empty()) dirs.push_back(units[static_cast<std::size_t>(pick(0, 79))]);
+      const std::string what = "ng=" + std::to_string(ng) + " roi=" + roi_dims.str() +
+                               " dirs=" + std::to_string(dirs.size());
+
+      check_moments(random_volume(roi_dims, ng, static_cast<unsigned>(900 + trial)), roi_dims,
+                    dirs, ng, what + " random");
+      // A constant region: var = 0, so correlation is exactly 1.
+      const auto level = static_cast<Level>(pick(0, ng - 1));
+      Volume4<Level> flat(roi_dims, level);
+      const FeatureVector fv = check_moments(flat, roi_dims, dirs, ng, what + " constant");
+      EXPECT_EQ(fv[Feature::Correlation], 1.0) << what;
+      EXPECT_EQ(fv[Feature::SumOfSquaresVariance], 0.0) << what;
+      // Near-constant: one voxel moved to another level.
+      flat.at(Vec4{pick(0, roi_dims[0] - 1), pick(0, roi_dims[1] - 1),
+                   pick(0, roi_dims[2] - 1), pick(0, roi_dims[3] - 1)}) =
+          static_cast<Level>((level + pick(1, ng - 1)) % ng);
+      check_moments(flat, roi_dims, dirs, ng, what + " near-constant");
+    }
+  }
+}
+
+TEST(Kernel, MomentFeaturesExactNearTheUint16Limit) {
+  // 61,440 pairs: the largest windows the moment path takes, where a single
+  // bin holds them all (constant) or nearly all (near-constant).
+  const Vec4 roi_dims{16, 16, 16, 16};
+  const std::vector<Vec4> dirs{Vec4{1, 0, 0, 0}};
+  Volume4<Level> v(roi_dims, 40);
+  const FeatureVector fv = check_moments(v, roi_dims, dirs, 64, "constant");
+  EXPECT_EQ(fv[Feature::AngularSecondMoment], 1.0);
+  EXPECT_EQ(fv[Feature::Correlation], 1.0);
+  EXPECT_EQ(fv[Feature::InverseDifferenceMoment], 1.0);
+  v.at(Vec4{3, 5, 7, 9}) = 63;
+  v.at(Vec4{0, 0, 0, 0}) = 0;
+  check_moments(v, roi_dims, dirs, 64, "near-constant");
+  check_moments(random_volume(roi_dims, 3, 88), roi_dims, dirs, 3, "random");
+}
+
+TEST(Kernel, MomentPathCreditsTheSweepsWorkCounters) {
+  // Credits stay in reference units: with the sweep skipped, the moment
+  // pass credits what the sweep would have, per producer and representation.
+  const int ng = 32;
+  const auto v = random_volume({9, 9, 4, 3}, ng, 79);
+  const auto dirs = unique_directions(ActiveDims::all4());
+  const Region4 roi{{0, 0, 0, 0}, {7, 7, 3, 3}};
+  const FeatureSet set = FeatureSet::paper_eval();
+  KernelScratch scratch(ng);
+  for (const Representation repr : {Representation::Sparse, Representation::Full}) {
+    WorkCounters strict_wc, fast_wc, strict_rx, fast_rx;
+    scratch.accumulate(v.view(), roi, dirs);
+    SparseGlcm matrix;
+    scratch.features_fused(set, &strict_wc, &matrix, SweepMode::Strict, repr);
+    scratch.accumulate(v.view(), roi, dirs);
+    scratch.features_fused(set, &fast_wc, nullptr, SweepMode::Fast, repr);
+    scratch.features_of(matrix, set, &strict_rx, SweepMode::Strict, repr);
+    scratch.features_of(matrix, set, &fast_rx, SweepMode::Fast, repr);
+    for (const auto& [got, want] : {std::pair{fast_wc, strict_wc}, std::pair{fast_rx, strict_rx}}) {
+      EXPECT_EQ(got.sparse_entries_emitted, want.sparse_entries_emitted);
+      EXPECT_EQ(got.sparse_compress_cells, want.sparse_compress_cells);
+      EXPECT_EQ(got.feature_cells_scanned, want.feature_cells_scanned);
+      EXPECT_EQ(got.feature_cell_ops, want.feature_cell_ops);
+    }
+    EXPECT_GT(fast_wc.feature_cell_ops, 0);
+  }
+}
+
 TEST(Glcm, FromDenseSkipsEmptyRowsViaOccupancyBitmap) {
   // Build a matrix with many empty rows through set_raw and check the
   // compressed form is exactly the brute-force scan.

@@ -334,5 +334,15 @@ TEST(MalformedPacket, DenseCountsDisagreeWithTotal) {
   expect_malformed(packet(Representation::Full, dense_body(4, 11, kDense)));
 }
 
+TEST(MalformedPacket, OddDiagonalCount) {
+  // A diagonal cell counts each of its pairs twice, so its count is even.
+  // The counts still sum to the total: only the parity is wrong.
+  expect_malformed(packet(Representation::Sparse, sparse_body(4, 9, {{0, 0, 1}, {0, 1, 3},
+                                                                     {2, 3, 1}})));
+  std::vector<std::uint32_t> counts = kDense;
+  counts[0] = 1;  // (0,0)
+  expect_malformed(packet(Representation::Full, dense_body(4, 9, counts)));
+}
+
 }  // namespace
 }  // namespace h4d::filters

@@ -107,30 +107,64 @@ TEST_F(E2EFixture, HmpSparseRepresentationMatchesReference) {
 }
 
 TEST_F(E2EFixture, HmpAndSplitAreByteIdenticalForEveryRepresentationAndSweep) {
-  // HMP sweeps the tile's entry list; HPC sweeps the same list read off the
-  // wire in either format. Same entries, same sweep: the maps match bit for
-  // bit, not just to tolerance.
+  // HMP evaluates each ROI from its column-path bin window; HPC evaluates
+  // the same matrix read off the wire in either format. Same matrix, same
+  // sweep and (in Fast mode) same moment pass: the maps match bit for bit,
+  // not just to tolerance, for the paper's set (moments only), all 14
+  // features (sweep, then moments) and a mixed set.
   PipelineConfig hmp = base_config(2);
-  hmp.engine.features = haralick::FeatureSet::all();
   hmp.variant = Variant::HMP;
   hmp.hmp_copies = 2;
-  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
-    for (const SweepMode mode : {SweepMode::Fast, SweepMode::Strict}) {
-      hmp.engine.representation = repr;
-      hmp.engine.sweep_mode = mode;
-      PipelineConfig split = hmp;
-      split.variant = Variant::Split;
-      split.hcc_copies = 2;
-      split.hpc_copies = 2;
-      const AnalysisResult a = analyze_threaded(hmp);
-      const AnalysisResult b = analyze_threaded(split);
-      ASSERT_EQ(a.maps.size(), static_cast<std::size_t>(haralick::kNumFeatures));
-      ASSERT_EQ(a.maps.size(), b.maps.size());
-      for (const auto& [f, map] : a.maps) {
-        EXPECT_EQ(map.storage(), b.maps.at(f).storage())
-            << haralick::feature_name(f) << " repr=" << static_cast<int>(repr)
-            << " strict=" << (mode == SweepMode::Strict);
+  using haralick::Feature;
+  using haralick::FeatureSet;
+  for (const FeatureSet set : {FeatureSet::paper_eval(), FeatureSet::all(),
+                               FeatureSet{Feature::AngularSecondMoment, Feature::Entropy}}) {
+    for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+      for (const SweepMode mode : {SweepMode::Fast, SweepMode::Strict}) {
+        hmp.engine.features = set;
+        hmp.engine.representation = repr;
+        hmp.engine.sweep_mode = mode;
+        PipelineConfig split = hmp;
+        split.variant = Variant::Split;
+        split.hcc_copies = 2;
+        split.hpc_copies = 2;
+        const AnalysisResult a = analyze_threaded(hmp);
+        const AnalysisResult b = analyze_threaded(split);
+        ASSERT_EQ(a.maps.size(), static_cast<std::size_t>(set.count()));
+        ASSERT_EQ(a.maps.size(), b.maps.size());
+        for (const auto& [f, map] : a.maps) {
+          EXPECT_EQ(map.storage(), b.maps.at(f).storage())
+              << haralick::feature_name(f) << " set=" << set.mask()
+              << " repr=" << static_cast<int>(repr)
+              << " strict=" << (mode == SweepMode::Strict);
+        }
       }
+    }
+  }
+}
+
+TEST_F(E2EFixture, MomentFeatureMapsDoNotDependOnTheSelection) {
+  // f1 alone takes the moment pass only; within all 14 features the sweep
+  // runs too and the moments overwrite f1, f3, f4 and f5. Either way a
+  // feature's map is the same bits, on both variants.
+  using haralick::Feature;
+  using haralick::FeatureSet;
+  PipelineConfig cfg = base_config(2);
+  cfg.hmp_copies = 2;
+  cfg.hcc_copies = 2;
+  cfg.hpc_copies = 2;
+  for (const Variant variant : {Variant::HMP, Variant::Split}) {
+    cfg.variant = variant;
+    cfg.engine.features = FeatureSet{Feature::AngularSecondMoment};
+    const AnalysisResult alone = analyze_threaded(cfg);
+    cfg.engine.features = FeatureSet::paper_eval();
+    const AnalysisResult paper = analyze_threaded(cfg);
+    cfg.engine.features = FeatureSet::all();
+    const AnalysisResult all = analyze_threaded(cfg);
+    EXPECT_EQ(alone.maps.at(Feature::AngularSecondMoment).storage(),
+              all.maps.at(Feature::AngularSecondMoment).storage());
+    for (const auto& [f, map] : paper.maps) {
+      EXPECT_EQ(map.storage(), all.maps.at(f).storage()) << haralick::feature_name(f);
     }
   }
 }

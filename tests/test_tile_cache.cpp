@@ -524,13 +524,20 @@ TEST_F(CacheE2E, ResumedRunWithCacheStaysByteIdentical) {
   const fs::RunStats resumed = fs::run_threaded(core::build_pipeline(cfg, params, nullptr));
   std::int64_t resumed_chunks = 0;
   std::int64_t written = 0;
+  std::int64_t lookups = 0;
+  std::int64_t disk_read = 0;
   for (const auto& copy : resumed.copies) {
     resumed_chunks += copy.meter.chunks_resumed;
     written += copy.meter.disk_bytes_written;
+    lookups += copy.meter.cache_hits + copy.meter.cache_misses;
+    disk_read += copy.meter.disk_bytes_read;
   }
   EXPECT_GT(resumed_chunks, 0);
   EXPECT_EQ(resumed_chunks, params->chunks_resumed);
   EXPECT_EQ(written, 0);
+  // No remaining chunk needs any slice, so none is read.
+  EXPECT_EQ(lookups, 0);
+  EXPECT_EQ(disk_read, 0);
 }
 
 }  // namespace
