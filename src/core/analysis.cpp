@@ -1,7 +1,6 @@
 #include "core/analysis.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 
 #if defined(__GLIBC__)
@@ -108,13 +107,7 @@ AnalysisResult analyze_in_memory(const Volume4<std::uint16_t>& volume,
   r.origins = roi_origin_region(volume.dims(), engine.roi_dims);
   for (const auto& b : blocks) {
     Volume4<float> map = haralick::assemble_feature_map({&b}, r.origins);
-    float lo = std::numeric_limits<float>::infinity();
-    float hi = -lo;
-    for (float v : map.storage()) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    r.ranges.emplace(b.feature, std::pair<float, float>(lo, hi));
+    r.ranges.emplace(b.feature, filters::value_range(map.storage()));
     r.maps.emplace(b.feature, std::move(map));
   }
   return r;

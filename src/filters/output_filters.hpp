@@ -9,6 +9,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <utility>
 
 #include "filters/params.hpp"
 #include "filters/payloads.hpp"
@@ -50,6 +52,11 @@ class HaralickImageConstructor final : public fs::Filter {
   std::map<int, fs::BufferPtr> maps_;  ///< FeatureMap buffers, by feature
 };
 
+/// Min and max of `values`, bit-identical to the serial `std::min(lo, v)` /
+/// `std::max(hi, v)` loop from (+inf, -inf): NaNs are skipped, a zero bound
+/// keeps the sign of the first zero, and an empty span gives (+inf, -inf).
+std::pair<float, float> value_range(std::span<const float> values);
+
 /// Thread-safe destination for assembled feature maps (library API sink).
 struct CollectedResults {
   std::mutex mu;
@@ -57,7 +64,9 @@ struct CollectedResults {
   std::map<haralick::Feature, std::pair<float, float>> ranges;
 };
 
-/// Sink filter storing FeatureMap buffers into a CollectedResults.
+/// Sink filter storing FeatureMap buffers into a CollectedResults: it moves
+/// each buffer's map into `maps` (no allocation, no copy) and records its
+/// value_range.
 class ResultCollector final : public fs::Filter {
  public:
   ResultCollector(ParamsPtr params, std::shared_ptr<CollectedResults> out)

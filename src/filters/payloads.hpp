@@ -6,7 +6,8 @@
 // MatrixPacket   : u32 count, then `count` serialized co-occurrence matrices
 //                  (full or sparse per header.aux = Representation)
 // FeatureValues  : array of FeatureSample; header.feature set
-// FeatureMap     : float values of the full origin region (header.region)
+// FeatureMap     : no byte payload; the buffer's feature_map holds the float
+//                  values of the full origin region (header.region)
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "nd/region.hpp"
+#include "nd/volume4.hpp"
 
 namespace h4d::fs {
 
@@ -51,10 +52,17 @@ class DataBuffer {
 
   BufferHeader header;
   std::vector<std::byte> payload;
+  /// A FeatureMap's values, held as the map the caller receives so the sink
+  /// takes it over by move instead of copying a byte payload. Empty for
+  /// every other kind.
+  Volume4<float> feature_map;
 
-  std::size_t payload_bytes() const { return payload.size(); }
-  /// Bytes that travel on a remote stream: header + payload.
-  std::size_t wire_bytes() const { return sizeof(BufferHeader) + payload.size(); }
+  /// Data bytes the buffer carries: the payload plus a FeatureMap's values.
+  std::size_t payload_bytes() const {
+    return payload.size() + feature_map.storage().size() * sizeof(float);
+  }
+  /// Bytes that travel on a remote stream: header + payload_bytes().
+  std::size_t wire_bytes() const { return sizeof(BufferHeader) + payload_bytes(); }
 
   /// Typed write access to the payload, resizing it to n elements of T.
   template <typename T>

@@ -181,6 +181,9 @@ class ThreadedContext final : public FilterContext {
   void deliver_to(EdgeRuntime& e, CopyRuntime* dst, const BufferPtr& buffer,
                   bool reroute) {
     const int port = e.spec->port;
+    // Sized before the push: once delivered, the consumer owns the buffer and
+    // may take its contents (the Collector moves a FeatureMap's map out).
+    const auto bytes = static_cast<std::int64_t>(buffer->wire_bytes());
     const auto push_start = Clock::now();
     CopyRuntime* target = dst;
     bool delivered = false;
@@ -224,7 +227,7 @@ class ThreadedContext final : public FilterContext {
       return;
     }
     self_->stats.meter.buffers_out++;
-    self_->stats.meter.bytes_out += static_cast<std::int64_t>(buffer->wire_bytes());
+    self_->stats.meter.bytes_out += bytes;
     // A completed handoff is progress: refresh the heartbeat so a copy that
     // is slow only because of downstream backpressure is not declared hung.
     if (self_->busy_since_ns.load(std::memory_order_relaxed) >= 0) {
@@ -233,7 +236,7 @@ class ThreadedContext final : public FilterContext {
     if (trace_ != nullptr) {
       trace_->instant(self_->group, self_->copy, "handoff:" + target->stats.filter,
                       seconds_since(t0_, push_end),
-                      {{"bytes", static_cast<std::int64_t>(buffer->wire_bytes())},
+                      {{"bytes", bytes},
                        {"to_copy", target->copy}});
       trace_->counter(target->group,
                       "inbox:" + target->stats.filter + "#" +

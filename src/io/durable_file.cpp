@@ -3,9 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 namespace h4d::io {
 
@@ -85,25 +91,83 @@ void fsync_directory(const std::filesystem::path& dir) {
 
 void atomic_write_file(const std::filesystem::path& path, const void* data,
                        std::size_t n) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  try {
-    {
-      Fd f{::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
-      if (f.fd < 0) {
-        throw WriteError(tmp, static_cast<std::int64_t>(n), errno, "open");
+  const FileWrite file{path, data, n};
+  atomic_write_files({&file, 1});
+}
+
+void atomic_write_files(std::span<const FileWrite> files) {
+  if (files.empty()) return;
+  std::vector<std::filesystem::path> tmps;
+  tmps.reserve(files.size());
+  for (const FileWrite& f : files) tmps.push_back(f.path.string() + ".tmp");
+  // opened[i]: this call created (or truncated) tmps[i], so cleanup owns it.
+  // Each index is written by the one worker that claimed it and read after
+  // the join.
+  std::vector<char> opened(files.size(), 0);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex mu;
+  std::exception_ptr first_error;
+  const auto fail = [&](std::exception_ptr e) {
+    std::lock_guard lk(mu);
+    if (!first_error) first_error = std::move(e);
+    failed.store(true, std::memory_order_relaxed);
+  };
+  const auto worker = [&] {
+    for (;;) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= files.size()) return;
+      const auto n = static_cast<std::int64_t>(files[i].size);
+      try {
+        Fd f{::open(tmps[i].c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
+        if (f.fd < 0) throw WriteError(tmps[i], n, errno, "open");
+        opened[i] = 1;
+        write_fully(f.fd, tmps[i], files[i].data, files[i].size);
+        fsync_or_throw(f.fd, tmps[i], n);
+      } catch (...) {
+        fail(std::current_exception());
+        return;
       }
-      write_fully(f.fd, tmp, data, n);
-      fsync_or_throw(f.fd, tmp, static_cast<std::int64_t>(n));
     }
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      throw WriteError(path, static_cast<std::int64_t>(n), errno, "rename");
+  };
+  const std::size_t workers =
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, files.size());
+  {
+    std::vector<std::jthread> threads;
+    try {
+      for (std::size_t k = 1; k < workers; ++k) threads.emplace_back(worker);
+    } catch (...) {
+      fail(std::current_exception());  // no thread to spare: stop the batch
     }
-    fsync_directory(path.parent_path());
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
+    worker();
+  }  // joins
+
+  const auto remove_tmps = [&](std::size_t from) {
+    for (std::size_t i = from; i < files.size(); ++i) {
+      if (opened[i] == 0) continue;
+      std::error_code ec;
+      std::filesystem::remove(tmps[i], ec);
+    }
+  };
+  if (first_error) {
+    remove_tmps(0);
+    std::rethrow_exception(first_error);
   }
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (::rename(tmps[i].c_str(), files[i].path.c_str()) != 0) {
+      const int err = errno;
+      remove_tmps(i);
+      throw WriteError(files[i].path, static_cast<std::int64_t>(files[i].size), err,
+                       "rename");
+    }
+  }
+  std::vector<std::filesystem::path> dirs;
+  for (const FileWrite& f : files) {
+    std::filesystem::path dir = f.path.parent_path();
+    if (std::find(dirs.begin(), dirs.end(), dir) == dirs.end()) dirs.push_back(std::move(dir));
+  }
+  for (const std::filesystem::path& dir : dirs) fsync_directory(dir);
 }
 
 void append_durable(const std::filesystem::path& path, const void* data, std::size_t n) {

@@ -9,15 +9,21 @@
 
 namespace h4d::io {
 
+namespace {
+
+std::string pgm_header(std::int64_t width, std::int64_t height) {
+  return "P5\n" + std::to_string(width) + ' ' + std::to_string(height) + "\n255\n";
+}
+
+}  // namespace
+
 void write_pgm(const std::filesystem::path& path, std::int64_t width, std::int64_t height,
                const std::uint8_t* pixels) {
   if (width <= 0 || height <= 0) throw std::invalid_argument("write_pgm: bad dimensions");
   // Assemble in memory, then tmp + fsync + rename: a crash mid-write leaves
   // the previous image (or nothing), never a torn file a resumed run trusts.
   // Storage failures surface as typed WriteError (ENOSPC etc.).
-  std::ostringstream header;
-  header << "P5\n" << width << ' ' << height << "\n255\n";
-  const std::string& h = header.str();
+  const std::string h = pgm_header(width, height);
   std::vector<std::uint8_t> file(h.size() + static_cast<std::size_t>(width * height));
   std::copy(h.begin(), h.end(), file.begin());
   std::copy(pixels, pixels + width * height, file.begin() + static_cast<std::ptrdiff_t>(h.size()));
@@ -46,25 +52,34 @@ int write_feature_map_images(const std::filesystem::path& dir, const std::string
   std::filesystem::create_directories(dir);
   const Vec4 d = map.dims();
   const float range = vmax - vmin;
-  std::vector<std::uint8_t> img(static_cast<std::size_t>(d[0] * d[1]));
-  int written = 0;
+  const std::string header = pgm_header(d[0], d[1]);
+  const auto pixels = static_cast<std::size_t>(d[0] * d[1]);
+  const std::size_t file_bytes = header.size() + pixels;
+  const auto slices = static_cast<std::size_t>(d[2] * d[3]);
+  // Every file of the series, back to back; slice s = t * nz + z is the
+  // contiguous run of map storage at s * pixels.
+  std::vector<std::uint8_t> series(slices * file_bytes);
+  std::vector<FileWrite> files;
+  files.reserve(slices);
   for (std::int64_t t = 0; t < d[3]; ++t) {
     for (std::int64_t z = 0; z < d[2]; ++z) {
-      for (std::int64_t y = 0; y < d[1]; ++y) {
-        for (std::int64_t x = 0; x < d[0]; ++x) {
-          float v = range > 0.0f ? (map.at(x, y, z, t) - vmin) / range : 0.0f;
-          v = std::clamp(v, 0.0f, 1.0f);
-          img[static_cast<std::size_t>(y * d[0] + x)] =
-              static_cast<std::uint8_t>(v * 255.0f + 0.5f);
-        }
+      const auto s = static_cast<std::size_t>(t * d[2] + z);
+      const float* src = map.data() + s * pixels;
+      std::uint8_t* file = series.data() + s * file_bytes;
+      std::copy(header.begin(), header.end(), file);
+      std::uint8_t* img = file + header.size();
+      for (std::size_t i = 0; i < pixels; ++i) {
+        float v = range > 0.0f ? (src[i] - vmin) / range : 0.0f;
+        v = std::clamp(v, 0.0f, 1.0f);
+        img[i] = static_cast<std::uint8_t>(v * 255.0f + 0.5f);
       }
-      const std::string name =
-          prefix + "_t" + std::to_string(t) + "_z" + std::to_string(z) + ".pgm";
-      write_pgm(dir / name, d[0], d[1], img.data());
-      ++written;
+      files.push_back({dir / (prefix + "_t" + std::to_string(t) + "_z" + std::to_string(z) +
+                              ".pgm"),
+                       file, file_bytes});
     }
   }
-  return written;
+  atomic_write_files(files);
+  return static_cast<int>(slices);
 }
 
 CsvWriter::CsvWriter(std::vector<std::string> columns) : columns_(std::move(columns)) {

@@ -25,7 +25,10 @@ std::vector<std::uint8_t> read_pgm(const std::filesystem::path& path, std::int64
 /// paper's JIW filter normalizes to [0, 1]: 0 -> black, 1 -> white) and write
 /// it as a series of 2D PGM slices named
 ///   <prefix>_t<k>_z<k>.pgm
-/// under `dir`. Returns the number of images written.
+/// under `dir`, as one atomic_write_files batch (durable when this returns;
+/// if a slice cannot be
+/// written, no file of the series is replaced). Returns the number of
+/// images written.
 int write_feature_map_images(const std::filesystem::path& dir, const std::string& prefix,
                              const Volume4<float>& map, float vmin, float vmax);
 

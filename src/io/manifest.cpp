@@ -152,8 +152,10 @@ ChunkCompletionTracker::ChunkCompletionTracker(
     grid_[d] = (origins.size[d] + step_[d] - 1) / step_[d];
   }
   remaining_.resize(chunks.size(), 0);
+  owned_.resize(chunks.size());
   for (const Chunk& c : chunks) {
     const auto idx = static_cast<std::size_t>(c.id);
+    owned_[idx] = c.owned_origins;
     if (completed.count(c.id) != 0) {
       remaining_[idx] = 0;  // resumed: done before this run started
       completed_++;
@@ -171,15 +173,28 @@ std::int64_t ChunkCompletionTracker::chunk_of(const Vec4& origin) const {
   return id;
 }
 
-void ChunkCompletionTracker::note_origin(const Vec4& origin) {
-  const std::int64_t id = chunk_of(origin);
-  std::lock_guard lk(mu_);
+void ChunkCompletionTracker::credit(std::int64_t id, std::int64_t n) {
   if (id < 0 || static_cast<std::size_t>(id) >= remaining_.size()) return;
   auto& left = remaining_[static_cast<std::size_t>(id)];
   if (left <= 0) return;  // already complete (duplicate replay after resume)
-  if (--left == 0) {
+  left -= n;
+  if (left <= 0) {
     completed_++;
     if (manifest_) manifest_->record(id);
+  }
+}
+
+void ChunkCompletionTracker::note_origin(const Vec4& origin) {
+  const std::int64_t id = chunk_of(origin);
+  std::lock_guard lk(mu_);
+  credit(id, 1);
+}
+
+void ChunkCompletionTracker::note_region(const Region4& region) {
+  std::lock_guard lk(mu_);
+  for (std::size_t id = 0; id < owned_.size(); ++id) {
+    const std::int64_t n = owned_[id].intersect(region).volume();
+    if (n > 0) credit(static_cast<std::int64_t>(id), n);
   }
 }
 

@@ -92,13 +92,21 @@ class ChunkCompletionTracker {
   /// completion (a resumed run may replay samples already on disk).
   void note_origin(const Vec4& origin);
 
+  /// Note one sample at every origin of `region` (a whole feature map, say):
+  /// each chunk is credited its owned origins' intersection with `region`,
+  /// all under one lock. Same completion rule as note_origin.
+  void note_region(const Region4& region);
+
   std::int64_t chunks_completed() const;
 
  private:
   std::int64_t chunk_of(const Vec4& origin) const;
+  /// Subtract `n` samples from chunk `id`; caller holds mu_.
+  void credit(std::int64_t id, std::int64_t n);
 
   Vec4 step_;
   Vec4 grid_;
+  std::vector<Region4> owned_;  ///< owned origins, per id
   std::shared_ptr<ChunkManifest> manifest_;
   mutable std::mutex mu_;
   std::vector<std::int64_t> remaining_;  ///< samples until complete, per id

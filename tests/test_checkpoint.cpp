@@ -152,6 +152,95 @@ TEST_F(CheckpointFixture, TrackerSkipsPreCompletedChunks) {
   EXPECT_EQ(tracker.chunks_completed(), 1);  // counted done from the start
 }
 
+TEST_F(CheckpointFixture, TrackerCreditsRegionsAsItsOrigins) {
+  // note_region(r) is note_origin over every origin of r: a chunk goes into
+  // the manifest when its last feature's region covers its last origin, and
+  // once only, in either form.
+  const Vec4 dims{10, 8, 4, 4}, chunk{6, 6, 4, 4}, roi{3, 3, 2, 2};
+  const auto chunks = partition_overlapping(dims, chunk, roi);
+  ASSERT_GT(chunks.size(), 1u);
+  const Region4 origins = roi_origin_region(dims, roi);
+  const std::int64_t features = 2;
+  auto by_region = std::make_shared<ChunkManifest>(root_ / "region.txt");
+  ChunkCompletionTracker tracker(chunks, dims, chunk, roi, features, by_region);
+
+  // Feature 0 over the whole map, then feature 1 in two halves split along
+  // x through the middle of the chunk grid.
+  tracker.note_region(origins);
+  EXPECT_TRUE(ChunkManifest::load(root_ / "region.txt").empty());
+  Region4 left = origins;
+  left.size[0] = origins.size[0] / 2;
+  Region4 right = origins;
+  right.origin[0] = left.size[0];
+  right.size[0] = origins.size[0] - left.size[0];
+  tracker.note_region(left);
+  std::vector<std::int64_t> done_left;
+  for (const Chunk& c : chunks) {
+    if (left.contains(c.owned_origins)) done_left.push_back(c.id);
+  }
+  auto recorded = ChunkManifest::load(root_ / "region.txt");
+  std::sort(recorded.begin(), recorded.end());
+  EXPECT_EQ(recorded, done_left);
+  tracker.note_region(right);
+  tracker.note_region(origins);  // replay past completion: no new records
+  tracker.note_region(Region4{{-5, 0, 0, 0}, {2, 1, 1, 1}});  // outside the grid
+  EXPECT_EQ(tracker.chunks_completed(), static_cast<std::int64_t>(chunks.size()));
+
+  recorded = ChunkManifest::load(root_ / "region.txt");
+  std::sort(recorded.begin(), recorded.end());
+  std::vector<std::int64_t> all_ids;
+  for (const Chunk& c : chunks) all_ids.push_back(c.id);
+  std::sort(all_ids.begin(), all_ids.end());
+  EXPECT_EQ(recorded, all_ids);  // every chunk, exactly once
+}
+
+TEST_F(CheckpointFixture, CollectModeCheckpointRecordsEveryChunkOnce) {
+  // A Collect-mode run (what `h4d analyze --checkpoint` runs) credits each
+  // collected map as a region: the manifest names every chunk exactly once,
+  // the same ids the per-sample USO path records.
+  io::PhantomConfig pcfg;
+  pcfg.dims = {20, 18, 6, 5};
+  pcfg.seed = 5;
+  const fsys::path ds = root_ / "ds";
+  io::DiskDataset::create(ds, io::generate_phantom(pcfg).volume, 2);
+
+  core::PipelineConfig cfg;
+  cfg.dataset_root = ds;
+  cfg.engine.roi_dims = {5, 5, 3, 3};
+  cfg.engine.num_levels = 16;
+  cfg.engine.features = haralick::FeatureSet::paper_eval();
+  cfg.texture_chunk = {10, 10, 5, 4};
+  cfg.rfr_copies = 2;
+  cfg.variant = core::Variant::HMP;
+  cfg.hmp_copies = 2;
+
+  cfg.output = core::OutputMode::Collect;
+  cfg.checkpoint_path = root_ / "collect.txt";
+  auto collected = std::make_shared<filters::CollectedResults>();
+  auto params = core::make_params(cfg);
+  const std::size_t total_chunks = params->chunks.size();
+  ASSERT_GT(total_chunks, 2u);
+  fs::run_threaded(core::build_pipeline(cfg, params, collected));
+  EXPECT_EQ(collected->maps.size(), 4u);
+  EXPECT_EQ(params->completion->chunks_completed(),
+            static_cast<std::int64_t>(total_chunks));
+
+  cfg.output = core::OutputMode::Unstitched;
+  cfg.output_dir = root_ / "uso";
+  cfg.checkpoint_path = root_ / "uso.txt";
+  fs::run_threaded(core::build_pipeline(cfg, core::make_params(cfg), nullptr));
+
+  auto collect_ids = ChunkManifest::load(root_ / "collect.txt");
+  auto uso_ids = ChunkManifest::load(root_ / "uso.txt");
+  std::sort(collect_ids.begin(), collect_ids.end());
+  std::sort(uso_ids.begin(), uso_ids.end());
+  std::vector<std::int64_t> all_ids;
+  for (const Chunk& c : params->chunks) all_ids.push_back(c.id);
+  std::sort(all_ids.begin(), all_ids.end());
+  EXPECT_EQ(collect_ids, all_ids);
+  EXPECT_EQ(collect_ids, uso_ids);
+}
+
 // --- end-to-end resume ----------------------------------------------------
 
 /// Reads every USO sample file in `dir` and places the samples into one map

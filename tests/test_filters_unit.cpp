@@ -1,7 +1,9 @@
 // Unit tests of the pipeline filters in isolation, with a mock context.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <random>
 #include <set>
@@ -276,7 +278,8 @@ TEST_F(FilterUnitTest, HicAssemblesAndEmitsCompleteMaps) {
   const auto maps = ctx.of_kind(BufferKind::FeatureMap);
   ASSERT_EQ(maps.size(), 1u);
   EXPECT_EQ(maps[0]->header.region, origins);
-  const auto values = maps[0]->as<float>();
+  EXPECT_EQ(maps[0]->feature_map.dims(), origins.size);
+  const std::vector<float>& values = maps[0]->feature_map.storage();
   ASSERT_EQ(static_cast<std::int64_t>(values.size()), origins.volume());
   EXPECT_FLOAT_EQ(values[0], 0.0f);
   EXPECT_FLOAT_EQ(values[values.size() - 1], static_cast<float>(origins.volume() - 1));
@@ -303,8 +306,9 @@ TEST_F(FilterUnitTest, JiwWritesNormalizedSeries) {
   h.feature = static_cast<int>(Feature::Contrast);
   h.region = origins;
   auto buf = fs::make_buffer(h);
-  auto span = buf->alloc_as<float>(static_cast<std::size_t>(origins.volume()));
-  for (std::size_t i = 0; i < span.size(); ++i) span[i] = static_cast<float>(i);
+  buf->feature_map = Volume4<float>(origins.size);
+  std::vector<float>& values = buf->feature_map.storage();
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<float>(i);
 
   auto collected = std::make_shared<CollectedResults>();
   MockContext ctx;
@@ -327,6 +331,141 @@ TEST_F(FilterUnitTest, JiwWritesNormalizedSeries) {
   std::int64_t w = 0, ht = 0;
   EXPECT_EQ(io::read_pgm(out / "contrast_t0_z0.pgm", w, ht).front(), 0);
   EXPECT_EQ(io::read_pgm(out / "contrast_t1_z1.pgm", w, ht).back(), 255);
+}
+
+TEST_F(FilterUnitTest, CollectorKeepsTheStorageHicStitchedInto) {
+  // HIC stitches into the Volume4 its FeatureMap buffer carries; the
+  // Collector moves that object into CollectedResults, so the collected
+  // map's storage is the very array HIC wrote (no allocation, no copy).
+  MockContext hic_ctx;
+  HaralickImageConstructor hic(params_);
+  const Region4 origins = roi_origin_region(params_->meta.dims, params_->engine.roi_dims);
+  fs::BufferHeader h;
+  h.kind = BufferKind::FeatureValues;
+  h.feature = static_cast<int>(Feature::Correlation);
+  auto buf = fs::make_buffer(h);
+  auto span = buf->alloc_as<FeatureSample>(static_cast<std::size_t>(origins.volume()));
+  std::int64_t i = 0;
+  for (const Vec4& p : raster(origins)) {
+    span[static_cast<std::size_t>(i)] = FeatureSample::make(p, 0.5f * static_cast<float>(i));
+    ++i;
+  }
+  hic.process(kPortFeatures, buf, hic_ctx);
+  hic.flush(hic_ctx);
+  const auto maps = hic_ctx.of_kind(BufferKind::FeatureMap);
+  ASSERT_EQ(maps.size(), 1u);
+  const float* stitched = maps[0]->feature_map.data();
+  const std::size_t wire = maps[0]->wire_bytes();
+  EXPECT_EQ(wire, sizeof(fs::BufferHeader) +
+                      static_cast<std::size_t>(origins.volume()) * sizeof(float));
+
+  auto collected = std::make_shared<CollectedResults>();
+  MockContext ctx;
+  ResultCollector collector(params_, collected);
+  collector.process(kPortMaps, maps[0], ctx);
+  ASSERT_EQ(collected->maps.count(Feature::Correlation), 1u);
+  const Volume4<float>& map = collected->maps.at(Feature::Correlation);
+  EXPECT_EQ(map.data(), stitched);  // same storage, moved
+  EXPECT_EQ(map.dims(), origins.size);
+  EXPECT_EQ(map.storage().back(), 0.5f * static_cast<float>(origins.volume() - 1));
+  EXPECT_TRUE(maps[0]->feature_map.storage().empty());  // taken, not shared
+  EXPECT_EQ(collected->ranges.at(Feature::Correlation),
+            (std::pair<float, float>(0.0f, 0.5f * static_cast<float>(origins.volume() - 1))));
+}
+
+/// The serial loop the Collector used to run, as the reference for
+/// value_range.
+std::pair<float, float> serial_range(const std::vector<float>& values) {
+  float lo = std::numeric_limits<float>::infinity();
+  float hi = -lo;
+  for (float v : values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return {lo, hi};
+}
+
+std::uint32_t bits_of(float v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void expect_same_range(const std::vector<float>& values, const std::string& what) {
+  const auto [lo, hi] = value_range(values);
+  const auto [rlo, rhi] = serial_range(values);
+  EXPECT_EQ(bits_of(lo), bits_of(rlo)) << what << ": min " << lo << " vs " << rlo;
+  EXPECT_EQ(bits_of(hi), bits_of(rhi)) << what << ": max " << hi << " vs " << rhi;
+}
+
+TEST(CollectorRange, MatchesTheSerialLoopBitForBit) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  expect_same_range({}, "empty");
+  expect_same_range({nan}, "lone NaN");
+  expect_same_range({nan, nan, nan}, "all NaN");
+  for (std::size_t n : {1u, 7u, 16u, 17u, 33u, 1000u}) {
+    expect_same_range(std::vector<float>(n, 3.25f), "constant x" + std::to_string(n));
+    expect_same_range(std::vector<float>(n, -0.0f), "all -0 x" + std::to_string(n));
+  }
+  // Signed zeros: the serial loop keeps whichever zero it meets first, and
+  // the first zero may sit in any lane.
+  for (std::size_t at = 0; at < 40; ++at) {
+    for (const float first : {-0.0f, 0.0f}) {
+      std::vector<float> v(40, 1.0f);
+      v[at] = first;
+      for (std::size_t j = at + 1; j < v.size(); j += 3) v[j] = -first;
+      expect_same_range(v, "zeros from " + std::to_string(at) + " min side");
+      for (float& x : v) x = x == 1.0f ? -1.0f : x;
+      expect_same_range(v, "zeros from " + std::to_string(at) + " max side");
+    }
+  }
+  // NaNs anywhere, including in front of the extremes.
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<float> val(-5.0f, 5.0f);
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<float> v(static_cast<std::size_t>(rng() % 200 + 1));
+    for (float& x : v) x = val(rng);
+    for (std::size_t k = 0; k < v.size(); k += 1 + rng() % 9) v[k] = nan;
+    if (rep % 5 == 0) v[rng() % v.size()] = rep % 2 ? inf : -inf;
+    if (rep % 7 == 0) v[rng() % v.size()] = 0.0f;
+    expect_same_range(v, "random " + std::to_string(rep));
+  }
+}
+
+TEST_F(FilterUnitTest, CollectorRangesMatchTheSerialLoop) {
+  // The Collector's ranges for a map holding a NaN, both zeros and a
+  // constant: the serial loop's results, bit for bit.
+  const Region4 origins{{0, 0, 0, 0}, {5, 3, 2, 2}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> cases = {
+      {nan, 2.0f, -0.0f, 0.0f, 4.0f},  // NaN first, -0 before +0: min is -0
+      {nan, 0.0f, -0.0f, -2.0f},       // +0 before -0: max is +0
+      {7.5f},                          // constant
+  };
+  const std::vector<std::pair<float, float>> expected = {
+      {-0.0f, 4.0f}, {-2.0f, 0.0f}, {7.5f, 7.5f}};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    fs::BufferHeader h;
+    h.kind = BufferKind::FeatureMap;
+    h.feature = static_cast<int>(Feature::Contrast);
+    h.region = origins;
+    auto buf = fs::make_buffer(h);
+    buf->feature_map = Volume4<float>(origins.size, cases[c].back());
+    std::vector<float>& values = buf->feature_map.storage();
+    std::copy(cases[c].begin(), cases[c].end(), values.begin() + 11);
+    const std::vector<float> snapshot = values;
+
+    auto collected = std::make_shared<CollectedResults>();
+    MockContext ctx;
+    ResultCollector(params_, collected).process(kPortMaps, buf, ctx);
+    const auto [lo, hi] = collected->ranges.at(Feature::Contrast);
+    const auto [rlo, rhi] = serial_range(snapshot);
+    EXPECT_EQ(bits_of(lo), bits_of(rlo)) << "case " << c;
+    EXPECT_EQ(bits_of(hi), bits_of(rhi)) << "case " << c;
+    EXPECT_EQ(bits_of(lo), bits_of(expected[c].first)) << "case " << c;
+    EXPECT_EQ(bits_of(hi), bits_of(expected[c].second)) << "case " << c;
+  }
 }
 
 // ---- HCC on column histograms: every packet against the oracle ----
