@@ -126,7 +126,6 @@ core::PipelineConfig base_config(const Workload& w, haralick::Representation rep
   cfg.uso_copies = 1;
   cfg.uso_nodes = {kUsoNode};
   cfg.output = core::OutputMode::Unstitched;  // accounting-only USO
-  cfg.feature_buffer_samples = 1024;
   return cfg;
 }
 

@@ -28,7 +28,6 @@ core::PipelineConfig hetero_base(const bench::Workload& w, Representation repr) 
   cfg.uso_copies = 2;
   cfg.uso_nodes = {8, 9};
   cfg.output = core::OutputMode::Unstitched;
-  cfg.feature_buffer_samples = 1024;
   return cfg;
 }
 

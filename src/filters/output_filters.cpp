@@ -1,6 +1,7 @@
 #include "filters/output_filters.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -8,6 +9,7 @@
 #include "haralick/simd.hpp"
 #include "io/durable_file.hpp"
 #include "nd/chunking.hpp"
+#include "nd/raster.hpp"
 
 namespace h4d::filters {
 
@@ -34,61 +36,80 @@ void counted_write(const ParamsPtr& p, Fn&& fn) {
 
 }  // namespace
 
+UnstitchedOutput::UnstitchedOutput(ParamsPtr params, std::filesystem::path dir)
+    : p_(std::move(params)),
+      dir_(std::move(dir)),
+      origins_(roi_origin_region(p_->meta.dims, p_->engine.roi_dims)) {}
+
 void UnstitchedOutput::process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) {
-  if (port != kPortFeatures || buffer->header.kind != fs::BufferKind::FeatureValues) {
-    throw std::runtime_error("USO: unexpected input buffer");
-  }
-  const auto samples = buffer->as<FeatureSample>();
-  ctx.meter().disk_bytes_written += static_cast<std::int64_t>(buffer->payload.size());
+  if (port != kPortFeatures) throw std::runtime_error("USO: unexpected input port");
+  const FeatureBlockView block = read_feature_block(*buffer, origins_, p_->engine.features);
+  const auto n = static_cast<std::int64_t>(block.values.size());
+  ctx.meter().disk_bytes_written += n * static_cast<std::int64_t>(sizeof(FeatureSample));
   if (!dir_.empty()) {
     std::filesystem::create_directories(dir_);
-    const Feature f = static_cast<Feature>(buffer->header.feature);
     const std::filesystem::path path =
-        dir_ / (std::string(haralick::feature_slug(f)) + "_c" +
+        dir_ / (std::string(haralick::feature_slug(block.feature)) + "_c" +
                 std::to_string(ctx.copy_index()) + ".bin");
-    // Durable append (O_APPEND + fsync): the samples are on disk before the
+    records_.clear();
+    for (std::int64_t i = 0; i < n; ++i) {
+      records_.push_back(FeatureSample::make(
+          block.box.origin + delinearize(block.first + i, block.box.size),
+          block.values[static_cast<std::size_t>(i)]));
+    }
+    // Durable append (O_APPEND + fsync): the records are on disk before the
     // completion tracker can mark their chunk done, so a crash never leaves
     // a recorded-but-lost chunk for a resume to trust.
     counted_write(p_, [&] {
-      io::append_durable(path, samples.data(), samples.size_bytes());
+      io::append_durable(path, records_.data(), records_.size() * sizeof(FeatureSample));
     });
   }
-  // Checkpoint accounting happens *after* the samples are on disk: a crash
+  // Checkpoint accounting happens *after* the records are on disk: a crash
   // between write and note leaves the chunk unrecorded, so a resume replays
   // it — duplicates are idempotent under map assembly, losses are not.
-  if (p_->completion) {
-    for (const FeatureSample& s : samples) p_->completion->note_origin(s.origin());
-  }
+  if (p_->completion) p_->completion->note_run(block.box, block.first, n);
 }
+
+HaralickImageConstructor::HaralickImageConstructor(ParamsPtr params)
+    : p_(std::move(params)), origins_(roi_origin_region(p_->meta.dims, p_->engine.roi_dims)) {}
 
 void HaralickImageConstructor::process(int port, const fs::BufferPtr& buffer,
                                        fs::FilterContext& ctx) {
-  if (port != kPortFeatures || buffer->header.kind != fs::BufferKind::FeatureValues) {
-    throw std::runtime_error("HIC: unexpected input buffer");
-  }
-  const int f = buffer->header.feature;
-  const Region4 origins = roi_origin_region(p_->meta.dims, p_->engine.roi_dims);
+  if (port != kPortFeatures) throw std::runtime_error("HIC: unexpected input port");
+  const FeatureBlockView block = read_feature_block(*buffer, origins_, p_->engine.features);
+  const int f = static_cast<int>(block.feature);
 
   auto it = maps_.find(f);
   if (it == maps_.end()) {
     fs::BufferHeader h;
     h.kind = fs::BufferKind::FeatureMap;
     h.feature = f;
-    h.region = origins;
+    h.region = origins_;
     fs::BufferPtr map = fs::make_buffer(h);
-    map->feature_map = Volume4<float>(origins.size);  // zeroed: 0.0f
+    map->feature_map = Volume4<float>(origins_.size);  // zeroed: 0.0f
     it = maps_.emplace(f, std::move(map)).first;
   }
   float* const map = it->second->feature_map.data();
 
-  for (const FeatureSample& s : buffer->as<FeatureSample>()) {
-    const Vec4 o = s.origin();
-    if (!origins.contains(o)) {
-      throw std::runtime_error("HIC: sample origin " + o.str() + " outside " + origins.str());
+  // The block's run is a few sub-boxes; each row of one is an x-run of
+  // consecutive values, contiguous in the map too.
+  const auto n = static_cast<std::int64_t>(block.values.size());
+  for_each_run_box(block.box, block.first, n, [&](const Region4& sub, std::int64_t offset) {
+    const float* src = block.values.data() + offset;
+    const auto row_bytes = static_cast<std::size_t>(sub.size[0]) * sizeof(float);
+    const Vec4 base = sub.origin - origins_.origin;
+    for (std::int64_t t = 0; t < sub.size[3]; ++t) {
+      for (std::int64_t z = 0; z < sub.size[2]; ++z) {
+        for (std::int64_t y = 0; y < sub.size[1]; ++y) {
+          const Vec4 row{base[0], base[1] + y, base[2] + z, base[3] + t};
+          std::memcpy(map + linear_index(row, origins_.size), src, row_bytes);
+          src += sub.size[0];
+        }
+      }
     }
-    map[linear_index(o - origins.origin, origins.size)] = static_cast<float>(s.value);
-  }
-  ctx.meter().bytes_memcpy += static_cast<std::int64_t>(buffer->payload.size());
+  });
+  // In the cost model's reference units: one 20-byte sample per value.
+  ctx.meter().bytes_memcpy += n * static_cast<std::int64_t>(sizeof(FeatureSample));
 }
 
 void HaralickImageConstructor::flush(fs::FilterContext& ctx) {

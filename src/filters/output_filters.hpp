@@ -11,6 +11,7 @@
 #include <mutex>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "filters/params.hpp"
 #include "filters/payloads.hpp"
@@ -18,15 +19,14 @@
 
 namespace h4d::filters {
 
-/// UnstitchedOutput (USO): streams feature samples straight to disk, one
+/// UnstitchedOutput (USO): streams feature values straight to disk, one
 /// file per (feature, copy) stream: <dir>/<slug>_c<copy>.bin of packed
-/// FeatureSample records. With an empty dir the filter only accounts the
-/// writes (benchmark mode: the paper measures pipeline time, not disk
-/// capacity).
+/// FeatureSample records, each block expanded to one record per ROI. With an
+/// empty dir the filter only accounts the writes (benchmark mode: the paper
+/// measures pipeline time, not disk capacity).
 class UnstitchedOutput final : public fs::Filter {
  public:
-  UnstitchedOutput(ParamsPtr params, std::filesystem::path dir)
-      : p_(std::move(params)), dir_(std::move(dir)) {}
+  UnstitchedOutput(ParamsPtr params, std::filesystem::path dir);
 
   std::string_view name() const override { return "USO"; }
   void process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) override;
@@ -34,14 +34,16 @@ class UnstitchedOutput final : public fs::Filter {
  private:
   ParamsPtr p_;
   std::filesystem::path dir_;
+  Region4 origins_;                     ///< the run's ROI origins
+  std::vector<FeatureSample> records_;  ///< one block's records, reused
 };
 
-/// HaralickImageConstructor (HIC, the output stitch): places incoming
-/// feature samples into per-feature 4D maps, each held in the FeatureMap
-/// buffer it emits when all inputs have drained.
+/// HaralickImageConstructor (HIC, the output stitch): copies each incoming
+/// feature block into its feature's 4D map, one x-run at a time; each map
+/// is held in the FeatureMap buffer it emits when all inputs have drained.
 class HaralickImageConstructor final : public fs::Filter {
  public:
-  explicit HaralickImageConstructor(ParamsPtr params) : p_(std::move(params)) {}
+  explicit HaralickImageConstructor(ParamsPtr params);
 
   std::string_view name() const override { return "HIC"; }
   void process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) override;
@@ -49,6 +51,7 @@ class HaralickImageConstructor final : public fs::Filter {
 
  private:
   ParamsPtr p_;
+  Region4 origins_;                    ///< the run's ROI origins: each map's region
   std::map<int, fs::BufferPtr> maps_;  ///< FeatureMap buffers, by feature
 };
 

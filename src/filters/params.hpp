@@ -38,8 +38,6 @@ struct RunSettings {
   /// HCC flushes a matrix packet each time this fraction of a chunk's ROIs
   /// has been processed (paper: 1/4 of a chunk).
   int packets_per_chunk = 4;
-  /// HPC/HMP flush feature-value buffers at this many samples.
-  int feature_buffer_samples = 4096;
 
   /// Storage-fault handling of the RFR read path: retry budget, checksum
   /// verification, and what to do with irrecoverable slices.
@@ -54,7 +52,7 @@ struct RunSettings {
   io::FaultConfig faults;
 
   /// Chunk-completion manifest file. Empty => no checkpointing. When set,
-  /// the output filters durably record each chunk whose every feature sample
+  /// the output filters durably record each chunk whose every feature value
   /// has been written; with `resume`, chunks already in the manifest are
   /// pruned from the work list before the run starts.
   std::filesystem::path checkpoint_path;

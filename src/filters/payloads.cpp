@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,7 +35,76 @@ Vec4 read_origin(const std::byte*& cursor, std::size_t& remaining) {
   return {o[0], o[1], o[2], o[3]};
 }
 
+/// Volume of a non-empty box whose end and volume fit in int64, else -1:
+/// a box read off the wire is indexed only after this check.
+std::int64_t checked_volume(const Region4& box) {
+  std::int64_t volume = 1;
+  for (int d = 0; d < kDims; ++d) {
+    if (box.size[d] <= 0 ||
+        box.origin[d] > std::numeric_limits<std::int64_t>::max() - box.size[d] ||
+        __builtin_mul_overflow(volume, box.size[d], &volume)) {
+      return -1;
+    }
+  }
+  return volume;
+}
+
+constexpr std::size_t kFirstBytes = fs::kFeatureBlockFirstBytes;
+
 }  // namespace
+
+fs::BufferPtr make_feature_block(haralick::Feature f, const Region4& box, std::int64_t first,
+                                 std::int64_t n, std::int64_t seq) {
+  fs::BufferHeader h;
+  h.kind = fs::BufferKind::FeatureValues;
+  h.feature = static_cast<std::int32_t>(f);
+  h.seq = seq;
+  h.region = box;
+  fs::BufferPtr buffer = fs::make_buffer(h);
+  buffer->payload.resize(kFirstBytes + static_cast<std::size_t>(n) * sizeof(float));
+  put(buffer->payload.data(), first);
+  return buffer;
+}
+
+std::span<float> feature_block_values(fs::DataBuffer& buffer) {
+  return {reinterpret_cast<float*>(buffer.payload.data() + kFirstBytes),
+          static_cast<std::size_t>(fs::feature_block_size(buffer))};
+}
+
+FeatureBlockView read_feature_block(const fs::DataBuffer& buffer, const Region4& origins,
+                                    haralick::FeatureSet features) {
+  if (buffer.header.kind != fs::BufferKind::FeatureValues) {
+    throw MalformedFeatureBlockError("feature block: not a FeatureValues buffer");
+  }
+  const std::size_t bytes = buffer.payload.size();
+  if (bytes < kFirstBytes || (bytes - kFirstBytes) % sizeof(float) != 0) {
+    throw MalformedFeatureBlockError("feature block: a payload of " + std::to_string(bytes) +
+                                     " bytes is not 8 + 4n");
+  }
+  const std::int32_t f = buffer.header.feature;
+  if (f < 0 || f >= haralick::kNumFeatures ||
+      !features.has(static_cast<haralick::Feature>(f))) {
+    throw MalformedFeatureBlockError("feature block: feature " + std::to_string(f) +
+                                     " is not in the run's feature set");
+  }
+  FeatureBlockView view;
+  view.feature = static_cast<haralick::Feature>(f);
+  view.box = buffer.header.region;
+  if (checked_volume(view.box) < 0 || !origins.contains(view.box)) {
+    throw MalformedFeatureBlockError("feature block: box " + view.box.str() +
+                                     " is not inside the ROI origins " + origins.str());
+  }
+  std::memcpy(&view.first, buffer.payload.data(), sizeof(view.first));
+  const auto n = static_cast<std::int64_t>((bytes - kFirstBytes) / sizeof(float));
+  if (view.first < 0 || view.first > view.box.volume() - n) {
+    throw MalformedFeatureBlockError("feature block: values [" + std::to_string(view.first) +
+                                     ", +" + std::to_string(n) + ") pass the end of box " +
+                                     view.box.str());
+  }
+  view.values = {reinterpret_cast<const float*>(buffer.payload.data() + kFirstBytes),
+                 static_cast<std::size_t>(n)};
+  return view;
+}
 
 std::byte* MatrixPacketWriter::grow(std::size_t n) {
   if (bytes_.empty()) {
@@ -85,11 +155,13 @@ void MatrixPacketWriter::add(const Vec4& origin, std::int64_t total,
   ++count_;
 }
 
-fs::BufferPtr MatrixPacketWriter::take(std::int64_t chunk_id, std::int64_t seq) {
+fs::BufferPtr MatrixPacketWriter::take(std::int64_t chunk_id, std::int64_t seq,
+                                       const Region4& box) {
   fs::BufferHeader h;
   h.kind = fs::BufferKind::MatrixPacket;
   h.chunk_id = chunk_id;
   h.seq = seq;
+  h.region = box;
   h.aux = repr_ == haralick::Representation::Sparse ? 1 : 0;
 
   if (bytes_.empty()) bytes_.resize(sizeof(count_));
@@ -114,12 +186,43 @@ MatrixPacketReader::MatrixPacketReader(const fs::DataBuffer& buffer, int num_lev
   std::memcpy(&count_, cursor_, sizeof(count_));
   cursor_ += sizeof(count_);
   remaining_ -= sizeof(count_);
+
+  box_ = buffer.header.region;
+  if (box_.empty() || count_ == 0) return;
+  // The run starts at the first matrix's origin.
+  const std::int64_t volume = checked_volume(box_);
+  if (volume < 0) {
+    throw haralick::MalformedMatrixError("MatrixPacket: box " + box_.str() +
+                                         " overflows int64");
+  }
+  std::size_t remaining = remaining_;
+  const std::byte* cursor = cursor_;
+  const Vec4 start = read_origin(cursor, remaining);
+  if (!box_.contains(start)) {
+    throw haralick::MalformedMatrixError("MatrixPacket: origin " + start.str() +
+                                         " outside box " + box_.str());
+  }
+  first_ = linear_index(start - box_.origin, box_.size);
+  if (count_ > volume - first_) {
+    throw haralick::MalformedMatrixError("MatrixPacket: " + std::to_string(count_) +
+                                         " matrices from raster index " +
+                                         std::to_string(first_) + " pass the end of box " +
+                                         box_.str());
+  }
 }
 
 bool MatrixPacketReader::next() {
   if (index_ >= count_) return false;
-  ++index_;
   origin_ = read_origin(cursor_, remaining_);
+  if (!box_.empty()) {
+    const Vec4 want = box_.origin + delinearize(first_ + index_, box_.size);
+    if (origin_ != want) {
+      throw haralick::MalformedMatrixError("MatrixPacket: matrix " + std::to_string(index_) +
+                                           " at " + origin_.str() + ", the run expects " +
+                                           want.str());
+    }
+  }
+  ++index_;
   // The previous matrix's entry storage becomes this one's.
   std::vector<haralick::SparseEntry> entries = std::move(matrix_).release_entries();
   if (repr_ == haralick::Representation::Sparse) {

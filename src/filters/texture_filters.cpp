@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "nd/raster.hpp"
-
 namespace h4d::filters {
 
 using haralick::Feature;
@@ -19,37 +17,46 @@ Vol4View<const Level> chunk_view(const fs::DataBuffer& buffer) {
                                buffer.header.region.size);
 }
 
-}  // namespace
-
-void FeatureEmitter::add(Feature f, const Vec4& origin, float value, fs::FilterContext& ctx) {
-  auto& batch = batches_[static_cast<std::size_t>(f)];
-  batch.push_back(FeatureSample::make(origin, value));
-  if (batch.size() >= static_cast<std::size_t>(p_->feature_buffer_samples)) {
-    emit(f, ctx);
-  }
-}
-
-void FeatureEmitter::flush(fs::FilterContext& ctx) {
-  for (int f = 0; f < haralick::kNumFeatures; ++f) {
-    if (!batches_[static_cast<std::size_t>(f)].empty()) {
-      emit(static_cast<Feature>(f), ctx);
+/// One feature block per selected feature for raster(box)[first, first + n),
+/// filled in place: set() writes ROI k's values into the buffers that ship
+/// them.
+class FeatureBlocks {
+ public:
+  FeatureBlocks(haralick::FeatureSet set, const Region4& box, std::int64_t first,
+                std::int64_t n, std::int64_t& seq)
+      : n_(n) {
+    for (int f = 0; f < haralick::kNumFeatures; ++f) {
+      const auto feature = static_cast<Feature>(f);
+      if (!set.has(feature)) continue;
+      features_.push_back(feature);
+      buffers_.push_back(make_feature_block(feature, box, first, n, seq++));
+      values_.push_back(feature_block_values(*buffers_.back()).data());
     }
   }
-}
 
-void FeatureEmitter::emit(Feature f, fs::FilterContext& ctx) {
-  auto& batch = batches_[static_cast<std::size_t>(f)];
-  fs::BufferHeader h;
-  h.kind = fs::BufferKind::FeatureValues;
-  h.feature = static_cast<std::int32_t>(f);
-  h.seq = seq_++;
-  auto buffer = fs::make_buffer(h);
-  auto span = buffer->alloc_as<FeatureSample>(batch.size());
-  std::copy(batch.begin(), batch.end(), span.begin());
-  ctx.meter().bytes_memcpy += static_cast<std::int64_t>(batch.size() * sizeof(FeatureSample));
-  batch.clear();
-  ctx.emit(port_, std::move(buffer));
-}
+  void set(std::int64_t k, const FeatureVector& fv) {
+    for (std::size_t s = 0; s < features_.size(); ++s) {
+      values_[s][k] = static_cast<float>(fv[features_[s]]);
+    }
+  }
+
+  void emit(fs::FilterContext& ctx) {
+    for (fs::BufferPtr& b : buffers_) {
+      // The copy into an output buffer, in the cost model's reference units
+      // (one 20-byte sample per value, DESIGN.md §6).
+      ctx.meter().bytes_memcpy += n_ * static_cast<std::int64_t>(sizeof(FeatureSample));
+      ctx.emit(kPortFeatures, std::move(b));
+    }
+  }
+
+ private:
+  std::int64_t n_;
+  std::vector<Feature> features_;
+  std::vector<fs::BufferPtr> buffers_;
+  std::vector<float*> values_;
+};
+
+}  // namespace
 
 void HaralickMatrixProducer::process(int port, const fs::BufferPtr& buffer,
                                      fs::FilterContext& ctx) {
@@ -57,16 +64,17 @@ void HaralickMatrixProducer::process(int port, const fs::BufferPtr& buffer,
   const auto view = chunk_view(*buffer);
   const Region4& region = buffer->header.region;
   const Region4& owned = buffer->header.region2;
+  if (owned.empty()) return;
 
-  const auto blocks =
-      haralick::analyze_chunk(view, region, owned, p_->engine, &ctx.meter().work, &scratch_);
-  for (const auto& block : blocks) {
-    std::int64_t k = 0;
-    for (const Vec4& origin : raster(block.origins)) {
-      out_.add(block.feature, origin, block.values[static_cast<std::size_t>(k)], ctx);
-      ++k;
-    }
-  }
+  FeatureBlocks out(p_->engine.features, owned, 0, owned.volume(), seq_);
+  // The kernel checks that every owned ROI fits the chunk.
+  scratch_.configure(p_->engine.num_levels);
+  scratch_.features_of_rois(
+      view, Region4{owned.origin - region.origin, owned.size}, p_->engine.roi_dims, dirs_,
+      p_->engine.features, &ctx.meter().work, p_->engine.sweep_mode,
+      p_->engine.representation,
+      [&](std::int64_t k, const FeatureVector& fv) { out.set(k, fv); });
+  out.emit(ctx);
 }
 
 void HaralickCoMatrixCalculator::process(int port, const fs::BufferPtr& buffer,
@@ -92,18 +100,12 @@ void HaralickCoMatrixCalculator::process(int port, const fs::BufferPtr& buffer,
           std::int64_t matrix_total) {
         writer_.add(owned.origin + delinearize(k, owned.size), matrix_total, entries, &wc);
         if (++since_flush >= per_packet) {
-          ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++));
+          ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++, owned));
           since_flush = 0;
         }
       });
   if (!writer_.empty()) {
-    ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++));
-  }
-}
-
-void HaralickCoMatrixCalculator::flush(fs::FilterContext& ctx) {
-  if (!writer_.empty()) {
-    ctx.emit(kPortMatrices, writer_.take(-1, seq_++));
+    ctx.emit(kPortMatrices, writer_.take(buffer->header.chunk_id, seq_++, owned));
   }
 }
 
@@ -111,17 +113,16 @@ void HaralickParameterCalculator::process(int port, const fs::BufferPtr& buffer,
                                           fs::FilterContext& ctx) {
   if (port != kPortMatrices) throw std::runtime_error("HPC: unexpected port");
   MatrixPacketReader reader(*buffer, p_->engine.num_levels);
-  while (reader.next()) {
-    const FeatureVector fv =
-        scratch_.features_of(reader.matrix(), p_->engine.features, &ctx.meter().work,
-                             p_->engine.sweep_mode, reader.representation());
-    for (int f = 0; f < haralick::kNumFeatures; ++f) {
-      const Feature feat = static_cast<Feature>(f);
-      if (p_->engine.features.has(feat)) {
-        out_.add(feat, reader.origin(), static_cast<float>(fv[feat]), ctx);
-      }
-    }
+  if (reader.count() == 0) return;
+  if (reader.box().empty()) {
+    throw haralick::MalformedMatrixError("HPC: matrix packet names no owned box");
   }
+  FeatureBlocks out(p_->engine.features, reader.box(), reader.first(), reader.count(), seq_);
+  for (std::int64_t k = 0; reader.next(); ++k) {
+    out.set(k, scratch_.features_of(reader.matrix(), p_->engine.features, &ctx.meter().work,
+                                    p_->engine.sweep_mode, reader.representation()));
+  }
+  out.emit(ctx);
 }
 
 }  // namespace h4d::filters

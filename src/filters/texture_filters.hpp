@@ -9,7 +9,6 @@
 // they produce byte-identical maps for either representation.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "filters/params.hpp"
@@ -19,45 +18,31 @@
 
 namespace h4d::filters {
 
-/// Batches FeatureSamples per feature and emits FeatureValues buffers when
-/// a batch is full. Shared by HMP and HPC.
-class FeatureEmitter {
- public:
-  FeatureEmitter(ParamsPtr params, int port) : p_(std::move(params)), port_(port) {}
-
-  void add(haralick::Feature f, const Vec4& origin, float value, fs::FilterContext& ctx);
-  void flush(fs::FilterContext& ctx);
-
- private:
-  void emit(haralick::Feature f, fs::FilterContext& ctx);
-
-  ParamsPtr p_;
-  int port_;
-  std::array<std::vector<FeatureSample>, haralick::kNumFeatures> batches_;
-  std::int64_t seq_ = 0;
-};
-
-/// HaralickMatrixProducer (HMP): full texture analysis in one filter.
+/// HaralickMatrixProducer (HMP): full texture analysis in one filter. Emits
+/// one feature block per (chunk, selected feature): the chunk's owned
+/// origins in raster order, written by the kernel's sink straight into the
+/// buffer that ships them.
 class HaralickMatrixProducer final : public fs::Filter {
  public:
   explicit HaralickMatrixProducer(ParamsPtr params)
-      : p_(params), out_(params, kPortFeatures) {}
+      : p_(params), dirs_(params->engine.effective_directions()) {}
 
   std::string_view name() const override { return "HMP"; }
   void process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) override;
-  void flush(fs::FilterContext& ctx) override { out_.flush(ctx); }
 
  private:
   ParamsPtr p_;
-  FeatureEmitter out_;
+  std::vector<Vec4> dirs_;
   // Kernel working state; each filter copy owns its own instance, so reuse
   // across chunks is race-free.
   haralick::KernelScratch scratch_{2};
+  std::int64_t seq_ = 0;
 };
 
 /// HaralickCoMatrixCalculator (HCC): co-occurrence matrices only. Emits a
 /// packet of matrices each time 1/packets_per_chunk of a chunk's ROIs has
-/// been processed (paper Sec. 5.1).
+/// been processed (paper Sec. 5.1); each packet names the chunk's owned
+/// box, whose raster order its origins run through.
 class HaralickCoMatrixCalculator final : public fs::Filter {
  public:
   explicit HaralickCoMatrixCalculator(ParamsPtr params)
@@ -65,7 +50,6 @@ class HaralickCoMatrixCalculator final : public fs::Filter {
 
   std::string_view name() const override { return "HCC"; }
   void process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) override;
-  void flush(fs::FilterContext& ctx) override;
 
  private:
   ParamsPtr p_;
@@ -75,19 +59,19 @@ class HaralickCoMatrixCalculator final : public fs::Filter {
 };
 
 /// HaralickParameterCalculator (HPC): Haralick features from matrix packets.
+/// Emits one feature block per (packet, selected feature): the packet's run
+/// of its box's origins.
 class HaralickParameterCalculator final : public fs::Filter {
  public:
-  explicit HaralickParameterCalculator(ParamsPtr params)
-      : p_(params), out_(params, kPortFeatures) {}
+  explicit HaralickParameterCalculator(ParamsPtr params) : p_(std::move(params)) {}
 
   std::string_view name() const override { return "HPC"; }
   void process(int port, const fs::BufferPtr& buffer, fs::FilterContext& ctx) override;
-  void flush(fs::FilterContext& ctx) override { out_.flush(ctx); }
 
  private:
   ParamsPtr p_;
-  FeatureEmitter out_;
   haralick::KernelScratch scratch_{2};  // per-copy feature-sweep buffers
+  std::int64_t seq_ = 0;
 };
 
 }  // namespace h4d::filters

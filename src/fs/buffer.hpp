@@ -25,7 +25,8 @@ enum class BufferKind : std::uint8_t {
   RawChunkPiece,  ///< RFR->IIC: quantized levels of one whole slice
   TextureChunk,   ///< IIC->HMP/HCC: assembled 4D chunk of quantized levels
   MatrixPacket,   ///< HCC->HPC: batch of co-occurrence matrices
-  FeatureValues,  ///< texture->output: feature values for a run of ROI origins
+  FeatureValues,  ///< texture->output: feature values for a run of ROI origins,
+                  ///< an int64 `first`, then n floats (filters/payloads.hpp)
   FeatureMap,     ///< HIC->Collector: a complete assembled 4D feature map
   Control,        ///< small in-band metadata messages
 };
@@ -87,6 +88,31 @@ using BufferPtr = std::shared_ptr<DataBuffer>;
 inline BufferPtr make_buffer(BufferHeader h) { return std::make_shared<DataBuffer>(h); }
 inline BufferPtr make_buffer(BufferHeader h, std::vector<std::byte> bytes) {
   return std::make_shared<DataBuffer>(h, std::move(bytes));
+}
+
+/// Bytes before a FeatureValues block's values: its int64 `first`.
+inline constexpr std::size_t kFeatureBlockFirstBytes = sizeof(std::int64_t);
+
+/// Number of values a FeatureValues block carries (0 when it is too short
+/// to hold `first`).
+inline std::int64_t feature_block_size(const DataBuffer& b) {
+  if (b.payload.size() < kFeatureBlockFirstBytes) return 0;
+  return static_cast<std::int64_t>((b.payload.size() - kFeatureBlockFirstBytes) / sizeof(float));
+}
+
+/// The values [k, k + m) of FeatureValues block `b` as a block of their
+/// own: the same header, `first` advanced by k.
+inline BufferPtr feature_block_slice(const DataBuffer& b, std::int64_t k, std::int64_t m) {
+  constexpr std::size_t kHead = kFeatureBlockFirstBytes;
+  const std::size_t len = static_cast<std::size_t>(m) * sizeof(float);
+  std::int64_t first = 0;
+  std::memcpy(&first, b.payload.data(), kHead);
+  first += k;
+  std::vector<std::byte> bytes(kHead + len);
+  std::memcpy(bytes.data(), &first, kHead);
+  std::memcpy(bytes.data() + kHead,
+              b.payload.data() + kHead + static_cast<std::size_t>(k) * sizeof(float), len);
+  return make_buffer(b.header, std::move(bytes));
 }
 
 }  // namespace h4d::fs

@@ -12,6 +12,7 @@
 
 #include "io/durable_file.hpp"
 #include "io/fault.hpp"
+#include "nd/raster.hpp"
 
 namespace h4d::io {
 
@@ -145,11 +146,10 @@ ChunkCompletionTracker::ChunkCompletionTracker(
     const Vec4& roi_dims, std::int64_t samples_per_origin,
     std::shared_ptr<ChunkManifest> manifest,
     const std::unordered_set<std::int64_t>& completed)
-    : manifest_(std::move(manifest)) {
-  const Region4 origins = roi_origin_region(dims, roi_dims);
+    : origins_(roi_origin_region(dims, roi_dims)), manifest_(std::move(manifest)) {
   for (int d = 0; d < kDims; ++d) {
     step_[d] = chunk_dims[d] - roi_dims[d] + 1;
-    grid_[d] = (origins.size[d] + step_[d] - 1) / step_[d];
+    grid_[d] = (origins_.size[d] + step_[d] - 1) / step_[d];
   }
   remaining_.resize(chunks.size(), 0);
   owned_.resize(chunks.size());
@@ -190,12 +190,37 @@ void ChunkCompletionTracker::note_origin(const Vec4& origin) {
   credit(id, 1);
 }
 
+void ChunkCompletionTracker::credit_region(const Region4& region) {
+  const Region4 r = region.intersect(origins_);
+  if (r.empty()) return;
+  // The grid cells r overlaps, then each one's owned share of r.
+  Vec4 lo, hi, g;
+  for (int d = 0; d < kDims; ++d) {
+    lo[d] = (r.origin[d] - origins_.origin[d]) / step_[d];
+    hi[d] = (r.end()[d] - 1 - origins_.origin[d]) / step_[d];
+  }
+  for (g[3] = lo[3]; g[3] <= hi[3]; ++g[3]) {
+    for (g[2] = lo[2]; g[2] <= hi[2]; ++g[2]) {
+      for (g[1] = lo[1]; g[1] <= hi[1]; ++g[1]) {
+        for (g[0] = lo[0]; g[0] <= hi[0]; ++g[0]) {
+          const std::int64_t id = linear_index(g, grid_);
+          if (id >= static_cast<std::int64_t>(owned_.size())) continue;
+          const std::int64_t n = owned_[static_cast<std::size_t>(id)].intersect(r).volume();
+          if (n > 0) credit(id, n);
+        }
+      }
+    }
+  }
+}
+
 void ChunkCompletionTracker::note_region(const Region4& region) {
   std::lock_guard lk(mu_);
-  for (std::size_t id = 0; id < owned_.size(); ++id) {
-    const std::int64_t n = owned_[id].intersect(region).volume();
-    if (n > 0) credit(static_cast<std::int64_t>(id), n);
-  }
+  credit_region(region);
+}
+
+void ChunkCompletionTracker::note_run(const Region4& box, std::int64_t first, std::int64_t n) {
+  std::lock_guard lk(mu_);
+  for_each_run_box(box, first, n, [&](const Region4& sub, std::int64_t) { credit_region(sub); });
 }
 
 std::int64_t ChunkCompletionTracker::chunks_completed() const {

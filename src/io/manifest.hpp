@@ -69,15 +69,15 @@ class ChunkManifest {
   int fd_ = -1;
 };
 
-/// Maps completed feature samples back to the texture chunks that own their
+/// Maps completed feature values back to the texture chunks that own their
 /// ROI origins, and reports a chunk to the manifest exactly once, when its
-/// last sample has been noted.
+/// last value has been noted.
 ///
-/// FeatureValues buffers do not carry a chunk id (the emitters batch samples
-/// across chunk boundaries per feature), so completion is derived from the
-/// chunk grid: the chunk owning origin o has grid coordinate o / step per
-/// dimension. Expected samples per chunk = owned_origins.volume() x the
-/// number of features the run emits.
+/// Completion is derived from the chunk grid, not from chunk ids on the
+/// stream: the chunk owning origin o has grid coordinate o / step per
+/// dimension, so any region or raster run of origins can be credited to the
+/// chunks it overlaps. Expected values per chunk = owned_origins.volume() x
+/// the number of features the run emits.
 class ChunkCompletionTracker {
  public:
   /// `chunks` is the full overlapping partition (before any resume pruning);
@@ -97,13 +97,20 @@ class ChunkCompletionTracker {
   /// all under one lock. Same completion rule as note_origin.
   void note_region(const Region4& region);
 
+  /// Note one sample at every origin of the run raster(box)[first, first +
+  /// n) (a feature block), under one lock. Same completion rule.
+  void note_run(const Region4& box, std::int64_t first, std::int64_t n);
+
   std::int64_t chunks_completed() const;
 
  private:
   std::int64_t chunk_of(const Vec4& origin) const;
   /// Subtract `n` samples from chunk `id`; caller holds mu_.
   void credit(std::int64_t id, std::int64_t n);
+  /// credit() every chunk overlapping `region`; caller holds mu_.
+  void credit_region(const Region4& region);
 
+  Region4 origins_;  ///< every ROI origin of the grid
   Vec4 step_;
   Vec4 grid_;
   std::vector<Region4> owned_;  ///< owned origins, per id

@@ -1,6 +1,7 @@
 // Raster-scan iteration over 4D index ranges (paper Sec. 3, Fig. 1-2).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 
@@ -61,5 +62,30 @@ class RasterRange {
 };
 
 inline RasterRange raster(const Region4& r) { return RasterRange(r); }
+
+/// Splits the run raster(box)[first, first + n) into boxes, in run order,
+/// and calls fn(sub, offset) for each: `sub` is a sub-box of `box` (global
+/// coordinates) whose raster order is the run's points from index `offset`
+/// of the run. A run gives at most 2 * kDims - 1 boxes. Requires 0 <= first
+/// and first + n <= box.volume().
+template <typename Fn>
+void for_each_run_box(const Region4& box, std::int64_t first, std::int64_t n, Fn&& fn) {
+  const std::int64_t end = first + n;
+  for (std::int64_t cur = first; cur < end;) {
+    const Vec4 c = delinearize(cur, box.size);
+    // Grow through the dims the position starts whole slabs of that fit.
+    int k = 0;
+    std::int64_t slab = 1;
+    while (k < kDims - 1 && c[k] == 0 && slab * box.size[k] <= end - cur) {
+      slab *= box.size[k];
+      ++k;
+    }
+    Region4 sub{box.origin + c, box.size};
+    sub.size[k] = std::min(box.size[k] - c[k], (end - cur) / slab);
+    for (int d = k + 1; d < kDims; ++d) sub.size[d] = 1;
+    fn(static_cast<const Region4&>(sub), cur - first);
+    cur += sub.size[k] * slab;
+  }
+}
 
 }  // namespace h4d

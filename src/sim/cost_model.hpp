@@ -14,6 +14,9 @@
 // Absolute values are *model parameters*, not measurements of this host.
 #pragma once
 
+#include <cstdint>
+
+#include "fs/buffer.hpp"
 #include "fs/meter.hpp"
 
 namespace h4d::sim {
@@ -48,6 +51,24 @@ struct CostModel {
   double msg_overhead_recv = 120e-6;
   double cpu_byte_send = 3e-9;    ///< user->kernel copy etc.
   double cpu_byte_recv = 10e-9;
+
+  // The paper's texture -> output stream (Sec. 4.3.3) carries each feature
+  // value with its ROI position, a 20-byte (x, y, z, t, value) record, in
+  // messages of up to kFeatureRecordsPerMessage records. The filters here
+  // ship a whole run of values as one FeatureValues block of 4 bytes per
+  // value; the simulator sends a block as that many messages and charges
+  // each at the paper's record size, so the simulated figures time the
+  // paper's stream.
+  static constexpr std::int64_t kFeatureRecordBytes = 20;
+  static constexpr std::int64_t kFeatureRecordsPerMessage = 1024;
+
+  /// Bytes one remote send of `b` puts on the wire: its wire_bytes(), or,
+  /// for a FeatureValues block, the header and one record per value.
+  std::size_t wire_bytes(const fs::DataBuffer& b) const {
+    if (b.header.kind != fs::BufferKind::FeatureValues) return b.wire_bytes();
+    return sizeof(fs::BufferHeader) +
+           static_cast<std::size_t>(fs::feature_block_size(b) * kFeatureRecordBytes);
+  }
 
   /// CPU seconds for a work delta on a speed-1 node, excluding messaging.
   double compute_seconds(const fs::WorkMeter& d) const {

@@ -123,7 +123,20 @@ class RecordingContext final : public FilterContext {
     if (!buffer) return;
     buffer->header.from_copy = self_->copy;
     const WorkMeter d = delta(base_, self_->stats.meter);
-    emissions_.push_back({port, std::move(buffer), cost_->compute_seconds(d)});
+    const double cum_cost = cost_->compute_seconds(d);
+    // A feature block travels as the paper's stream carried its values: one
+    // message per kFeatureRecordsPerMessage of them, each routed on its own
+    // (CostModel::wire_bytes prices them).
+    const std::int64_t per = CostModel::kFeatureRecordsPerMessage;
+    const std::int64_t n = fs::feature_block_size(*buffer);
+    if (buffer->header.kind == fs::BufferKind::FeatureValues && n > per) {
+      for (std::int64_t k = 0; k < n; k += per) {
+        emissions_.push_back(
+            {port, fs::feature_block_slice(*buffer, k, std::min(per, n - k)), cum_cost});
+      }
+      return;
+    }
+    emissions_.push_back({port, std::move(buffer), cum_cost});
   }
   int copy_index() const override { return self_->copy; }
   int num_copies() const override { return self_->ncopies; }
@@ -318,8 +331,9 @@ class Simulator {
         break;
       case Item::Kind::Data: {
         if (item.remote) {
-          duration += opt_.cost.recv_cpu_seconds(item.buffer->wire_bytes());
-          c->stats.meter.bytes_in += static_cast<std::int64_t>(item.buffer->wire_bytes());
+          const std::size_t bytes = opt_.cost.wire_bytes(*item.buffer);
+          duration += opt_.cost.recv_cpu_seconds(bytes);
+          c->stats.meter.bytes_in += static_cast<std::int64_t>(bytes);
         }
         c->stats.meter.buffers_in++;
         const bool survives = !opt_.failures.enabled() ||
@@ -521,7 +535,7 @@ class Simulator {
   /// Deliver a buffer (or EOS when eos==true). Returns sender-release time.
   double deliver(SimCopy* from, SimCopy* to, int port, const BufferPtr& buffer, double when,
                  bool eos) {
-    const std::size_t bytes = eos ? kEosBytes : buffer->wire_bytes();
+    const std::size_t bytes = eos ? kEosBytes : opt_.cost.wire_bytes(*buffer);
     from->stats.meter.buffers_out += eos ? 0 : 1;
     if (!eos) to->pending_deliveries++;
     if (opt_.trace != nullptr && !eos) {

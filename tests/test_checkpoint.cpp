@@ -194,6 +194,35 @@ TEST_F(CheckpointFixture, TrackerCreditsRegionsAsItsOrigins) {
   EXPECT_EQ(recorded, all_ids);  // every chunk, exactly once
 }
 
+TEST_F(CheckpointFixture, TrackerCreditsRunsAsTheirOrigins) {
+  // note_run(box, first, n) is note_origin over raster(box)[first, first +
+  // n): runs of a whole-map box that start and end mid-row record the same
+  // chunks, at the same moment, as the per-origin path does.
+  const Vec4 dims{10, 8, 4, 4}, chunk{6, 6, 4, 4}, roi{3, 3, 2, 2};
+  const auto chunks = partition_overlapping(dims, chunk, roi);
+  ASSERT_GT(chunks.size(), 1u);
+  const Region4 origins = roi_origin_region(dims, roi);
+  auto by_run = std::make_shared<ChunkManifest>(root_ / "run.txt");
+  auto by_origin = std::make_shared<ChunkManifest>(root_ / "origin.txt");
+  ChunkCompletionTracker runs(chunks, dims, chunk, roi, 1, by_run);
+  ChunkCompletionTracker points(chunks, dims, chunk, roi, 1, by_origin);
+
+  const std::int64_t n = origins.volume();
+  for (std::int64_t first = 0; first < n;) {
+    const std::int64_t len = std::min<std::int64_t>(7 + first % 5, n - first);
+    runs.note_run(origins, first, len);
+    for (std::int64_t i = first; i < first + len; ++i) {
+      points.note_origin(origins.origin + delinearize(i, origins.size));
+    }
+    EXPECT_EQ(ChunkManifest::load(root_ / "run.txt"), ChunkManifest::load(root_ / "origin.txt"))
+        << "after run [" << first << ", +" << len << ")";
+    first += len;
+  }
+  EXPECT_EQ(runs.chunks_completed(), static_cast<std::int64_t>(chunks.size()));
+  runs.note_run(origins, 0, n);  // replay past completion: no new records
+  EXPECT_EQ(ChunkManifest::load(root_ / "run.txt").size(), chunks.size());
+}
+
 TEST_F(CheckpointFixture, CollectModeCheckpointRecordsEveryChunkOnce) {
   // A Collect-mode run (what `h4d analyze --checkpoint` runs) credits each
   // collected map as a region: the manifest names every chunk exactly once,

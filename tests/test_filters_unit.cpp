@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <set>
 
@@ -72,6 +73,30 @@ class FilterUnitTest : public ::testing::Test {
   Volume4<std::uint16_t> volume_{Vec4{1, 1, 1, 1}};
   ParamsPtr params_;
 };
+
+/// A FeatureValues block of `values` at raster(box)[first, first + n), as
+/// HMP and HPC emit them.
+fs::BufferPtr block_of(Feature f, const Region4& box, std::int64_t first,
+                       const std::vector<float>& values) {
+  auto buf = make_feature_block(f, box, first, static_cast<std::int64_t>(values.size()), 0);
+  std::copy(values.begin(), values.end(), feature_block_values(*buf).begin());
+  return buf;
+}
+
+/// Calls fn(feature, origin, value) for every value of every FeatureValues
+/// buffer `ctx` received.
+template <typename Fn>
+void for_each_value(const MockContext& ctx, const ParamsPtr& p, Fn&& fn) {
+  const Region4 origins = roi_origin_region(p->meta.dims, p->engine.roi_dims);
+  for (const auto& e : ctx.emitted) {
+    if (e.buffer->header.kind != BufferKind::FeatureValues) continue;
+    const FeatureBlockView b = read_feature_block(*e.buffer, origins, p->engine.features);
+    for (std::size_t i = 0; i < b.values.size(); ++i) {
+      fn(b.feature, b.box.origin + delinearize(b.first + static_cast<std::int64_t>(i), b.box.size),
+         b.values[i]);
+    }
+  }
+}
 
 TEST_F(FilterUnitTest, RfrEmitsEverySlicePieceWithDiskAccounting) {
   MockContext ctx(0, 2);
@@ -154,12 +179,10 @@ TEST_F(FilterUnitTest, HmpEmitsOneSamplePerOriginPerFeature) {
   for (const auto& c : chunks) hmp.process(kPortChunks, c, ctx);
   hmp.flush(ctx);
 
-  const auto buffers = ctx.of_kind(BufferKind::FeatureValues);
   std::map<int, std::int64_t> per_feature;
-  for (const auto& b : buffers) {
-    per_feature[b->header.feature] +=
-        static_cast<std::int64_t>(b->as<FeatureSample>().size());
-  }
+  for_each_value(ctx, params_, [&](Feature f, const Vec4&, float) {
+    ++per_feature[static_cast<int>(f)];
+  });
   const std::int64_t origins = num_roi_origins(params_->meta.dims, params_->engine.roi_dims);
   EXPECT_EQ(per_feature.size(), 4u);  // paper_eval features
   for (const auto& [f, n] : per_feature) EXPECT_EQ(n, origins) << f;
@@ -203,14 +226,11 @@ TEST_F(FilterUnitTest, HccThenHpcMatchesHmp) {
   hpc.flush(hpc_ctx);
 
   // Collect (feature, origin) -> value from both paths and compare.
-  const auto collect = [](const MockContext& ctx) {
+  const auto collect = [this](const MockContext& ctx) {
     std::map<std::pair<int, std::array<std::int64_t, 4>>, float> out;
-    for (const auto& e : ctx.emitted) {
-      if (e.buffer->header.kind != BufferKind::FeatureValues) continue;
-      for (const FeatureSample& s : e.buffer->as<FeatureSample>()) {
-        out[{e.buffer->header.feature, {s.x, s.y, s.z, s.t}}] = s.value;
-      }
-    }
+    for_each_value(ctx, params_, [&](Feature f, const Vec4& o, float value) {
+      out[{static_cast<int>(f), {o[0], o[1], o[2], o[3]}}] = value;
+    });
     return out;
   };
   const auto a = collect(hmp_ctx);
@@ -222,15 +242,48 @@ TEST_F(FilterUnitTest, HccThenHpcMatchesHmp) {
   }
 }
 
+TEST_F(FilterUnitTest, HpcShipsOneBlockPerPacketAndFeature) {
+  // Each packet becomes one block per selected feature, naming the chunk's
+  // owned box and the packet's raster index in it; a packet that names no
+  // box is refused.
+  const auto chunks = run_input_stage();
+  MockContext hcc_ctx;
+  HaralickCoMatrixCalculator hcc(params_);
+  hcc.process(kPortChunks, chunks.front(), hcc_ctx);
+  const Region4 owned = chunks.front()->header.region2;
+  const auto packets = hcc_ctx.of_kind(BufferKind::MatrixPacket);
+  ASSERT_GE(packets.size(), 2u);
+
+  MockContext hpc_ctx;
+  HaralickParameterCalculator hpc(params_);
+  std::int64_t next = 0;
+  for (const auto& p : packets) {
+    EXPECT_EQ(p->header.region, owned);
+    hpc_ctx.emitted.clear();
+    hpc.process(kPortMatrices, p, hpc_ctx);
+    const auto blocks = hpc_ctx.of_kind(BufferKind::FeatureValues);
+    ASSERT_EQ(blocks.size(), 4u);  // paper_eval features
+    const std::int64_t count = MatrixPacketReader(*p, params_->engine.num_levels).count();
+    for (const auto& b : blocks) {
+      const FeatureBlockView v =
+          read_feature_block(*b, roi_origin_region(params_->meta.dims, params_->engine.roi_dims),
+                             params_->engine.features);
+      EXPECT_EQ(v.box, owned);
+      EXPECT_EQ(v.first, next);
+      EXPECT_EQ(static_cast<std::int64_t>(v.values.size()), count);
+    }
+    next += count;
+  }
+  EXPECT_EQ(next, owned.volume());
+
+  auto loose = fs::make_buffer(packets.front()->header, packets.front()->payload);
+  loose->header.region = Region4{};
+  EXPECT_THROW(hpc.process(kPortMatrices, loose, hpc_ctx), haralick::MalformedMatrixError);
+}
+
 TEST_F(FilterUnitTest, UsoWritesSampleFiles) {
-  fs::BufferHeader h;
-  h.kind = BufferKind::FeatureValues;
-  h.feature = static_cast<int>(Feature::Contrast);
-  auto buf = fs::make_buffer(h);
-  auto span = buf->alloc_as<FeatureSample>(3);
-  span[0] = FeatureSample::make({0, 0, 0, 0}, 1.f);
-  span[1] = FeatureSample::make({1, 0, 0, 0}, 2.f);
-  span[2] = FeatureSample::make({2, 0, 0, 0}, 3.f);
+  const auto buf = block_of(Feature::Correlation, Region4{{0, 0, 0, 0}, {3, 1, 1, 1}}, 0,
+                            {1.f, 2.f, 3.f});
 
   const fsys::path out = root_ / "uso";
   MockContext ctx;
@@ -238,19 +291,25 @@ TEST_F(FilterUnitTest, UsoWritesSampleFiles) {
   uso.process(kPortFeatures, buf, ctx);
   uso.process(kPortFeatures, buf, ctx);  // appends
 
-  const fsys::path file = out / "contrast_c0.bin";
+  const fsys::path file = out / (std::string(haralick::feature_slug(Feature::Correlation)) +
+                                 "_c0.bin");
   ASSERT_TRUE(fsys::exists(file));
   EXPECT_EQ(fsys::file_size(file), 6 * sizeof(FeatureSample));
   EXPECT_EQ(ctx.work().disk_bytes_written,
             static_cast<std::int64_t>(6 * sizeof(FeatureSample)));
+  // Each value is expanded to its (origin, value) record.
+  std::ifstream in(file, std::ios::binary);
+  FeatureSample s;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(in.read(reinterpret_cast<char*>(&s), sizeof s));
+    EXPECT_EQ(s.origin(), Vec4(i % 3, 0, 0, 0));
+    EXPECT_EQ(s.value, static_cast<float>(i % 3 + 1));
+  }
 }
 
 TEST_F(FilterUnitTest, UsoAccountsOnlyWithEmptyDir) {
-  fs::BufferHeader h;
-  h.kind = BufferKind::FeatureValues;
-  h.feature = 0;
-  auto buf = fs::make_buffer(h);
-  buf->alloc_as<FeatureSample>(5);
+  const auto buf = block_of(Feature::AngularSecondMoment, Region4{{0, 0, 0, 0}, {5, 1, 1, 1}},
+                            0, std::vector<float>(5));
   MockContext ctx;
   UnstitchedOutput uso(params_, {});
   uso.process(kPortFeatures, buf, ctx);
@@ -262,17 +321,9 @@ TEST_F(FilterUnitTest, HicAssemblesAndEmitsCompleteMaps) {
   HaralickImageConstructor hic(params_);
   const Region4 origins = roi_origin_region(params_->meta.dims, params_->engine.roi_dims);
 
-  fs::BufferHeader h;
-  h.kind = BufferKind::FeatureValues;
-  h.feature = static_cast<int>(Feature::AngularSecondMoment);
-  auto buf = fs::make_buffer(h);
-  auto span = buf->alloc_as<FeatureSample>(static_cast<std::size_t>(origins.volume()));
-  std::int64_t i = 0;
-  for (const Vec4& p : raster(origins)) {
-    span[static_cast<std::size_t>(i)] = FeatureSample::make(p, static_cast<float>(i));
-    ++i;
-  }
-  hic.process(kPortFeatures, buf, ctx);
+  std::vector<float> ramp(static_cast<std::size_t>(origins.volume()));
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<float>(i);
+  hic.process(kPortFeatures, block_of(Feature::AngularSecondMoment, origins, 0, ramp), ctx);
   hic.flush(ctx);
 
   const auto maps = ctx.of_kind(BufferKind::FeatureMap);
@@ -288,12 +339,112 @@ TEST_F(FilterUnitTest, HicAssemblesAndEmitsCompleteMaps) {
 TEST_F(FilterUnitTest, HicRejectsOutOfRangeOrigin) {
   MockContext ctx;
   HaralickImageConstructor hic(params_);
-  fs::BufferHeader h;
-  h.kind = BufferKind::FeatureValues;
-  h.feature = 0;
-  auto buf = fs::make_buffer(h);
-  buf->alloc_as<FeatureSample>(1)[0] = FeatureSample::make({999, 0, 0, 0}, 1.f);
+  const auto buf =
+      block_of(Feature::AngularSecondMoment, Region4{{999, 0, 0, 0}, {1, 1, 1, 1}}, 0, {1.f});
   EXPECT_THROW(hic.process(kPortFeatures, buf, ctx), std::runtime_error);
+}
+
+// ---- malformed feature blocks: HIC and USO reject each defect with one
+// typed error, before they stitch, write or credit anything ----
+
+class MalformedBlockTest : public FilterUnitTest {
+ protected:
+  void expect_rejected(const fs::BufferPtr& buf) {
+    MockContext ctx;
+    HaralickImageConstructor hic(params_);
+    EXPECT_THROW(hic.process(kPortFeatures, buf, ctx), MalformedFeatureBlockError);
+    hic.flush(ctx);
+    EXPECT_TRUE(ctx.of_kind(BufferKind::FeatureMap).empty());
+
+    const fsys::path out = root_ / "uso";
+    UnstitchedOutput uso(params_, out);
+    EXPECT_THROW(uso.process(kPortFeatures, buf, ctx), MalformedFeatureBlockError);
+    EXPECT_FALSE(fsys::exists(out));
+    EXPECT_EQ(ctx.work().disk_bytes_written, 0);
+  }
+
+  Region4 origins() const {
+    return roi_origin_region(params_->meta.dims, params_->engine.roi_dims);
+  }
+};
+
+TEST_F(MalformedBlockTest, BoxOutsideTheOriginRegion) {
+  // One past the last origin along y, a negative origin, an empty box, and
+  // a box whose end overflows int64.
+  Region4 past = origins();
+  past.size[1] += 1;
+  expect_rejected(block_of(Feature::Correlation, past, 0, {1.f}));
+  expect_rejected(block_of(Feature::Correlation, Region4{{-1, 0, 0, 0}, {2, 1, 1, 1}}, 0, {1.f}));
+  expect_rejected(block_of(Feature::Correlation, Region4{{0, 0, 0, 0}, {0, 1, 1, 1}}, 0, {}));
+  const std::int64_t huge = std::numeric_limits<std::int64_t>::max();
+  expect_rejected(
+      block_of(Feature::Correlation, Region4{{huge, 0, 0, 0}, {2, 1, 1, 1}}, 0, {1.f}));
+}
+
+TEST_F(MalformedBlockTest, RunPastTheEndOfTheBox) {
+  const Region4 box{{0, 0, 0, 0}, {3, 2, 1, 1}};
+  expect_rejected(block_of(Feature::Correlation, box, 0, std::vector<float>(7)));
+  expect_rejected(block_of(Feature::Correlation, box, 4, std::vector<float>(3)));
+  expect_rejected(block_of(Feature::Correlation, box, -1, std::vector<float>(2)));
+}
+
+TEST_F(MalformedBlockTest, PayloadLengthIsNotEightPlusFourN) {
+  const Region4 box{{0, 0, 0, 0}, {3, 2, 1, 1}};
+  auto odd = block_of(Feature::Correlation, box, 0, {1.f, 2.f});
+  odd->payload.pop_back();  // 8 + 4 * 2 - 1 bytes
+  expect_rejected(odd);
+  auto short_first = block_of(Feature::Correlation, box, 0, {});
+  short_first->payload.resize(4);  // not even `first`
+  expect_rejected(short_first);
+}
+
+TEST_F(MalformedBlockTest, FeatureOutsideTheRunsSet) {
+  const Region4 box{{0, 0, 0, 0}, {2, 1, 1, 1}};
+  expect_rejected(block_of(Feature::Contrast, box, 0, {1.f, 2.f}));  // not in paper_eval
+  auto past = block_of(Feature::Correlation, box, 0, {1.f, 2.f});
+  past->header.feature = haralick::kNumFeatures;
+  expect_rejected(past);
+  past->header.feature = -1;
+  expect_rejected(past);
+}
+
+TEST_F(FilterUnitTest, HicStitchesPartialRunsAcrossRowsAndPlanes) {
+  // HPC ships a packet's run of a chunk's owned box: it may start and end
+  // mid-row. Runs cutting the box anywhere, in any order, stitch the same
+  // map as one whole block.
+  const Region4 origins = roi_origin_region(params_->meta.dims, params_->engine.roi_dims);
+  const Region4 box{{1, 2, 1, 0}, {5, 3, 2, 2}};  // inside the 12x10x4x2 origins
+  const std::int64_t n = box.volume();
+  std::vector<float> values(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 1.0f + static_cast<float>(i);
+
+  MockContext whole_ctx;
+  HaralickImageConstructor whole(params_);
+  whole.process(kPortFeatures, block_of(Feature::Correlation, box, 0, values), whole_ctx);
+  whole.flush(whole_ctx);
+
+  MockContext runs_ctx;
+  HaralickImageConstructor runs(params_);
+  const std::vector<std::int64_t> cuts{0, 1, 4, 5, 16, 17, 31, 45, 59, n};
+  for (std::size_t c = cuts.size() - 1; c-- > 0;) {  // last run first
+    const std::vector<float> part(values.begin() + cuts[c], values.begin() + cuts[c + 1]);
+    runs.process(kPortFeatures, block_of(Feature::Correlation, box, cuts[c], part), runs_ctx);
+  }
+  runs.flush(runs_ctx);
+
+  const auto a = whole_ctx.of_kind(BufferKind::FeatureMap);
+  const auto b = runs_ctx.of_kind(BufferKind::FeatureMap);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[0]->feature_map.storage(), b[0]->feature_map.storage());
+  std::int64_t i = 0;
+  for (const Vec4& p : raster(box)) {
+    EXPECT_EQ(b[0]->feature_map.at(p - origins.origin), 1.0f + static_cast<float>(i)) << p.str();
+    ++i;
+  }
+  std::int64_t nonzero = 0;
+  for (const float v : b[0]->feature_map.storage()) nonzero += v != 0.0f;
+  EXPECT_EQ(nonzero, n);  // nothing outside the box
 }
 
 TEST_F(FilterUnitTest, JiwWritesNormalizedSeries) {
@@ -340,17 +491,9 @@ TEST_F(FilterUnitTest, CollectorKeepsTheStorageHicStitchedInto) {
   MockContext hic_ctx;
   HaralickImageConstructor hic(params_);
   const Region4 origins = roi_origin_region(params_->meta.dims, params_->engine.roi_dims);
-  fs::BufferHeader h;
-  h.kind = BufferKind::FeatureValues;
-  h.feature = static_cast<int>(Feature::Correlation);
-  auto buf = fs::make_buffer(h);
-  auto span = buf->alloc_as<FeatureSample>(static_cast<std::size_t>(origins.volume()));
-  std::int64_t i = 0;
-  for (const Vec4& p : raster(origins)) {
-    span[static_cast<std::size_t>(i)] = FeatureSample::make(p, 0.5f * static_cast<float>(i));
-    ++i;
-  }
-  hic.process(kPortFeatures, buf, hic_ctx);
+  std::vector<float> values(static_cast<std::size_t>(origins.volume()));
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 0.5f * static_cast<float>(i);
+  hic.process(kPortFeatures, block_of(Feature::Correlation, origins, 0, values), hic_ctx);
   hic.flush(hic_ctx);
   const auto maps = hic_ctx.of_kind(BufferKind::FeatureMap);
   ASSERT_EQ(maps.size(), 1u);

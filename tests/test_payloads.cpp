@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "glcm_test_util.hpp"
@@ -225,6 +226,60 @@ TEST(MatrixPacket, ReaderDecodesEachMatrixWhenNnzFallsThenRises) {
       EXPECT_EQ(reader.matrix().total(), kSeriesTotals[m]);
     }
     EXPECT_FALSE(reader.next());
+  }
+}
+
+// ---- a packet that names a box is a raster run of it ----
+
+/// A packet of the Ng=4 series at raster(box)[first, first + 3), with one
+/// origin replaced by `stray` when `bad` is in range.
+fs::BufferPtr run_packet(Representation repr, const Region4& box, std::int64_t first,
+                         std::size_t bad = kSeries.size(), const Vec4& stray = {}) {
+  MatrixPacketWriter writer(repr, 4);
+  for (std::size_t m = 0; m < kSeries.size(); ++m) {
+    const Vec4 at = m == bad ? stray
+                             : box.origin + delinearize(first + static_cast<std::int64_t>(m),
+                                                        box.size);
+    writer.add(at, kSeriesTotals[m], kSeries[m]);
+  }
+  return writer.take(0, 0, box);
+}
+
+TEST(MatrixPacket, ReaderFollowsTheRunOfTheBox) {
+  const Region4 box{{4, 2, 1, 0}, {2, 2, 1, 2}};
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    // Starts mid-row and wraps into the next y row and the next t plane.
+    const auto buf = run_packet(repr, box, 3);
+    EXPECT_EQ(buf->header.region, box);
+    MatrixPacketReader reader(*buf, 4);
+    EXPECT_EQ(reader.box(), box);
+    EXPECT_EQ(reader.first(), 3);
+    std::int64_t k = 0;
+    while (reader.next()) {
+      EXPECT_EQ(reader.origin(), box.origin + delinearize(3 + k, box.size));
+      ++k;
+    }
+    EXPECT_EQ(k, 3);
+  }
+}
+
+TEST(MalformedPacket, OriginOffTheRunOfTheBox) {
+  const Region4 box{{4, 2, 1, 0}, {2, 2, 1, 2}};
+  for (const Representation repr : {Representation::Full, Representation::Sparse}) {
+    // The second matrix skips a point of the run: the first still decodes.
+    auto buf = run_packet(repr, box, 0, 1, box.origin + delinearize(2, box.size));
+    MatrixPacketReader reader(*buf, 4);
+    ASSERT_TRUE(reader.next());
+    EXPECT_THROW(reader.next(), haralick::MalformedMatrixError);
+    // A first origin outside the box, and a run that passes the box's end.
+    EXPECT_THROW((MatrixPacketReader{*run_packet(repr, box, 0, 0, {0, 0, 0, 0}), 4}),
+                 haralick::MalformedMatrixError);
+    EXPECT_THROW((MatrixPacketReader{*run_packet(repr, box, 6), 4}),
+                 haralick::MalformedMatrixError);
+    // A box whose end does not fit in int64.
+    buf = run_packet(repr, box, 0);
+    buf->header.region.origin[3] = std::numeric_limits<std::int64_t>::max();
+    EXPECT_THROW((MatrixPacketReader{*buf, 4}), haralick::MalformedMatrixError);
   }
 }
 

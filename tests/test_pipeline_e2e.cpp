@@ -169,6 +169,44 @@ TEST_F(E2EFixture, MomentFeatureMapsDoNotDependOnTheSelection) {
   }
 }
 
+TEST_F(E2EFixture, FeatureStreamCountersAreDeterministic) {
+  // HMP ships one block per (chunk, feature), so its stream counters, and
+  // what HIC receives, do not depend on which copy took which chunk.
+  PipelineConfig cfg = base_config(2);
+  cfg.variant = Variant::HMP;
+  cfg.hmp_copies = 3;
+  cfg.texture_chunk = {16, 16, 8, 6};
+  const auto chunks = static_cast<std::int64_t>(make_params(cfg)->chunks.size());
+  ASSERT_GT(chunks, 1);
+
+  struct Stream {
+    std::int64_t hmp_buffers_out = 0, hmp_bytes_out = 0, hic_buffers_in = 0, hic_bytes_in = 0;
+    bool operator==(const Stream&) const = default;
+  };
+  const auto run = [&] {
+    const AnalysisResult r = analyze_threaded(cfg);
+    Stream s;
+    for (const fs::CopyStats& c : r.stats.copies) {
+      if (c.filter == "HMP") {
+        s.hmp_buffers_out += c.meter.buffers_out;
+        s.hmp_bytes_out += c.meter.bytes_out;
+      } else if (c.filter == "HIC") {
+        s.hic_buffers_in += c.meter.buffers_in;
+        s.hic_bytes_in += c.meter.bytes_in;
+      }
+    }
+    return s;
+  };
+  const Stream a = run();
+  const Stream b = run();
+  EXPECT_EQ(a.hmp_buffers_out, chunks * cfg.engine.features.count());
+  EXPECT_EQ(a.hic_buffers_in, a.hmp_buffers_out);
+  EXPECT_TRUE(a == b) << "HMP out " << a.hmp_buffers_out << "/" << a.hmp_bytes_out << " vs "
+                      << b.hmp_buffers_out << "/" << b.hmp_bytes_out << ", HIC in "
+                      << a.hic_buffers_in << "/" << a.hic_bytes_in << " vs "
+                      << b.hic_buffers_in << "/" << b.hic_bytes_in;
+}
+
 TEST_F(E2EFixture, MultipleIicCopiesMatchReference) {
   PipelineConfig cfg = base_config(4);
   cfg.variant = Variant::HMP;

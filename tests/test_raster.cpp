@@ -53,5 +53,29 @@ TEST(Raster, AgreesWithDelinearize) {
   }
 }
 
+TEST(Raster, RunBoxesCoverEveryRunInOrder) {
+  // Every run of a box splits into at most 2 * kDims - 1 sub-boxes whose
+  // raster orders, concatenated, are the run's points.
+  const Region4 box{{2, 1, 0, 3}, {3, 4, 2, 3}};
+  std::vector<Vec4> all;
+  for (const Vec4& p : raster(box)) all.push_back(p);
+  const auto n = static_cast<std::int64_t>(all.size());
+  for (std::int64_t first = 0; first <= n; ++first) {
+    for (std::int64_t len = 0; first + len <= n; ++len) {
+      std::vector<Vec4> got;
+      int boxes = 0;
+      for_each_run_box(box, first, len, [&](const Region4& sub, std::int64_t offset) {
+        ASSERT_TRUE(box.contains(sub)) << sub.str();
+        ASSERT_EQ(offset, static_cast<std::int64_t>(got.size()));
+        for (const Vec4& p : raster(sub)) got.push_back(p);
+        ++boxes;
+      });
+      ASSERT_EQ(got, std::vector<Vec4>(all.begin() + first, all.begin() + first + len))
+          << "run [" << first << ", +" << len << ")";
+      EXPECT_LE(boxes, 2 * kDims - 1);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace h4d
