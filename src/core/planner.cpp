@@ -93,8 +93,4 @@ SplitPlan plan_split_dataset(const io::DiskDataset& dataset,
   return plan_split(probe, engine, cost, texture_nodes, max_probe_rois);
 }
 
-std::vector<SliceCoord> plan_prefetch_sequence(const std::vector<Chunk>& chunks) {
-  return raster_slice_order(chunks);
-}
-
 }  // namespace h4d::core

@@ -11,7 +11,6 @@
 #include "haralick/roi_engine.hpp"
 #include "io/dataset.hpp"
 #include "io/resilient_reader.hpp"
-#include "nd/chunking.hpp"
 #include "sim/cost_model.hpp"
 
 namespace h4d::core {
@@ -36,12 +35,6 @@ SplitPlan plan_split(const Volume4<Level>& probe, const haralick::EngineConfig& 
 /// Node split for a given cost ratio r = hcc/hpc: largest-remainder
 /// apportionment with both sides >= 1 (for texture_nodes >= 2).
 std::pair<int, int> apportion_split(double cost_ratio, int texture_nodes);
-
-/// Prefetch schedule for the tile cache: the distinct slices of the volume
-/// in first-need order over the planner's raster-scan chunk sequence
-/// (t-major, z-minor within each chunk, ghost overlap included). The RFR
-/// prefetchers walk this list, each filtered to its node's owned slices.
-std::vector<SliceCoord> plan_prefetch_sequence(const std::vector<Chunk>& chunks);
 
 /// plan_split against a disk-resident dataset: reads a probe subvolume
 /// (clamped to the dataset, at least one ROI) through the resilient read

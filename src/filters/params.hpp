@@ -128,7 +128,7 @@ struct PipelineParams : RunSettings {
   /// Cache key of this dataset (derived by make()).
   std::uint64_t cache_dataset = 0;
   /// Planner prefetch hints: distinct slices in first-need order over the
-  /// raster-scan chunk sequence (core::plan_prefetch_sequence). Empty when
+  /// raster-scan chunk sequence (nd::raster_slice_order). Empty when
   /// the cache or prefetch is off.
   std::vector<SliceCoord> prefetch_slices;
 

@@ -1,5 +1,5 @@
 // Internal feature-computation machinery: the gathered sums of the feature
-// sweep and the integer moments of a bin window (kernel.cpp), and their
+// sweep and the integer moments of a matrix (kernel.cpp), and their
 // finalization into features (features.cpp).
 // The reference passes in tests/oracle reuse it. Not part of the public
 // haralick API; include features.hpp instead.
@@ -62,10 +62,10 @@ FeatureVector finalize(const Gathered& g, FeatureSet set, std::span<const Sparse
 /// The features the moment path computes: the paper's four (f1, f3, f4, f5).
 inline constexpr FeatureSet kMomentFeatures = FeatureSet::paper_eval();
 
-/// Exact integer sums over the symmetric matrix c of a bin window (u_b the
-/// pair count of bin b = (i <= j); docs/KERNEL.md §5). Every sum stays below
-/// 2^53 for a window of at most 65,535 pairs and Ng <= 64, so it is exact in
-/// int64 and in double.
+/// Exact integer sums over the symmetric matrix c (u the pair count of an
+/// upper cell i <= j, read off a bin window or an entry list;
+/// docs/KERNEL.md §5). Every sum stays below 2^53 for a matrix of at most
+/// 65,535 pairs and Ng <= 64, so it is exact in int64 and in double.
 struct MomentSums {
   int ng = 0;
   std::int64_t n = 0;       // N = sum c = 2 sum u

@@ -130,6 +130,67 @@ void credit_sweep(WorkCounters& wc, int ng, std::int64_t nnz, std::int64_t cells
   wc.feature_cell_ops += cells * (terms > 0 ? terms : 1);
 }
 
+/// Accumulates the exact integer sums of the moment path (docs/KERNEL.md
+/// §5) into `m`, one upper cell at a time. Both producers of a matrix feed
+/// it: the column path bin by bin, the others entry by entry. Exact int64
+/// sums do not depend on the order they are added in, so both give the
+/// same bits.
+class MomentAccumulator {
+ public:
+  explicit MomentAccumulator(detail::MomentSums& m) : m_(m) {}
+
+  /// Cell (i, j), i <= j, holding u pairs (u may be 0); `mult` is the
+  /// dense matrix's multiplier, 2 on the diagonal and 1 off it. With s = i + j
+  /// and k = j - i, its pairs weigh i + j = s, i^2 + j^2 = (s^2 + k^2) / 2
+  /// and 2ij = (s^2 - k^2) / 2 in the sums over the symmetric matrix.
+  void add(std::int64_t u, std::int64_t i, std::int64_t j, std::int64_t mult) {
+    const std::int64_t s = i + j;
+    const std::int64_t k = j - i;
+    sum_u_ += u;
+    sum_s_ += u * s;
+    sum_ss_ += u * s * s;
+    sum_kk_ += u * k * k;
+    // Off-diagonal cells hold u twice; a diagonal cell holds 2u once.
+    sum_sq_ += u * u * mult;
+    m_.diff[static_cast<std::size_t>(k)] += 2 * u;  // both mirror cells
+    const std::int64_t nonzero = u != 0;
+    nnz_ += nonzero;
+    cells_ += nonzero * (3 - mult);
+  }
+
+  /// Completes `m` for a matrix of `ng` levels.
+  void finish(int ng) {
+    m_.ng = ng;
+    m_.n = 2 * sum_u_;
+    m_.sum_sq = 2 * sum_sq_;
+    m_.sum_i = sum_s_;
+    m_.sum_ii = (sum_ss_ + sum_kk_) / 2;
+    m_.sum_ij = (sum_ss_ - sum_kk_) / 2;
+    m_.nnz = nnz_;
+    m_.cells = cells_;
+  }
+
+ private:
+  detail::MomentSums& m_;
+  // Kept apart from `m_` so they stay in registers: a store to m_.diff[k]
+  // could otherwise alias them.
+  std::int64_t sum_u_ = 0, sum_s_ = 0, sum_ss_ = 0, sum_kk_ = 0, sum_sq_ = 0, nnz_ = 0,
+               cells_ = 0;
+};
+
+/// The moment sums of an entry list. A diagonal entry carries the dense
+/// value, twice the pair count.
+detail::MomentSums moment_sums_of(int ng, std::span<const SparseEntry> entries) {
+  detail::MomentSums m;
+  MomentAccumulator acc(m);
+  for (const SparseEntry& e : entries) {
+    const int diag = e.i == e.j;
+    acc.add(e.count >> diag, e.i, e.j, 1 + diag);
+  }
+  acc.finish(ng);
+  return m;
+}
+
 }  // namespace
 
 KernelScratch::KernelScratch(int num_levels) { configure(num_levels); }
@@ -389,7 +450,7 @@ void KernelScratch::prepare_bins(int num_levels, int lo, int hi) {
                       i == j ? 2u : 1u};
     }
   }
-  window_.assign(3 * bin_stride_, 0);
+  window_.assign(2 * bin_stride_, 0);
   bins_ng_ = num_levels;
   bins_lo_ = lo;
   bins_hi_ = hi;
@@ -402,61 +463,23 @@ void KernelScratch::prepare_columns(std::int64_t columns, int lo, int hi) {
   if (columns_.size() < need) columns_.resize(need);
 }
 
-const std::uint16_t* KernelScratch::scatter_bins(int num_levels,
-                                                 std::span<const SparseEntry> entries) {
-  prepare_bins(num_levels, 0, num_levels - 1);
-  std::uint16_t* const h = window_.data() + 2 * bin_stride_;
-  // A diagonal entry carries the dense value, twice the pair count. The
-  // caller checked that every count fits: at most 65,535 pairs in all.
-  for (const SparseEntry& e : entries) {
-    h[bin_of_[(static_cast<std::size_t>(e.i) << 6) | e.j]] =
-        static_cast<std::uint16_t>(e.i == e.j ? e.count / 2 : e.count);
-  }
-  return h;
-}
-
-void KernelScratch::unscatter_bins(std::span<const SparseEntry> entries) {
-  std::uint16_t* const h = window_.data() + 2 * bin_stride_;
-  for (const SparseEntry& e : entries) h[bin_of_[(static_cast<std::size_t>(e.i) << 6) | e.j]] = 0;
-}
-
 detail::MomentSums KernelScratch::moment_sums(const std::uint16_t* h) const {
-  // With s = i + j and k = j - i, a bin's pair count u weighs i + j = s,
-  // i^2 + j^2 = (s^2 + k^2) / 2 and 2ij = (s^2 - k^2) / 2 in the sums over
-  // the symmetric matrix. Most bins of a window are zero, so whole 4-bin
-  // words of zeros are skipped, as in gather_bins; every sum is an exact
-  // int64.
+  // Most bins of a window are zero, so whole 4-bin words of zeros are
+  // skipped, as in gather_bins.
   detail::MomentSums m;
-  std::int64_t sum_u = 0, sum_s = 0, sum_ss = 0, sum_kk = 0, sum_sq = 0, nnz = 0, cells = 0;
+  MomentAccumulator acc(m);
   for (std::size_t b = 0; b < bin_stride_; b += 4) {
     std::uint64_t word;
     std::memcpy(&word, h + b, sizeof word);
     if (word == 0) continue;
     for (std::size_t q = b; q < b + 4; ++q) {
-      const std::int64_t u = h[q];
-      const SparseEntry& e = bin_cell_[q];  // padding bins hold u = 0
-      const std::int64_t si = e.i + e.j;
-      const std::int64_t k = e.j - e.i;
-      sum_u += u;
-      sum_s += u * si;
-      sum_ss += u * si * si;
-      sum_kk += u * k * k;
-      // Off-diagonal cells hold u twice; a diagonal cell (count 2) holds 2u.
-      sum_sq += u * u * e.count;
-      m.diff[static_cast<std::size_t>(k)] += 2 * u;  // both mirror cells
-      const std::int64_t nonzero = u != 0;
-      nnz += nonzero;
-      cells += nonzero * (3 - static_cast<std::int64_t>(e.count));
+      // The bin's cell, its count holding the multiplier; padding bins
+      // hold u = 0.
+      const SparseEntry& e = bin_cell_[q];
+      acc.add(h[q], e.i, e.j, e.count);
     }
   }
-  m.ng = bins_ng_;
-  m.n = 2 * sum_u;
-  m.sum_sq = 2 * sum_sq;
-  m.sum_i = sum_s;
-  m.sum_ii = (sum_ss + sum_kk) / 2;
-  m.sum_ij = (sum_ss - sum_kk) / 2;
-  m.nnz = nnz;
-  m.cells = cells;
+  acc.finish(bins_ng_);
   return m;
 }
 
@@ -477,10 +500,7 @@ FeatureVector KernelScratch::evaluate(int ng, std::int64_t total, const std::uin
   if (swept) fv = sweep(ng, total, entries, set, wc, mode, repr, compressed);
   if (!moments) return fv;
 
-  const bool scattered = bins == nullptr;
-  if (scattered) bins = scatter_bins(ng, entries);
-  const detail::MomentSums m = moment_sums(bins);
-  if (scattered) unscatter_bins(entries);
+  const detail::MomentSums m = bins != nullptr ? moment_sums(bins) : moment_sums_of(ng, entries);
   if (!swept && wc != nullptr) {
     credit_sweep(*wc, ng, m.nnz, m.cells, set, repr, compressed);
   }

@@ -37,11 +37,13 @@
 //     column-histogram gather (features_of_rois) and a received matrix
 //     (features_of, the HPC filter and the split planner);
 //   * in Fast mode the paper's four features (f1, f3, f4, f5) come instead
-//     from exact integer moments of the matrix's uint16 bin window
-//     (docs/KERNEL.md §5): the column path reads the window it already
-//     built, skipping the gather and, for the paper's feature set, the
-//     sweep; the other producers scatter their entry list into a zeroed
-//     window first, so every producer computes the same bits.
+//     from exact integer moments of the matrix (docs/KERNEL.md §5): the
+//     column path sums the uint16 bin window it already built, skipping the
+//     gather and, for the paper's feature set, the sweep; the other
+//     producers (a received matrix, the tile gather, the per-ROI scan) sum
+//     their entry list in one pass. Both add each cell through the same
+//     formula into exact int64 sums, which do not depend on the order they
+//     are added in, so every producer computes the same bits.
 //
 // Equivalence contract (property-tested in test_kernel.cpp against
 // tests/oracle): accumulate + fold is bit-identical to the reference
@@ -75,7 +77,7 @@ struct MomentSums;
 /// sparse feature pass over the same entry list. Fast copies the entries
 /// into SoA term arrays and reduces them with SIMD-annotated loops (see
 /// simd.hpp) using the fast_log polynomial for the entropy terms, and takes
-/// f1, f3, f4 and f5 from exact integer moments of the bin window whenever
+/// f1, f3, f4 and f5 from exact integer moments of the matrix whenever
 /// Ng <= 64 and the matrix holds at most 65,535 pairs; results agree with
 /// Strict to ~1e-10 relative (property-tested). The engine runs Fast by
 /// default; Strict remains for verification and for callers that need
@@ -193,10 +195,7 @@ class KernelScratch {
   std::size_t gather_bins(const std::uint16_t* h);  // bins -> entries_, returns nnz
   void prepare_bins(int ng, int lo, int hi);          // bins of levels lo..hi
   void prepare_columns(std::int64_t columns, int lo, int hi);  // + column storage
-  // A zeroed bin window holding `entries` (valid until unscatter_bins).
-  const std::uint16_t* scatter_bins(int ng, std::span<const SparseEntry> entries);
-  void unscatter_bins(std::span<const SparseEntry> entries);
-  detail::MomentSums moment_sums(const std::uint16_t* h) const;
+  detail::MomentSums moment_sums(const std::uint16_t* h) const;  // of a bin window
 
   // Receives the k-th ROI of a chunk: its bin window on the column path, or
   // (with `bins` null) its gathered entry list on the per-ROI scan.
@@ -228,8 +227,7 @@ class KernelScratch {
 
   // Column-histogram state of entries_of_rois, sized on first use. A bin
   // is an unordered level pair (i, j) with lo <= i <= j <= hi, the chunk's
-  // level range (0 .. Ng-1 for a scattered matrix); bins follow
-  // SparseGlcm::from_dense order.
+  // level range; bins follow SparseGlcm::from_dense order.
   int bins_ng_ = 0;                      // Ng the bin tables were built for
   int bins_lo_ = 0;                      // their level range
   int bins_hi_ = 0;
@@ -237,7 +235,7 @@ class KernelScratch {
   std::vector<std::uint16_t> bin_of_;    // 64 x 64: (a, b) -> bin
   std::vector<SparseEntry> bin_cell_;    // bin -> (i, j, dense multiplier)
   std::vector<std::uint16_t> columns_;   // [x step][column][bin]
-  std::vector<std::uint16_t> window_;    // running sum, one ROI, a scatter
+  std::vector<std::uint16_t> window_;    // running sum, one ROI
 
   // Feature-sweep buffers (owned here so workers reuse them across chunks).
   std::unique_ptr<detail::Gathered> gathered_;

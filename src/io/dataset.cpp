@@ -1,6 +1,7 @@
 #include "io/dataset.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -78,36 +79,64 @@ void DatasetMeta::save(const std::filesystem::path& root) const {
 DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
   std::ifstream f(root / kMetaFile);
   if (!f) throw std::runtime_error("cannot read " + (root / kMetaFile).string());
+  const std::string corrupt = "corrupt dataset.meta under " + root.string();
+  // Each value is one whole token: a value that overflows its field, is
+  // missing, or is not a number is rejected rather than clamped or half-read.
+  const auto read = [&](const std::string& key, auto& value) {
+    std::string token;
+    if (f >> token) {
+      const char* const end = token.data() + token.size();
+      const auto [p, ec] = std::from_chars(token.data(), end, value);
+      if (ec == std::errc{} && p == end) return;
+    }
+    throw std::runtime_error(corrupt + ": unreadable " + key + " value");
+  };
   DatasetMeta m;
   std::string key;
   while (f >> key) {
     if (key == "version") {
       int version = 0;
-      f >> version;
+      read(key, version);
       if (version > kMetaVersion) {
         throw std::runtime_error("dataset.meta under " + root.string() + " is version " +
                                  std::to_string(version) + ", newer than supported " +
                                  std::to_string(kMetaVersion));
       }
     } else if (key == "dims") {
-      f >> m.dims[0] >> m.dims[1] >> m.dims[2] >> m.dims[3];
+      for (int k = 0; k < kDims; ++k) read(key, m.dims[k]);
     } else if (key == "dtype") {
       std::string name;
-      f >> name;
+      if (!(f >> name)) throw std::runtime_error(corrupt + ": unreadable dtype value");
       m.dtype = dtype_from_name(name);
     } else if (key == "range") {
-      f >> m.value_min >> m.value_max;
+      read(key, m.value_min);
+      read(key, m.value_max);
     } else if (key == "storage_nodes") {
-      f >> m.storage_nodes;
+      read(key, m.storage_nodes);
     } else if (key == "replicas") {
-      f >> m.replicas;
+      read(key, m.replicas);
     } else {
       std::string rest;
       std::getline(f, rest);  // tolerate unknown keys
     }
   }
   if (!m.dims.all_positive() || m.storage_nodes < 1 || m.replicas < 1) {
-    throw std::runtime_error("corrupt dataset.meta under " + root.string());
+    throw std::runtime_error(corrupt);
+  }
+  // Every reader walks the nodes (and a slice's replicas) one by one.
+  if (m.storage_nodes > kMaxNodes || m.replicas > kMaxNodes) {
+    throw std::runtime_error(corrupt + ": storage_nodes " + std::to_string(m.storage_nodes) +
+                             " and replicas " + std::to_string(m.replicas) +
+                             " must each be at most " + std::to_string(kMaxNodes));
+  }
+  // The quantizer maps [value_min, value_max] onto the levels; min == max
+  // (a constant volume) is valid and maps to level 0.
+  const double dtype_max = m.dtype == Dtype::U8 ? 255.0 : 65535.0;
+  if (!(0.0 <= m.value_min && m.value_min <= m.value_max && m.value_max <= dtype_max)) {
+    std::ostringstream os;
+    os << corrupt << ": range " << m.value_min << ' ' << m.value_max
+       << " is not 0 <= min <= max <= " << dtype_max << " for " << dtype_name(m.dtype);
+    throw std::runtime_error(os.str());
   }
   // Every read allocates slice_bytes(): the slice and whole-volume byte
   // counts must fit in int64, or the arithmetic downstream is undefined.
@@ -210,7 +239,10 @@ void StorageNodeReader::read_slice_bytes(const SliceRef& slice, std::uint8_t* ou
 DiskDataset DiskDataset::create(const std::filesystem::path& root,
                                 const Volume4<std::uint16_t>& vol, int num_nodes,
                                 int replicas) {
-  if (num_nodes < 1) throw std::invalid_argument("DiskDataset::create: num_nodes must be >= 1");
+  if (num_nodes < 1 || num_nodes > DatasetMeta::kMaxNodes) {
+    throw std::invalid_argument("DiskDataset::create: num_nodes must be in [1, " +
+                                std::to_string(DatasetMeta::kMaxNodes) + "]");
+  }
   if (replicas < 1) throw std::invalid_argument("DiskDataset::create: replicas must be >= 1");
   std::filesystem::create_directories(root);
 

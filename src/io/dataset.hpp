@@ -51,6 +51,8 @@ void widen_to_u16(Dtype d, const std::uint8_t* raw, std::int64_t count, std::uin
 /// misreading a future layout.
 struct DatasetMeta {
   static constexpr int kMetaVersion = 2;
+  /// Upper bound on storage_nodes and on replicas.
+  static constexpr int kMaxNodes = 4096;
 
   Vec4 dims;  ///< (x, y, z, t) extents
   Dtype dtype = Dtype::U16;

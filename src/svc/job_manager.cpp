@@ -580,9 +580,4 @@ std::size_t JobManager::pending_count() const {
   return pending_.size();
 }
 
-std::size_t JobManager::running_count() const {
-  std::lock_guard lk(mu_);
-  return running_;
-}
-
 }  // namespace h4d::svc

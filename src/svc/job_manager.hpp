@@ -181,7 +181,6 @@ class JobManager {
   ServiceStats snapshot() const;
 
   std::size_t pending_count() const;
-  std::size_t running_count() const;
 
  private:
   struct Job;

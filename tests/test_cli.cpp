@@ -182,6 +182,30 @@ TEST_F(CliTest, InfoAndAnalyzeRejectDimsTheSliceFilesDoNotBearOut) {
   expect_rejected(analyze_small(ds, {}), message);
 }
 
+TEST_F(CliTest, InfoAndAnalyzeRejectBadRangesAndNodeCounts) {
+  // An inverted or out-of-dtype intensity range used to pass info and let
+  // analyze quantize every voxel to one level; a huge storage_nodes made
+  // info walk that many node directories. Each now exits 1 naming the field.
+  const std::string ds = small_dataset();
+  const auto write_meta = [&](const std::string& range, const std::string& nodes) {
+    std::ofstream meta(fsys::path(ds) / "dataset.meta", std::ios::trunc);
+    meta << "version 2\ndims 12 12 4 3\ndtype u16\nrange " << range
+         << "\nstorage_nodes " << nodes << "\nreplicas 1\n";
+  };
+  for (const char* range : {"5 1", "542 19342147483648", "-1 100"}) {
+    write_meta(range, "2");
+    expect_rejected(invoke({"info", ds}), "is not 0 <= min <= max <= 65535 for u16");
+    expect_rejected(analyze_small(ds, {}), "is not 0 <= min <= max <= 65535 for u16");
+  }
+  write_meta("0 4000", "100000000");
+  expect_rejected(invoke({"info", ds}), "must each be at most 4096");
+  write_meta("0 4000", "2147483648");
+  expect_rejected(invoke({"info", ds}), "unreadable storage_nodes value");
+  // A constant volume's range (min == max) stays valid.
+  write_meta("7 7", "2");
+  EXPECT_EQ(invoke({"info", ds}), 0) << stderr_text();
+}
+
 TEST_F(CliTest, SimulateReportsVirtualTime) {
   const std::string ds = (dir_ / "ds").string();
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,16,6,4", "--nodes", "2"}), 0);

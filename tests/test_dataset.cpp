@@ -162,6 +162,65 @@ TEST_F(DatasetTest, CheckSliceFilesRejectsDimsNoSliceFileBearsOut) {
   }
 }
 
+TEST_F(DatasetTest, MetaRejectsBadRangesNodeCountsAndUnreadableFields) {
+  DiskDataset::create(root_, sample_volume({4, 4, 2, 2}), 2);
+  const auto load_with = [&](const std::string& dtype, const std::string& range,
+                             const std::string& nodes, const std::string& replicas) {
+    {
+      std::ofstream meta(root_ / "dataset.meta", std::ios::trunc);
+      meta << "version 2\ndims 4 4 2 2\ndtype " << dtype << "\nrange " << range
+           << "\nstorage_nodes " << nodes << "\nreplicas " << replicas << "\n";
+    }
+    return DatasetMeta::load(root_);
+  };
+  const auto expect_rejected = [&](const std::string& dtype, const std::string& range,
+                                   const std::string& nodes, const std::string& replicas,
+                                   const std::string& message) {
+    try {
+      load_with(dtype, range, nodes, replicas);
+      ADD_FAILURE() << "expected a rejection naming '" << message << "'";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("corrupt dataset.meta"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(message), std::string::npos) << msg;
+    }
+  };
+  // Inverted, negative, or past the dtype's largest value.
+  expect_rejected("u16", "5 1", "2", "1", "range 5 1 is not 0 <= min <= max <= 65535 for u16");
+  expect_rejected("u16", "-3 100", "2", "1", "for u16");
+  expect_rejected("u16", "542 19342147483648", "2", "1", "for u16");
+  expect_rejected("u16", "0 65536", "2", "1", "for u16");
+  expect_rejected("u8", "0 256", "2", "1", "is not 0 <= min <= max <= 255 for u8");
+  // Past the node bound, or not a number that fits the field.
+  expect_rejected("u16", "0 100", "100000000", "1", "must each be at most 4096");
+  expect_rejected("u16", "0 100", "2", "5000", "must each be at most 4096");
+  expect_rejected("u16", "0 100", "2147483648", "1", "unreadable storage_nodes value");
+  expect_rejected("u16", "0 100", "two", "1", "unreadable storage_nodes value");
+  expect_rejected("u16", "0 100", "2", "1e3", "replicas");
+  expect_rejected("u16", "0 x", "2", "1", "unreadable range value");
+
+  // The bounds themselves are valid, and so is a constant volume's range.
+  EXPECT_EQ(load_with("u16", "0 65535", "4096", "4096").storage_nodes, 4096);
+  EXPECT_EQ(load_with("u8", "255 255", "2", "1").value_min, 255.0);
+  EXPECT_EQ(load_with("u16", "7 7", "2", "1").value_max, 7.0);
+}
+
+TEST_F(DatasetTest, ConstantVolumeRoundTripsItsEmptyRange) {
+  Volume4<std::uint16_t> flat({4, 4, 2, 2});
+  for (auto& x : flat.storage()) x = 300;
+  DiskDataset::create(root_, flat, 2);
+  const DiskDataset ds = DiskDataset::open(root_);
+  EXPECT_EQ(ds.meta().value_min, 300.0);
+  EXPECT_EQ(ds.meta().value_max, 300.0);
+  EXPECT_EQ(ds.read_all().storage(), flat.storage());
+}
+
+TEST_F(DatasetTest, CreateRejectsMoreNodesThanTheBound) {
+  EXPECT_THROW(DiskDataset::create(root_, sample_volume({4, 4, 1, 1}), DatasetMeta::kMaxNodes + 1),
+               std::invalid_argument);
+  EXPECT_FALSE(fsys::exists(root_ / "dataset.meta"));
+}
+
 TEST_F(DatasetTest, CheckSliceFilesLeavesOneShortOrMissingSliceToTheReadPath) {
   // A single damaged file is a read-time fault (retries, replicas, scrub),
   // not a shape error: the check still passes.

@@ -688,6 +688,178 @@ TEST(Kernel, MomentPathCreditsTheSweepsWorkCounters) {
   }
 }
 
+/// Every ROI's matrix of a chunk (origins local to `v`), as entries_of_rois
+/// hands it out.
+std::vector<SparseGlcm> chunk_matrices(const Volume4<Level>& v, const Region4& owned,
+                                       const Vec4& roi_dims, const std::vector<Vec4>& dirs,
+                                       int ng) {
+  std::vector<SparseGlcm> out;
+  KernelScratch scratch(ng);
+  scratch.entries_of_rois(v.view(), owned, roi_dims, dirs, nullptr,
+                          [&](std::int64_t, std::span<const SparseEntry> entries,
+                              std::int64_t total) {
+                            out.emplace_back(ng, total, std::vector<SparseEntry>(
+                                                            entries.begin(), entries.end()));
+                          });
+  return out;
+}
+
+/// The moment features of every ROI of a chunk, summed off the entry list
+/// (features_of, either representation) and off the column path's bin
+/// window (features_of_rois): the same bits. Returns the matrices.
+std::vector<SparseGlcm> check_entry_moments(const Volume4<Level>& v, const Region4& owned,
+                                            const Vec4& roi_dims,
+                                            const std::vector<Vec4>& dirs, int ng,
+                                            const std::string& what) {
+  const auto matrices = chunk_matrices(v, owned, roi_dims, dirs, ng);
+  EXPECT_EQ(static_cast<std::int64_t>(matrices.size()), owned.volume()) << what;
+  for (const FeatureSet set : {FeatureSet::paper_eval(), FeatureSet::all()}) {
+    std::vector<FeatureVector> window;
+    KernelScratch chunk_scratch(ng);
+    chunk_scratch.features_of_rois(v.view(), owned, roi_dims, dirs, set, nullptr,
+                                   SweepMode::Fast, Representation::Sparse,
+                                   [&](std::int64_t, const FeatureVector& fv) {
+                                     window.push_back(fv);
+                                   });
+    EXPECT_EQ(window.size(), matrices.size()) << what;
+    if (window.size() != matrices.size()) break;
+    KernelScratch scratch(2);
+    for (std::size_t k = 0; k < matrices.size(); ++k) {
+      for (const Representation repr : {Representation::Sparse, Representation::Full}) {
+        const FeatureVector entry = scratch.features_of(matrices[k], set, nullptr,
+                                                        SweepMode::Fast, repr);
+        EXPECT_EQ(std::memcmp(&entry, &window[k], sizeof entry), 0)
+            << what << " roi " << k << " nnz " << matrices[k].nnz();
+      }
+    }
+  }
+  return matrices;
+}
+
+TEST(Kernel, EntryMomentsMatchWindowMoments) {
+  std::mt19937_64 rng(6113);
+  const auto units = unit_directions();
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int trial = 0;
+  for (const int ng : {2, 7, 32, 64}) {
+    for (int rep = 0; rep < 6; ++rep, ++trial) {
+      Vec4 roi_dims, chunk;
+      for (int k = 0; k < kDims; ++k) {
+        roi_dims[k] = pick(1, k < 2 ? 5 : 3);
+        chunk[k] = roi_dims[k] + pick(0, k < 2 ? 4 : 2);
+      }
+      Region4 owned;
+      for (int k = 0; k < kDims; ++k) {
+        const std::int64_t span = chunk[k] - roi_dims[k] + 1;
+        owned.size[k] = pick(1, span);
+        owned.origin[k] = pick(0, span - owned.size[k]);
+      }
+      std::vector<Vec4> dirs;
+      for (const Vec4& d : units) {
+        if (pick(0, 3) == 0) dirs.push_back(d);
+      }
+      if (dirs.empty()) dirs.push_back(units[static_cast<std::size_t>(pick(0, 79))]);
+      const std::string what = "ng=" + std::to_string(ng) + " roi=" + roi_dims.str() +
+                               " chunk=" + chunk.str() + " owned=" + owned.str() +
+                               " dirs=" + std::to_string(dirs.size());
+      check_entry_moments(random_volume(chunk, ng, static_cast<unsigned>(1300 + trial)), owned,
+                          roi_dims, dirs, ng, what + " random");
+      const auto level = static_cast<Level>(pick(0, ng - 1));
+      check_entry_moments(Volume4<Level>(chunk, level), owned, roi_dims, dirs, ng,
+                          what + " constant");
+    }
+  }
+}
+
+TEST(Kernel, EntryMomentsMatchWindowMomentsOnEdgeMatrices) {
+  const int ng = 32;
+  const Vec4 chunk{9, 8, 4, 3};
+  const Region4 owned{{0, 0, 0, 0}, {4, 3, 2, 2}};
+  // Empty: a ROI one voxel wide along the only direction holds no pair.
+  const auto empty = check_entry_moments(random_volume(chunk, ng, 41), owned, {1, 4, 3, 2},
+                                         {Vec4{1, 0, 0, 0}}, ng, "empty");
+  for (const SparseGlcm& m : empty) EXPECT_EQ(m.nnz(), 0u);
+  // Diagonal-only, over many levels: the level varies in x only and every
+  // pair steps in y, z or t.
+  Volume4<Level> stripes(chunk);
+  for (const Vec4& p : raster(Region4::whole(chunk))) {
+    stripes.at(p) = static_cast<Level>((5 * p[0]) % ng);
+  }
+  const auto diagonal =
+      check_entry_moments(stripes, owned, {5, 4, 3, 2},
+                          {Vec4{0, 1, 0, 0}, Vec4{0, 0, 1, 0}, Vec4{0, 1, -1, 1}}, ng,
+                          "diagonal-only");
+  for (const SparseGlcm& m : diagonal) {
+    EXPECT_GT(m.nnz(), 1u);
+    for (const SparseEntry& e : m.entries()) EXPECT_EQ(e.i, e.j);
+  }
+  // Constant: one diagonal entry holding every pair.
+  for (const SparseGlcm& m :
+       check_entry_moments(Volume4<Level>(chunk, 17), owned, {5, 4, 3, 2},
+                           unique_directions(ActiveDims::all4()), ng, "constant")) {
+    ASSERT_EQ(m.nnz(), 1u);
+    EXPECT_EQ(m.entries()[0].count, m.total());
+  }
+  // 15 * 16^3 = 61,440 pairs: the largest matrices the moment path takes.
+  const Vec4 near{17, 16, 16, 16};
+  const Region4 two{{0, 0, 0, 0}, {2, 1, 1, 1}};
+  const Vec4 roi{16, 16, 16, 16};
+  const std::vector<Vec4> x_step{Vec4{1, 0, 0, 0}};
+  const auto limit = check_entry_moments(Volume4<Level>(near, 63), two, roi, x_step, 64,
+                                         "near-limit constant");
+  for (const SparseGlcm& m : limit) EXPECT_EQ(m.total(), 2 * 61440);
+  Volume4<Level> nearly(near, 40);
+  nearly.at(Vec4{3, 5, 7, 9}) = 63;
+  nearly.at(Vec4{0, 0, 0, 0}) = 0;
+  check_entry_moments(nearly, two, roi, x_step, 64, "near-limit near-constant");
+  check_entry_moments(random_volume(near, 3, 89), two, roi, x_step, 3, "near-limit random");
+}
+
+TEST(Kernel, SharedScratchAlternatingEntryAndWindowPathsMatchesFreshScratches) {
+  // One scratch serving HMP (features_of_rois) and HPC (features_of) in
+  // turn, across level counts, gives the bits a fresh scratch gives each.
+  const Vec4 chunk{8, 7, 4, 3};
+  const Region4 owned{{0, 0, 0, 0}, {3, 3, 2, 2}};
+  const Vec4 roi_dims{5, 4, 3, 2};
+  const auto dirs = unique_directions(ActiveDims::all4());
+  const auto window_features = [&](KernelScratch& scratch, const Volume4<Level>& v,
+                                   FeatureSet set) {
+    std::vector<FeatureVector> out;
+    scratch.features_of_rois(v.view(), owned, roi_dims, dirs, set, nullptr, SweepMode::Fast,
+                             Representation::Sparse,
+                             [&](std::int64_t, const FeatureVector& fv) { out.push_back(fv); });
+    return out;
+  };
+  KernelScratch shared(32);
+  int trial = 0;
+  for (const FeatureSet set : {FeatureSet::paper_eval(), FeatureSet::all()}) {
+    for (const int ng : {32, 7, 64, 32}) {
+      const auto v = random_volume(chunk, ng, static_cast<unsigned>(170 + trial++));
+      KernelScratch fresh(ng);
+      const auto want = window_features(fresh, v, set);
+      shared.configure(ng);
+      const auto got = window_features(shared, v, set);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(FeatureVector)), 0)
+          << "features_of_rois ng=" << ng;
+      // Then the matrices of another level count, as received by HPC.
+      const int other = ng == 7 ? 64 : 7;
+      const auto vo = random_volume(chunk, other, static_cast<unsigned>(90 + trial));
+      const auto matrices = chunk_matrices(vo, owned, roi_dims, dirs, other);
+      for (const Representation repr : {Representation::Sparse, Representation::Full}) {
+        for (const SparseGlcm& m : matrices) {
+          KernelScratch one(2);
+          const FeatureVector a = shared.features_of(m, set, nullptr, SweepMode::Fast, repr);
+          const FeatureVector b = one.features_of(m, set, nullptr, SweepMode::Fast, repr);
+          EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "features_of ng=" << other;
+        }
+      }
+    }
+  }
+}
+
 TEST(Glcm, FromDenseSkipsEmptyRowsViaOccupancyBitmap) {
   // Build a matrix with many empty rows through set_raw and check the
   // compressed form is exactly the brute-force scan.
