@@ -128,11 +128,9 @@ void json_glcm_pair(std::vector<h4d::bench::MicroRun>& runs, const std::string& 
 /// the Fast sweep with the paper features: the per-origin scan (accumulate +
 /// features_fused per ROI) and analyze_chunk (the column histograms).
 void json_chunk_pair(std::vector<h4d::bench::MicroRun>& runs, const std::string& config,
-                     const Volume4<Level>& v, const Vec4& roi_dims) {
-  haralick::EngineConfig cfg;
-  cfg.roi_dims = roi_dims;
-  cfg.num_levels = 32;
+                     const Volume4<Level>& v, haralick::EngineConfig cfg) {
   cfg.sweep_mode = haralick::SweepMode::Fast;
+  const Vec4 roi_dims = cfg.roi_dims;
   const auto dirs = cfg.effective_directions();
   const Region4 whole = Region4::whole(v.dims());
   const Region4 owned = roi_origin_region(v.dims(), roi_dims);
@@ -178,10 +176,28 @@ int run_json(const std::string& path) {
                    haralick::unique_directions(ActiveDims::all4()), 32);
   }
   // A whole hmp_balanced chunk in the shipped configuration (40 directions,
-  // paper features, Fast sweep): 10x10x6x4 owned ROIs. The gate compares
-  // the column histograms with the per-origin scan.
-  json_chunk_pair(runs, "all4_roi7x7x3x3_dirs40_ng32_chunk16x16x8x6",
-                  mri_like({16, 16, 8, 6}, 32), {7, 7, 3, 3});
+  // paper features, Fast sweep): 10x10x6x4 owned ROIs. Its 32 levels make
+  // the row histograms too large, so it rebuilds each (z, t) row's column
+  // histograms. The gate compares the column path with the per-origin scan.
+  {
+    haralick::EngineConfig cfg;
+    cfg.roi_dims = {7, 7, 3, 3};
+    cfg.num_levels = 32;
+    json_chunk_pair(runs, "all4_roi7x7x3x3_dirs40_ng32_chunk16x16x8x6",
+                    mri_like({16, 16, 8, 6}, 32), cfg);
+  }
+  // A survey_io chunk (8 axis directions, ROI 3^4, Ng = 8): 30x30x6x4 owned
+  // ROIs over 7 of the 8 levels, like most of that phantom's chunks. Its
+  // row histograms fit (63 x 2 x 32 x 32 bins = 252 KiB), so it slides
+  // them in z; the same gate covers that path.
+  {
+    haralick::EngineConfig cfg;
+    cfg.roi_dims = {3, 3, 3, 3};
+    cfg.num_levels = 8;
+    cfg.directions = haralick::axis_directions(ActiveDims::all4());
+    json_chunk_pair(runs, "axis4_roi3x3x3x3_dirs8_ng8_chunk32x32x8x6",
+                    mri_like({32, 32, 8, 6}, 7), cfg);
+  }
   // Large-Ng stress: the tile no longer fits L1; the fold dominates less.
   {
     const auto v = mri_like({15, 15, 7, 7}, 256);

@@ -22,15 +22,6 @@ struct DirPlan {
   std::int64_t run = 0;    // hi[0] - lo[0]
 };
 
-/// One direction of the column path, oriented so its x step is 0 or +1: a
-/// pair is unordered, so d and -d put the same pairs in the same bins.
-struct ColumnPlan {
-  Vec4 lo;                // inclusive anchor lower bound, ROI-relative
-  Vec4 hi;                // exclusive anchor upper bound, ROI-relative
-  std::int64_t doff = 0;  // element offset anchor -> partner
-  bool step = false;      // x step 1: pairs between columns x and x+1
-};
-
 /// One tile increment. The checked variant detects a uint16 wrap (the
 /// post-increment reads 0) and banks 2^16 in the spill table; the unchecked
 /// variant is a bare increment, used when the caller proved no cell can wrap.
@@ -191,7 +182,47 @@ detail::MomentSums moment_sums_of(int ng, std::span<const SparseEntry> entries) 
   return m;
 }
 
+/// The bin of the level pair (p[0], p[doff]).
+inline std::uint16_t pair_bin(const std::uint16_t* bin_of, const Level* p, std::int64_t doff) {
+  return bin_of[(static_cast<std::size_t>(p[0]) << 6) | p[doff]];
+}
+
+/// Adds the pairs of one anchor row, starting at `pa`, to `n` column
+/// histograms `nb` bins apart.
+inline void add_row(std::uint16_t* h, const Level* pa, std::int64_t doff, std::int64_t n,
+                    std::int64_t sx, std::size_t nb, const std::uint16_t* bin_of) {
+  for (; n > 0; --n, pa += sx, h += nb) ++h[pair_bin(bin_of, pa, doff)];
+}
+
+/// Moves `n` column histograms from the pairs of anchor row `out` to those
+/// of anchor row `in`.
+inline void move_row(std::uint16_t* h, const Level* out, const Level* in, std::int64_t doff,
+                     std::int64_t n, std::int64_t sx, std::size_t nb,
+                     const std::uint16_t* bin_of) {
+  for (; n > 0; --n, out += sx, in += sx, h += nb) {
+    --h[pair_bin(bin_of, out, doff)];
+    ++h[pair_bin(bin_of, in, doff)];
+  }
+}
+
+/// dst = a + b over `n` bins, mod 2^16.
+inline void add_bins(std::uint16_t* dst, const std::uint16_t* a, const std::uint16_t* b,
+                     std::size_t n) {
+  H4D_PRAGMA_SIMD
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<std::uint16_t>(a[i] + b[i]);
+}
+
 }  // namespace
+
+/// One direction of the column path, oriented so its x step is 0 or +1: a
+/// pair is unordered, so d and -d put the same pairs in the same bins.
+struct KernelScratch::ColumnPlan {
+  Vec4 lo;                // inclusive anchor lower bound, ROI-relative
+  Vec4 hi;                // exclusive anchor upper bound, ROI-relative
+  std::int64_t doff = 0;  // element offset anchor -> partner
+  std::int64_t dy = 0;    // y step: -1, 0 or 1
+  bool step = false;      // x step 1: pairs between columns x and x+1
+};
 
 KernelScratch::KernelScratch(int num_levels) { configure(num_levels); }
 KernelScratch::KernelScratch(KernelScratch&&) noexcept = default;
@@ -581,6 +612,7 @@ void KernelScratch::rois_of_chunk(Vol4View<const Level> vol, const Region4& orig
     }
     if (!any) continue;
     pl.doff = c[0] * st[0] + c[1] * st[1] + c[2] * st[2] + c[3] * st[3];
+    pl.dy = c[1];
     pl.step = c[0] == 1;
     pairs += (pl.hi - pl.lo).volume();
     plans.push_back(pl);
@@ -601,15 +633,6 @@ void KernelScratch::rois_of_chunk(Vol4View<const Level> vol, const Region4& orig
     return;
   }
 
-  // Column histograms over x = 0 .. width + rx - 2 (relative to the first
-  // owned x): C0[x] holds the pairs inside column x, C1[x] those between x
-  // and x + 1, both for the anchors of the current y/z/t window. A ROI at
-  // ox is S + C0[ox + rx - 1] with S = sum over x in [ox, ox + rx - 2] of
-  // C0[x] + C1[x]. uint16 arithmetic wraps, which is exact: each bin of a
-  // ROI is at most its pair count, at most 65,535.
-  const std::int64_t width = origins.size[0];
-  const std::int64_t rx = roi_dims[0];
-  const std::int64_t ncols = width + rx - 1;
   // The chunk's level range bounds every pair of every ROI, so the bins
   // cover lo <= i <= j <= hi only: a smooth region's few levels make the
   // per-ROI window (and every whole-window pass below) a fraction of the
@@ -627,29 +650,40 @@ void KernelScratch::rois_of_chunk(Vol4View<const Level> vol, const Region4& orig
       }
     }
   }
+  const std::int64_t ncols = reach.size[0];
   prepare_columns(ncols, lo, hi);
+  // The row histograms win while they stay cache-sized; past that their
+  // extra whole-vector passes cost more than the updates they save.
+  const auto ny = static_cast<std::size_t>(reach.size[1]);
+  const std::size_t row_bytes =
+      (2 * ny - 1) * 2 * static_cast<std::size_t>(ncols) * bin_stride_ * sizeof(std::uint16_t);
+  if (row_bytes <= kRowHistogramBytes) {
+    row_rois(vol, origins, roi_dims, plans, 2 * pairs, wc, sink);
+  } else {
+    column_rois(vol, origins, roi_dims, plans, 2 * pairs, wc, sink);
+  }
+}
+
+// Column histograms over x = 0 .. width + rx - 2 (relative to the first
+// owned x): C0[x] holds the pairs inside column x, C1[x] those between x and
+// x + 1, both for the anchors of the current y/z/t window. uint16
+// arithmetic wraps, which is exact: each bin of a ROI is at most its pair
+// count, at most 65,535.
+void KernelScratch::column_rois(Vol4View<const Level> vol, const Region4& origins,
+                                const Vec4& roi_dims, std::span<const ColumnPlan> plans,
+                                std::int64_t total, WorkCounters* wc, const BinSink& sink) {
+  const std::int64_t width = origins.size[0];
+  const std::int64_t ncols = width + roi_dims[0] - 1;
   const std::size_t nb = bin_stride_;
   std::uint16_t* const c0 = columns_.data();
   std::uint16_t* const c1 = c0 + static_cast<std::size_t>(ncols) * nb;
-  std::uint16_t* const run = window_.data();
-  std::uint16_t* const roi = run + nb;
   const std::uint16_t* const bin_of = bin_of_.data();
   const std::int64_t sx = vol.strides()[0];
   const std::int64_t x0 = origins.origin[0];
-  const auto bin = [bin_of](const Level* p, std::int64_t doff) {
-    return bin_of[(static_cast<std::size_t>(p[0]) << 6) | p[doff]];
-  };
   // The column histograms `pl` adds to, and how many columns it spans.
   const auto hist = [&](const ColumnPlan& pl) { return pl.step ? c1 : c0; };
   const auto span = [&](const ColumnPlan& pl) { return pl.step ? ncols - 1 : ncols; };
-  // dst = a + b over every bin, mod 2^16.
-  const auto sum_into = [nb](std::uint16_t* dst, const std::uint16_t* a,
-                             const std::uint16_t* b) {
-    H4D_PRAGMA_SIMD
-    for (std::size_t i = 0; i < nb; ++i) dst[i] = static_cast<std::uint16_t>(a[i] + b[i]);
-  };
 
-  const std::int64_t total = 2 * pairs;
   const Vec4 o = origins.origin;
   std::int64_t k = 0;
   for (std::int64_t ot = o[3]; ot < o[3] + origins.size[3]; ++ot) {
@@ -661,11 +695,7 @@ void KernelScratch::rois_of_chunk(Vol4View<const Level> vol, const Region4& orig
         for (std::int64_t t = ot + pl.lo[3]; t < ot + pl.hi[3]; ++t) {
           for (std::int64_t z = oz + pl.lo[2]; z < oz + pl.hi[2]; ++z) {
             for (std::int64_t y = o[1] + pl.lo[1]; y < o[1] + pl.hi[1]; ++y) {
-              std::uint16_t* h = hist(pl);
-              const Level* pa = &vol.at(x0, y, z, t);
-              for (std::int64_t x = span(pl); x > 0; --x, pa += sx, h += nb) {
-                ++h[bin(pa, pl.doff)];
-              }
+              add_row(hist(pl), &vol.at(x0, y, z, t), pl.doff, span(pl), sx, nb, bin_of);
             }
           }
         }
@@ -677,43 +707,146 @@ void KernelScratch::rois_of_chunk(Vol4View<const Level> vol, const Region4& orig
           for (const ColumnPlan& pl : plans) {
             for (std::int64_t t = ot + pl.lo[3]; t < ot + pl.hi[3]; ++t) {
               for (std::int64_t z = oz + pl.lo[2]; z < oz + pl.hi[2]; ++z) {
-                std::uint16_t* h = hist(pl);
-                const Level* out = &vol.at(x0, oy - 1 + pl.lo[1], z, t);
-                const Level* in = &vol.at(x0, oy - 1 + pl.hi[1], z, t);
-                for (std::int64_t x = span(pl); x > 0; --x, out += sx, in += sx, h += nb) {
-                  --h[bin(out, pl.doff)];
-                  ++h[bin(in, pl.doff)];
-                }
+                move_row(hist(pl), &vol.at(x0, oy - 1 + pl.lo[1], z, t),
+                         &vol.at(x0, oy - 1 + pl.hi[1], z, t), pl.doff, span(pl), sx, nb,
+                         bin_of);
               }
             }
           }
         }
-        // Slide in x.
-        std::fill(run, run + nb, std::uint16_t{0});
-        for (std::int64_t x = 0; x + 1 < rx; ++x) {
-          sum_into(run, run, c0 + static_cast<std::size_t>(x) * nb);
-          sum_into(run, run, c1 + static_cast<std::size_t>(x) * nb);
-        }
-        for (std::int64_t i = 0; i < width; ++i) {
-          const std::size_t enter = static_cast<std::size_t>(i + rx - 1) * nb;
-          sum_into(roi, run, c0 + enter);
-          if (wc != nullptr) {
-            wc->glcm_pair_updates += total;  // reference units: 2 stores/pair
-            wc->matrices_built += 1;
-          }
-          sink(k++, roi, {}, total);
-          if (i + 1 == width) break;
-          const std::size_t leave = static_cast<std::size_t>(i) * nb;
-          const std::uint16_t* const a = c0 + enter;
-          const std::uint16_t* const b = c1 + enter;
-          const std::uint16_t* const c = c0 + leave;
-          const std::uint16_t* const d = c1 + leave;
-          H4D_PRAGMA_SIMD
-          for (std::size_t q = 0; q < nb; ++q) {
-            run[q] = static_cast<std::uint16_t>(run[q] + a[q] + b[q] - c[q] - d[q]);
+        slide_x(c0, c1, width, roi_dims[0], total, k, wc, sink);
+      }
+    }
+  }
+}
+
+// Row histograms over the chunk's ny = owned y + ry - 1 rows of reach (y
+// relative to the first owned y), each a C0/C1 column-histogram set like
+// column_rois' over the anchors of the current z/t window: P[r] holds the
+// pairs inside row r, L[r] those between rows r and r + 1. The y window
+// of the ROIs at oy is W = sum of P[oy .. oy + ry - 1] and
+// L[oy .. oy + ry - 2], formed by whole-vector adds; the rows slide in z by
+// one anchor plane per direction, so no (z, t) row of origins rebuilds
+// them and no z window repeats a y slide. The loop stays t, z, y, x, so the
+// ROIs leave in raster order, which HCC's packets need.
+void KernelScratch::row_rois(Vol4View<const Level> vol, const Region4& origins,
+                             const Vec4& roi_dims, std::span<const ColumnPlan> plans,
+                             std::int64_t total, WorkCounters* wc, const BinSink& sink) {
+  const std::int64_t width = origins.size[0];
+  const std::int64_t ncols = width + roi_dims[0] - 1;
+  const std::int64_t ry = roi_dims[1];
+  const std::int64_t ny = origins.size[1] + ry - 1;
+  const std::size_t nb = bin_stride_;
+  const std::size_t half = static_cast<std::size_t>(ncols) * nb;  // C0 or C1 of one row
+  const std::size_t row = 2 * half;
+  const std::size_t rows = (2 * static_cast<std::size_t>(ny) - 1) * row;
+  if (rows_.size() < rows) rows_.resize(rows);
+  std::uint16_t* const p = rows_.data();
+  std::uint16_t* const l = p + static_cast<std::size_t>(ny) * row;
+  std::uint16_t* const w = columns_.data();
+  const std::uint16_t* const bin_of = bin_of_.data();
+  const std::int64_t sx = vol.strides()[0];
+  const std::int64_t x0 = origins.origin[0];
+  // The histograms of `pl`'s first anchor row; the next row's are `row`
+  // further on. An anchor at r with dy = -1 pairs rows r - 1 and r, so its
+  // first anchor row (lo[1] = 1) goes to L[0].
+  const auto hist = [&](const ColumnPlan& pl) {
+    return (pl.dy == 0 ? p : l) + (pl.step ? half : 0);
+  };
+  const auto span = [&](const ColumnPlan& pl) { return pl.step ? ncols - 1 : ncols; };
+  // Every anchor row of `pl` in the reach: ny - ry + 1 rows with dy = 0,
+  // ny - 1 with dy = +-1.
+  const auto anchor_rows = [&](const ColumnPlan& pl) { return ny - ry + pl.hi[1] - pl.lo[1]; };
+
+  const Vec4 o = origins.origin;
+  std::int64_t k = 0;
+  for (std::int64_t ot = o[3]; ot < o[3] + origins.size[3]; ++ot) {
+    std::fill(p, p + rows, std::uint16_t{0});
+    for (std::int64_t oz = o[2]; oz < o[2] + origins.size[2]; ++oz) {
+      for (const ColumnPlan& pl : plans) {
+        for (std::int64_t t = ot + pl.lo[3]; t < ot + pl.hi[3]; ++t) {
+          if (oz == o[2]) {
+            // Build: every anchor plane of the first owned z.
+            for (std::int64_t z = oz + pl.lo[2]; z < oz + pl.hi[2]; ++z) {
+              std::uint16_t* h = hist(pl);
+              for (std::int64_t r = 0; r < anchor_rows(pl); ++r, h += row) {
+                add_row(h, &vol.at(x0, o[1] + pl.lo[1] + r, z, t), pl.doff, span(pl), sx, nb,
+                        bin_of);
+              }
+            }
+          } else {
+            // Slide in z: the window's first anchor plane leaves and the
+            // plane after its last enters, in every row.
+            std::uint16_t* h = hist(pl);
+            for (std::int64_t r = 0; r < anchor_rows(pl); ++r, h += row) {
+              const std::int64_t y = o[1] + pl.lo[1] + r;
+              move_row(h, &vol.at(x0, y, oz - 1 + pl.lo[2], t),
+                       &vol.at(x0, y, oz - 1 + pl.hi[2], t), pl.doff, span(pl), sx, nb, bin_of);
+            }
           }
         }
       }
+      // The y window of the first owned y.
+      std::copy(p, p + row, w);
+      for (std::int64_t r = 1; r < ry; ++r) add_bins(w, w, p + r * row, row);
+      for (std::int64_t r = 0; r + 1 < ry; ++r) add_bins(w, w, l + r * row, row);
+      for (std::int64_t j = 0; j < origins.size[1]; ++j) {
+        if (j > 0) {
+          // Slide in y: rows j - 1 leave the window and row j + ry - 1
+          // enters; with ry = 1 no pair spans two rows.
+          const std::uint16_t* const pin = p + static_cast<std::size_t>(j + ry - 1) * row;
+          const std::uint16_t* const pout = p + static_cast<std::size_t>(j - 1) * row;
+          if (ry > 1) {
+            const std::uint16_t* const lin = l + static_cast<std::size_t>(j + ry - 2) * row;
+            const std::uint16_t* const lout = l + static_cast<std::size_t>(j - 1) * row;
+            H4D_PRAGMA_SIMD
+            for (std::size_t q = 0; q < row; ++q) {
+              w[q] = static_cast<std::uint16_t>(w[q] + pin[q] + lin[q] - pout[q] - lout[q]);
+            }
+          } else {
+            H4D_PRAGMA_SIMD
+            for (std::size_t q = 0; q < row; ++q) {
+              w[q] = static_cast<std::uint16_t>(w[q] + pin[q] - pout[q]);
+            }
+          }
+        }
+        slide_x(w, w + half, width, roi_dims[0], total, k, wc, sink);
+      }
+    }
+  }
+}
+
+// A ROI at ox is S + C0[ox + rx - 1] with S = sum over x in
+// [ox, ox + rx - 2] of C0[x] + C1[x]; S slides with
+// S += C0[a] + C1[a] - C0[b] - C1[b].
+void KernelScratch::slide_x(const std::uint16_t* c0, const std::uint16_t* c1,
+                            std::int64_t width, std::int64_t rx, std::int64_t total,
+                            std::int64_t& k, WorkCounters* wc, const BinSink& sink) {
+  const std::size_t nb = bin_stride_;
+  std::uint16_t* const run = window_.data();
+  std::uint16_t* const roi = run + nb;
+  std::fill(run, run + nb, std::uint16_t{0});
+  for (std::int64_t x = 0; x + 1 < rx; ++x) {
+    add_bins(run, run, c0 + static_cast<std::size_t>(x) * nb, nb);
+    add_bins(run, run, c1 + static_cast<std::size_t>(x) * nb, nb);
+  }
+  for (std::int64_t i = 0; i < width; ++i) {
+    const std::size_t enter = static_cast<std::size_t>(i + rx - 1) * nb;
+    add_bins(roi, run, c0 + enter, nb);
+    if (wc != nullptr) {
+      wc->glcm_pair_updates += total;  // reference units: 2 stores/pair
+      wc->matrices_built += 1;
+    }
+    sink(k++, roi, {}, total);
+    if (i + 1 == width) break;
+    const std::size_t leave = static_cast<std::size_t>(i) * nb;
+    const std::uint16_t* const a = c0 + enter;
+    const std::uint16_t* const b = c1 + enter;
+    const std::uint16_t* const c = c0 + leave;
+    const std::uint16_t* const d = c1 + leave;
+    H4D_PRAGMA_SIMD
+    for (std::size_t q = 0; q < nb; ++q) {
+      run[q] = static_cast<std::uint16_t>(run[q] + a[q] + b[q] - c[q] - d[q]);
     }
   }
 }

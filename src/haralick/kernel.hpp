@@ -26,11 +26,15 @@
 //     saturating cell to a 32-bit side table;
 //   * a whole chunk of ROIs (entries_of_rois, for the HMP and HCC filters)
 //     is built from sliding column histograms instead: per x column, the
-//     pairs of the current y/z/t window in upper-triangle bins, slid in y by
-//     one anchor row and summed in x by whole-vector uint16 adds, so
-//     adjacent ROIs share the work of their common columns
-//     (docs/KERNEL.md §3). Its entry lists go to the sweep
-//     (features_of_rois, HMP) or into a matrix packet (HCC);
+//     pairs of the current y/z/t window in upper-triangle bins, summed in x
+//     by whole-vector uint16 adds, so adjacent ROIs share the work of their
+//     common columns (docs/KERNEL.md §3). When its row histograms fit
+//     kRowHistogramBytes, each y row keeps its own column histograms, slid
+//     in z by one anchor plane and summed into every y window by
+//     whole-vector adds, so ROIs share their rows in y and z too; otherwise
+//     the window is rebuilt per (z, t) row of origins and slid in y by one
+//     anchor row. Its entry lists go to the sweep (features_of_rois, HMP)
+//     or into a matrix packet (HCC);
 //   * the feature sweep reduces the row-major upper-triangle entry list (the
 //     SparseGlcm order) to the cell terms, px, p_{x+y} and p_{x-y}. Three
 //     producers feed it: the tile gather (features_fused), the
@@ -53,6 +57,7 @@
 // same entry list as accumulate + the tile gather.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -102,6 +107,14 @@ class KernelScratch {
   ~KernelScratch();  // out of line: detail::Gathered is incomplete here
 
   int num_levels() const { return ng_; }
+
+  /// The most scratch the column path's row histograms may take. A chunk
+  /// with ny = owned y + roi y - 1 rows of reach, `columns` = owned x +
+  /// roi x - 1 and `bins` = bin stride (docs/KERNEL.md §3) needs
+  /// (2 ny - 1) x 2 x columns x bins uint16; it slides them in z when that
+  /// is at most this many bytes, and rebuilds each (z, t) row's column
+  /// histograms otherwise. Either way the matrices are the same.
+  static constexpr std::size_t kRowHistogramBytes = std::size_t{256} << 10;
 
   /// Re-size for a different Ng (no-op when unchanged). Invalidates any
   /// un-finalized accumulation.
@@ -205,6 +218,23 @@ class KernelScratch {
   void rois_of_chunk(Vol4View<const Level> vol, const Region4& origins, const Vec4& roi_dims,
                      const std::vector<Vec4>& dirs, WorkCounters* wc, const BinSink& sink);
 
+  // The column path's two ways to form each y window's column histograms
+  // (docs/KERNEL.md §3), after rois_of_chunk prepared the bins: rebuilt per
+  // (z, t) row of origins and slid in y, or summed from row histograms
+  // slid in z. Both hand every row of ROIs to slide_x, in raster order.
+  struct ColumnPlan;
+  void column_rois(Vol4View<const Level> vol, const Region4& origins, const Vec4& roi_dims,
+                   std::span<const ColumnPlan> plans, std::int64_t total, WorkCounters* wc,
+                   const BinSink& sink);
+  void row_rois(Vol4View<const Level> vol, const Region4& origins, const Vec4& roi_dims,
+                std::span<const ColumnPlan> plans, std::int64_t total, WorkCounters* wc,
+                const BinSink& sink);
+  // The ROIs of one row of origins, from its y window's C0 and C1 column
+  // histograms: sums rx columns per ROI and slides that sum in x.
+  void slide_x(const std::uint16_t* c0, const std::uint16_t* c1, std::int64_t width,
+               std::int64_t rx, std::int64_t total, std::int64_t& k, WorkCounters* wc,
+               const BinSink& sink);
+
   // The features of one matrix, given as its bin window `bins` or (with
   // `bins` null) its entry list: the moment path where it applies, the
   // sweep for the rest. `compressed` adds the Sparse compression credits
@@ -234,7 +264,8 @@ class KernelScratch {
   std::size_t bin_stride_ = 0;           // w(w+1)/2 bins (w = hi-lo+1), padded to 16
   std::vector<std::uint16_t> bin_of_;    // 64 x 64: (a, b) -> bin
   std::vector<SparseEntry> bin_cell_;    // bin -> (i, j, dense multiplier)
-  std::vector<std::uint16_t> columns_;   // [x step][column][bin]
+  std::vector<std::uint16_t> columns_;   // [x step][column][bin]: the y window
+  std::vector<std::uint16_t> rows_;      // row path: P then L rows, each like columns_
   std::vector<std::uint16_t> window_;    // running sum, one ROI
 
   // Feature-sweep buffers (owned here so workers reuse them across chunks).

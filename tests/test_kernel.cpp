@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
@@ -464,6 +465,30 @@ void check_chunk(const Volume4<Level>& v, const Region4& owned, EngineConfig cfg
   }
 }
 
+/// The scratch the column path's row histograms take for the ROIs of
+/// `owned` in `v`, by the formula of KernelScratch::kRowHistogramBytes:
+/// (2 ny - 1) x 2 x columns x bin stride uint16, where the bins cover the
+/// level range of the voxels the ROIs reach and the stride pads their
+/// count to a multiple of 16.
+std::size_t row_histogram_bytes(const Volume4<Level>& v, const Region4& owned, const Vec4& roi) {
+  const Region4 reach{owned.origin, owned.size + roi - Vec4{1, 1, 1, 1}};
+  int lo = 255;
+  int hi = 0;
+  for (const Vec4& p : raster(reach)) {
+    lo = std::min<int>(lo, v.at(p[0], p[1], p[2], p[3]));
+    hi = std::max<int>(hi, v.at(p[0], p[1], p[2], p[3]));
+  }
+  const auto w = static_cast<std::size_t>(hi - lo + 1);
+  const std::size_t stride = (w * (w + 1) / 2 + 15) / 16 * 16;
+  const auto ny = static_cast<std::size_t>(reach.size[1]);
+  return (2 * ny - 1) * 2 * static_cast<std::size_t>(reach.size[0]) * stride *
+         sizeof(std::uint16_t);
+}
+
+bool takes_row_path(const Volume4<Level>& v, const Region4& owned, const Vec4& roi) {
+  return row_histogram_bytes(v, owned, roi) <= KernelScratch::kRowHistogramBytes;
+}
+
 std::vector<Vec4> unit_directions() {
   std::vector<Vec4> out;
   for (const Vec4& p : raster(Region4{{-1, -1, -1, -1}, {3, 3, 3, 3}})) {
@@ -479,6 +504,8 @@ TEST(KernelChunk, ColumnHistogramsMatchScanAndOracleOnRandomChunks) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
   };
   int trial = 0;
+  int row_trials = 0;
+  int column_trials = 0;
   for (const int ng : {2, 7, 32, 64}) {
     for (int rep = 0; rep < 6; ++rep, ++trial) {
       EngineConfig cfg;
@@ -514,25 +541,76 @@ TEST(KernelChunk, ColumnHistogramsMatchScanAndOracleOnRandomChunks) {
         }
       }
       const auto v = random_volume(chunk, ng, static_cast<unsigned>(500 + trial));
+      ++(takes_row_path(v, owned, cfg.roi_dims) ? row_trials : column_trials);
       check_chunk(v, owned, cfg,
                   "ng=" + std::to_string(ng) + " roi=" + cfg.roi_dims.str() +
                       " chunk=" + chunk.str() + " owned=" + owned.str() +
                       " dirs=" + std::to_string(cfg.directions.size()));
     }
   }
+  // Small level counts keep the row histograms under their bound, Ng = 64
+  // puts most chunks over it.
+  EXPECT_GT(row_trials, 0);
+  EXPECT_GT(column_trials, 0);
+
+  // The edges of the row path, and both sides of its bound.
+  const auto edge = [&](const std::string& what, int ng, const Vec4& roi, const Vec4& chunk,
+                        const Region4& owned, const std::vector<Vec4>& dirs, bool rows) {
+    EngineConfig cfg;
+    cfg.num_levels = ng;
+    cfg.roi_dims = roi;
+    cfg.directions = dirs;
+    const auto v = random_volume(chunk, ng, static_cast<unsigned>(600 + trial++));
+    EXPECT_EQ(takes_row_path(v, owned, roi), rows)
+        << what << ": " << row_histogram_bytes(v, owned, roi) << " bytes";
+    check_chunk(v, owned, cfg, what);
+  };
+  const auto all = unique_directions(ActiveDims::all4());
+  // ry = 1: no direction steps in y, so no pair spans two rows (no L).
+  edge("ry=1", 7, {3, 1, 2, 2}, {8, 6, 4, 3}, {{0, 0, 0, 0}, {6, 6, 3, 2}}, all, true);
+  // rz = rt = 1: each z slide replaces the whole window.
+  edge("rz=rt=1", 7, {3, 3, 1, 1}, {7, 6, 4, 3}, {{0, 0, 0, 0}, {5, 4, 4, 3}}, all, true);
+  // One owned y: no y slide.
+  edge("owned y=1", 7, {3, 3, 2, 2}, {7, 5, 4, 3}, {{0, 1, 0, 0}, {5, 1, 3, 2}}, all, true);
+  // One owned z: no z slide.
+  edge("owned z=1", 7, {3, 3, 3, 2}, {7, 6, 4, 3}, {{0, 0, 1, 0}, {5, 4, 1, 2}}, all, true);
+  // Only directions that step in y: P stays empty.
+  std::vector<Vec4> dy_only;
+  for (const Vec4& d : units) {
+    if (d[1] != 0) dy_only.push_back(d);
+  }
+  edge("dy!=0", 7, {3, 3, 2, 2}, {7, 7, 4, 3}, {{0, 0, 0, 0}, {5, 5, 3, 2}}, dy_only, true);
+  // Only dy = -1 once dx >= 0: anchor row r pairs rows r - 1 and r.
+  edge("dy=-1", 7, {3, 3, 2, 2}, {7, 7, 4, 3}, {{0, 0, 0, 0}, {5, 5, 3, 2}},
+       {Vec4{0, -1, 0, 0}, Vec4{-1, 1, 0, 0}, Vec4{1, -1, 1, -1}}, true);
+  // ny = 33 rows, Ng = 8 (36 bins, stride 48): 21 columns take
+  // 65 x 2 x 21 x 48 x 2 = 262,080 bytes, 22 columns 274,560.
+  edge("at the bound", 8, {3, 3, 2, 2}, {21, 33, 3, 2}, {{0, 0, 0, 0}, {19, 31, 2, 1}}, all,
+       true);
+  edge("over the bound", 8, {3, 3, 2, 2}, {22, 33, 3, 2}, {{0, 0, 0, 0}, {20, 31, 2, 1}}, all,
+       false);
 }
 
 TEST(KernelChunk, ColumnHistogramsExactNearTheUint16Limit) {
   // 15 * 16^3 = 61,440 pairs per ROI, just under the column path's bound.
   // A constant volume puts every pair in one bin, whose wrapping uint16 sums
-  // must still come out exact.
+  // must still come out exact. Few levels keep the row histograms under
+  // their bound; 64 random levels put them over it.
   EngineConfig cfg;
   cfg.num_levels = 8;
   cfg.roi_dims = {16, 16, 16, 16};
   cfg.directions = {Vec4{1, 0, 0, 0}};
   const Region4 owned{{0, 0, 0, 0}, {2, 1, 1, 1}};
-  check_chunk(Volume4<Level>({17, 16, 16, 16}, 5), owned, cfg, "constant");
-  check_chunk(random_volume({17, 16, 16, 16}, 3, 17), owned, cfg, "random");
+  const Volume4<Level> constant({17, 16, 16, 16}, 5);
+  EXPECT_TRUE(takes_row_path(constant, owned, cfg.roi_dims));
+  check_chunk(constant, owned, cfg, "constant");
+  const auto few = random_volume({17, 16, 16, 16}, 3, 17);
+  EXPECT_TRUE(takes_row_path(few, owned, cfg.roi_dims));
+  check_chunk(few, owned, cfg, "random");
+  cfg.num_levels = 64;
+  const auto many = random_volume({17, 16, 16, 16}, 64, 18);
+  EXPECT_FALSE(takes_row_path(many, owned, cfg.roi_dims));
+  check_chunk(many, owned, cfg, "random ng=64");
 }
 
 TEST(KernelChunk, FallbackCasesMatchScanAndOracle) {
