@@ -2,6 +2,7 @@
 
 #include "fs/metrics.hpp"
 #include "haralick/directions.hpp"
+#include "nd/json.hpp"
 
 #include <cstdlib>
 #include <cstring>
@@ -221,11 +222,14 @@ int Report::finish() {
       std::cerr << "[bench] cannot write metrics file " << g_metrics_path << "\n";
       return 1;
     }
-    ms << "{\"schema\": \"h4d-bench-metrics-v1\", \"figure\": \"" << figure_
-       << "\", \"runs\": [";
+    ms << "{\"schema\": \"h4d-bench-metrics-v1\", \"figure\": ";
+    write_json_string(ms, figure_);
+    ms << ", \"runs\": [";
     for (std::size_t i = 0; i < g_metrics_runs.size(); ++i) {
       const auto& [label, stats] = g_metrics_runs[i];
-      ms << (i ? ",\n  " : "\n  ") << "{\"label\": \"" << label << "\", \"metrics\": ";
+      ms << (i ? ",\n  " : "\n  ") << "{\"label\": ";
+      write_json_string(ms, label);
+      ms << ", \"metrics\": ";
       const fs::MetricsExtra net = {
           {"network_transfers", static_cast<double>(stats.network_transfers)},
           {"network_bytes", static_cast<double>(stats.network_bytes)},

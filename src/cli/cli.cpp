@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -45,6 +46,55 @@ const std::string& check_choice(const std::string& name, const std::string& valu
     listed += (listed.empty() ? "" : "|") + std::string(v);
   }
   throw std::runtime_error(name + " must be one of " + listed + ", got '" + value + "'");
+}
+
+/// `text` as one whole integer token: no '+', spaces or trailing bytes, no
+/// overflow. Throws "bad integer for WHAT: TEXT".
+template <class Int>
+Int parse_int(const std::string& what, std::string_view text) {
+  Int v{};
+  const char* const end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || p != end) {
+    throw std::runtime_error("bad integer for " + what + ": " + std::string(text));
+  }
+  return v;
+}
+
+/// "X,Y,Z,T": exactly four whole integer tokens.
+Vec4 parse_vec4(const std::string& what, std::string_view text) {
+  Vec4 v;
+  std::size_t start = 0;
+  for (int i = 0; i < kDims; ++i) {
+    const std::size_t comma = text.find(',', start);
+    if ((comma == std::string_view::npos) != (i + 1 == kDims)) {
+      throw std::runtime_error(what + " needs 4 comma-separated values, got '" +
+                               std::string(text) + "'");
+    }
+    v[i] = parse_int<std::int64_t>(what, text.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return v;
+}
+
+/// `text` as one whole, finite, non-negative number token (a time in ms);
+/// nullopt for anything else.
+std::optional<double> parse_ms(std::string_view text) {
+  double v = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || p != end || !std::isfinite(v) || v < 0.0) return std::nullopt;
+  return v;
+}
+
+/// parse_ms() of a job line's `key=value`, naming the key when it fails.
+double job_ms(const std::string& key, const std::string& value) {
+  const std::optional<double> ms = parse_ms(value);
+  if (!ms) {
+    throw std::runtime_error("jobs: " + key + " wants a finite non-negative ms value, got '" +
+                             value + "'");
+  }
+  return *ms;
 }
 
 /// Minimal option parser: --key value pairs plus positional arguments.
@@ -85,14 +135,7 @@ class Args {
 
   int get_int(const std::string& key, int fallback) const {
     const auto it = options_.find(key);
-    if (it == options_.end()) return fallback;
-    int v = 0;
-    const auto [p, ec] = std::from_chars(it->second.data(),
-                                         it->second.data() + it->second.size(), v);
-    if (ec != std::errc() || p != it->second.data() + it->second.size()) {
-      throw std::runtime_error("bad integer for --" + key + ": " + it->second);
-    }
-    return v;
+    return it == options_.end() ? fallback : parse_int<int>("--" + key, it->second);
   }
 
   /// "0,2,5" -> {0, 2, 5} (empty when the option is absent).
@@ -103,13 +146,7 @@ class Args {
     std::istringstream is(it->second);
     std::string token;
     while (std::getline(is, token, ',')) {
-      if (token.empty()) continue;
-      int v = 0;
-      const auto [p, ec] = std::from_chars(token.data(), token.data() + token.size(), v);
-      if (ec != std::errc() || p != token.data() + token.size()) {
-        throw std::runtime_error("bad integer in --" + key + ": " + token);
-      }
-      values.push_back(v);
+      if (!token.empty()) values.push_back(parse_int<int>("--" + key, token));
     }
     return values;
   }
@@ -117,17 +154,7 @@ class Args {
   /// "X,Y,Z,T" -> Vec4.
   Vec4 get_vec4(const std::string& key, Vec4 fallback) const {
     const auto it = options_.find(key);
-    if (it == options_.end()) return fallback;
-    Vec4 v;
-    std::istringstream is(it->second);
-    std::string token;
-    for (int i = 0; i < kDims; ++i) {
-      if (!std::getline(is, token, ',')) {
-        throw std::runtime_error("--" + key + " needs 4 comma-separated values");
-      }
-      v[i] = std::stoll(token);
-    }
-    return v;
+    return it == options_.end() ? fallback : parse_vec4("--" + key, it->second);
   }
 
  private:
@@ -240,16 +267,12 @@ io::TailConfig tail_config_from_args(const Args& args) {
   if (!deadline.empty() && deadline != "off") {
     tail.deadline_enabled = true;
     if (deadline != "auto") {
-      bool ok = true;
-      try {
-        tail.deadline_ms = std::stod(deadline);
-      } catch (const std::exception&) {
-        ok = false;
-      }
-      if (!ok || std::isnan(tail.deadline_ms) || tail.deadline_ms <= 0.0) {
+      const std::optional<double> ms = parse_ms(deadline);
+      if (!ms || *ms <= 0.0) {
         throw std::runtime_error(
             "--read-deadline-ms wants auto or a positive ms value, got " + deadline);
       }
+      tail.deadline_ms = *ms;
     }
   }
   const int hedge_pct = args.get_int("hedge-pct", 0);
@@ -628,7 +651,8 @@ int cmd_serve(const Args& args, std::ostream& out) {
 
 /// Parse one `h4d jobs` job line: whitespace-separated key=value tokens
 /// among tenant, priority, deadline_ms, est_ms, retries, levels, features,
-/// roi (X,Y,Z,T), sim (on|off). Unknown keys fail loudly.
+/// roi (X,Y,Z,T), sim (on|off). Values are whole tokens in the command
+/// line's grammar; unknown keys and bad values fail loudly, naming the key.
 svc::JobSpec parse_job_line(const std::string& line, const svc::JobSpec& base) {
   svc::JobSpec spec = base;
   std::istringstream is(line);
@@ -645,27 +669,23 @@ svc::JobSpec parse_job_line(const std::string& line, const svc::JobSpec& base) {
     } else if (key == "priority") {
       spec.priority = svc::priority_from_name(value);
     } else if (key == "deadline_ms") {
-      spec.deadline_s = std::stod(value) / 1000.0;
+      spec.deadline_s = job_ms(key, value) / 1000.0;
     } else if (key == "est_ms") {
-      spec.est_seconds = std::stod(value) / 1000.0;
+      spec.est_seconds = job_ms(key, value) / 1000.0;
     } else if (key == "retries") {
-      spec.max_retries = std::stoi(value);
+      spec.max_retries = parse_int<int>("jobs: retries", value);
+      if (spec.max_retries < 0) {
+        throw std::runtime_error("jobs: retries must be >= 0, got '" + value + "'");
+      }
     } else if (key == "levels") {
-      spec.config.engine.num_levels = std::stoi(value);
+      spec.config.engine.num_levels = parse_int<int>("jobs: levels", value);
     } else if (key == "features") {
       spec.config.engine.features =
           check_choice("jobs: features", value, {"paper", "all"}) == "all"
               ? haralick::FeatureSet::all()
               : haralick::FeatureSet::paper_eval();
     } else if (key == "roi") {
-      std::istringstream rs(value);
-      std::string part;
-      for (int d = 0; d < kDims; ++d) {
-        if (!std::getline(rs, part, ',')) {
-          throw std::runtime_error("jobs: roi needs 4 comma-separated values");
-        }
-        spec.config.engine.roi_dims[d] = std::stoll(part);
-      }
+      spec.config.engine.roi_dims = parse_vec4("jobs: roi", value);
     } else if (key == "sim") {
       spec.simulate = check_choice("jobs: sim", value, {"off", "on"}) == "on";
     } else {

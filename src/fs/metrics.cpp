@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nd/json.hpp"
+
 namespace h4d::fs {
 
 namespace {
@@ -17,49 +19,21 @@ std::string fmt(double v, int precision = 3) {
   return os.str();
 }
 
-/// JSON number for a double: fixed 9-digit precision covers sub-ns times
-/// without scientific notation (some strict parsers dislike it in schemas).
-void jnum(std::ostream& os, double v) {
-  os << std::fixed << std::setprecision(9) << v << std::defaultfloat
-     << std::setprecision(6);
-}
-
-void jstr(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-void write_meter_object(std::ostream& os, const WorkMeter& m) {
-  os << "{";
-  bool first = true;
-  WorkMeter::for_each_field(m, [&](std::string_view name, std::int64_t v) {
-    if (!first) os << ", ";
-    first = false;
-    jstr(os, name);
-    os << ": " << v;
-  });
-  os << "}";
-}
-
 void write_timing_fields(std::ostream& os, double busy, double blocked_in,
                          double blocked_out, double enqueue_stall,
                          std::int64_t stalled_pushes, std::size_t max_inbox,
                          double finish) {
   os << "\"busy_seconds\": ";
-  jnum(os, busy);
+  write_json_number(os, busy);
   os << ", \"blocked_input_seconds\": ";
-  jnum(os, blocked_in);
+  write_json_number(os, blocked_in);
   os << ", \"blocked_output_seconds\": ";
-  jnum(os, blocked_out);
+  write_json_number(os, blocked_out);
   os << ", \"enqueue_stall_seconds\": ";
-  jnum(os, enqueue_stall);
+  write_json_number(os, enqueue_stall);
   os << ", \"stalled_pushes\": " << stalled_pushes
      << ", \"max_inbox\": " << max_inbox << ", \"finish_time\": ";
-  jnum(os, finish);
+  write_json_number(os, finish);
 }
 
 }  // namespace
@@ -181,24 +155,127 @@ void print_bottleneck_report(std::ostream& os, const BottleneckReport& report) {
   os << "  verdict: " << report.verdict << "\n";
 }
 
+void write_meter_object(std::ostream& os, const WorkMeter& m) {
+  os << "{";
+  bool first = true;
+  WorkMeter::for_each_field(m, [&](std::string_view name, std::int64_t v) {
+    if (!first) os << ", ";
+    first = false;
+    write_json_string(os, name);
+    os << ": " << v;
+  });
+  os << "}";
+}
+
+void write_execution_object(std::ostream& os, const ExecutionReport& e, bool with_buffers) {
+  os << "{\"copy_restarts\": " << e.copy_restarts
+     << ", \"chunks_quarantined\": " << e.chunks_quarantined
+     << ", \"watchdog_kills\": " << e.watchdog_kills
+     << ", \"buffers_lost\": " << e.buffers_lost
+     << ", \"chunks_resumed\": " << e.chunks_resumed
+     << ", \"replica_failovers\": " << e.replica_failovers
+     << ", \"nodes_evicted\": " << e.nodes_evicted
+     << ", \"queue_stalled_pushes\": " << e.queue_stalled_pushes
+     << ", \"queue_stall_seconds\": ";
+  write_json_number(os, e.queue_stall_seconds);
+  os << ", \"queue_max_depth\": " << e.queue_max_depth;
+  if (with_buffers) {
+    os << ", \"quarantined\": [";
+    for (std::size_t i = 0; i < e.quarantined.size(); ++i) {
+      const QuarantinedBuffer& q = e.quarantined[i];
+      os << (i ? ", " : "") << "{\"filter\": ";
+      write_json_string(os, q.filter);
+      os << ", \"copy\": " << q.copy << ", \"port\": " << q.port
+         << ", \"chunk_id\": " << q.chunk_id << ", \"seq\": " << q.seq
+         << ", \"from_copy\": " << q.from_copy << ", \"region\": ";
+      write_json_string(os, q.region.str());
+      os << ", \"reason\": ";
+      write_json_string(os, q.reason);
+      os << "}";
+    }
+    os << "], \"incidents\": [";
+    for (std::size_t i = 0; i < e.incidents.size(); ++i) {
+      const CopyIncident& inc = e.incidents[i];
+      os << (i ? ", " : "") << "{\"kind\": ";
+      write_json_string(os, incident_kind_name(inc.kind));
+      os << ", \"filter\": ";
+      write_json_string(os, inc.filter);
+      os << ", \"copy\": " << inc.copy << ", \"error\": ";
+      write_json_string(os, inc.error);
+      os << "}";
+    }
+    os << "]";
+  }
+  os << "}";
+}
+
+void write_cache_object(std::ostream& os, const CacheReport& c) {
+  os << "{\"budget_bytes\": " << c.budget_bytes << ", \"prefetch_depth\": " << c.prefetch_depth
+     << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
+     << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk
+     << ", \"bytes_served_cache\": " << c.bytes_served_cache
+     << ", \"prefetch_issued\": " << c.prefetch_issued
+     << ", \"prefetch_useful\": " << c.prefetch_useful << ", \"evictions\": " << c.evictions
+     << ", \"resident_bytes\": " << c.resident_bytes << "}";
+}
+
+void write_tail_object(std::ostream& os, const TailReport& t) {
+  os << "{\"deadline_mode\": ";
+  write_json_string(os, t.deadline_mode);
+  os << ", \"deadline_ms\": ";
+  write_json_number(os, t.deadline_ms);
+  os << ", \"deadline_k\": ";
+  write_json_number(os, t.deadline_k);
+  os << ", \"deadline_floor_ms\": ";
+  write_json_number(os, t.deadline_floor_ms);
+  os << ", \"deadline_ceiling_ms\": ";
+  write_json_number(os, t.deadline_ceiling_ms);
+  os << ", \"hedge_enabled\": " << (t.hedge_enabled ? "true" : "false")
+     << ", \"hedge_pct\": ";
+  write_json_number(os, t.hedge_pct);
+  os << ", \"hedge_max_inflight\": " << t.hedge_max_inflight << ", \"reads\": " << t.reads
+     << ", \"hedges_issued\": " << t.hedges_issued << ", \"hedges_won\": " << t.hedges_won
+     << ", \"hedges_abandoned\": " << t.hedges_abandoned
+     << ", \"reads_abandoned\": " << t.reads_abandoned << ", \"breaches\": " << t.breaches
+     << ", \"evictions_slow\": " << t.evictions_slow << ", \"nodes\": [";
+  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+    const TailNodeRow& n = t.nodes[i];
+    os << (i ? ", " : "") << "{\"node\": " << n.node << ", \"reads\": " << n.reads
+       << ", \"ewma_ms\": ";
+    write_json_number(os, n.ewma_ms);
+    os << ", \"p50_ms\": ";
+    write_json_number(os, n.p50_ms);
+    os << ", \"p99_ms\": ";
+    write_json_number(os, n.p99_ms);
+    os << ", \"breaches\": " << n.breaches << "}";
+  }
+  os << "], \"evictions\": [";
+  for (std::size_t i = 0; i < t.evictions.size(); ++i) {
+    os << (i ? ", " : "") << "{\"node\": " << t.evictions[i].node << ", \"reason\": ";
+    write_json_string(os, t.evictions[i].reason);
+    os << "}";
+  }
+  os << "]}";
+}
+
 void write_metrics_object(std::ostream& os, const RunStats& stats,
                           const BottleneckReport& report, const MetricsExtra& extra) {
   os << "{\"schema\": \"h4d-metrics-v1\", \"makespan_seconds\": ";
-  jnum(os, stats.total_seconds);
+  write_json_number(os, stats.total_seconds);
 
   os << ",\n \"filters\": [";
   for (std::size_t i = 0; i < report.filters.size(); ++i) {
     const FilterMetrics& f = report.filters[i];
     os << (i ? ",\n   " : "\n   ") << "{\"filter\": ";
-    jstr(os, f.filter);
+    write_json_string(os, f.filter);
     os << ", \"copies\": " << f.copies << ", ";
     write_timing_fields(os, f.busy_seconds, f.blocked_input_seconds,
                         f.blocked_output_seconds, f.enqueue_stall_seconds,
                         f.stalled_pushes, f.max_inbox, f.finish_time);
     os << ", \"utilization\": ";
-    jnum(os, f.utilization);
+    write_json_number(os, f.utilization);
     os << ", \"output_stall_fraction\": ";
-    jnum(os, f.output_stall_fraction);
+    write_json_number(os, f.output_stall_fraction);
     os << ", \"meter\": ";
     write_meter_object(os, f.meter);
     os << "}";
@@ -207,7 +284,7 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
   for (std::size_t i = 0; i < stats.copies.size(); ++i) {
     const CopyStats& c = stats.copies[i];
     os << (i ? ",\n   " : "\n   ") << "{\"filter\": ";
-    jstr(os, c.filter);
+    write_json_string(os, c.filter);
     os << ", \"copy\": " << c.copy << ", \"node\": " << c.node << ", ";
     write_timing_fields(os, c.busy_seconds, c.blocked_input_seconds,
                         c.blocked_output_seconds, c.enqueue_stall_seconds,
@@ -217,112 +294,32 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
     os << "}";
   }
   os << "],\n \"bottleneck\": {\"bound_filter\": ";
-  jstr(os, report.bound_filter);
+  write_json_string(os, report.bound_filter);
   os << ", \"bound_utilization\": ";
-  jnum(os, report.bound_utilization);
+  write_json_number(os, report.bound_utilization);
   os << ", \"dominant_stream_filter\": ";
-  jstr(os, report.dominant_stream_filter);
+  write_json_string(os, report.dominant_stream_filter);
   os << ", \"dominant_stream_bytes\": " << report.dominant_stream_bytes
      << ", \"verdict\": ";
-  jstr(os, report.verdict);
+  write_json_string(os, report.verdict);
   os << "}";
-  os << ",\n \"execution\": {\"copy_restarts\": " << stats.exec.copy_restarts
-     << ", \"chunks_quarantined\": " << stats.exec.chunks_quarantined
-     << ", \"watchdog_kills\": " << stats.exec.watchdog_kills
-     << ", \"buffers_lost\": " << stats.exec.buffers_lost
-     << ", \"chunks_resumed\": " << stats.exec.chunks_resumed
-     << ", \"replica_failovers\": " << stats.exec.replica_failovers
-     << ", \"nodes_evicted\": " << stats.exec.nodes_evicted
-     << ", \"queue_stalled_pushes\": " << stats.exec.queue_stalled_pushes
-     << ", \"queue_stall_seconds\": ";
-  jnum(os, stats.exec.queue_stall_seconds);
-  os << ", \"queue_max_depth\": " << stats.exec.queue_max_depth
-     << ", \"quarantined\": [";
-  for (std::size_t i = 0; i < stats.exec.quarantined.size(); ++i) {
-    const QuarantinedBuffer& q = stats.exec.quarantined[i];
-    os << (i ? ", " : "") << "{\"filter\": ";
-    jstr(os, q.filter);
-    os << ", \"copy\": " << q.copy << ", \"port\": " << q.port
-       << ", \"chunk_id\": " << q.chunk_id << ", \"seq\": " << q.seq
-       << ", \"from_copy\": " << q.from_copy << ", \"region\": ";
-    jstr(os, q.region.str());
-    os << ", \"reason\": ";
-    jstr(os, q.reason);
-    os << "}";
-  }
-  os << "], \"incidents\": [";
-  for (std::size_t i = 0; i < stats.exec.incidents.size(); ++i) {
-    const CopyIncident& inc = stats.exec.incidents[i];
-    os << (i ? ", " : "") << "{\"kind\": ";
-    jstr(os, incident_kind_name(inc.kind));
-    os << ", \"filter\": ";
-    jstr(os, inc.filter);
-    os << ", \"copy\": " << inc.copy << ", \"error\": ";
-    jstr(os, inc.error);
-    os << "}";
-  }
-  os << "]}";
+  os << ",\n \"execution\": ";
+  write_execution_object(os, stats.exec, true);
   if (stats.cache.present) {
-    const CacheReport& c = stats.cache;
-    os << ",\n \"cache\": {\"budget_bytes\": " << c.budget_bytes
-       << ", \"prefetch_depth\": " << c.prefetch_depth
-       << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
-       << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk
-       << ", \"bytes_served_cache\": " << c.bytes_served_cache
-       << ", \"prefetch_issued\": " << c.prefetch_issued
-       << ", \"prefetch_useful\": " << c.prefetch_useful
-       << ", \"evictions\": " << c.evictions
-       << ", \"resident_bytes\": " << c.resident_bytes << "}";
+    os << ",\n \"cache\": ";
+    write_cache_object(os, stats.cache);
   }
   if (stats.tail.present) {
-    const TailReport& t = stats.tail;
-    os << ",\n \"io_tail\": {\"deadline_mode\": ";
-    jstr(os, t.deadline_mode);
-    os << ", \"deadline_ms\": ";
-    jnum(os, t.deadline_ms);
-    os << ", \"deadline_k\": ";
-    jnum(os, t.deadline_k);
-    os << ", \"deadline_floor_ms\": ";
-    jnum(os, t.deadline_floor_ms);
-    os << ", \"deadline_ceiling_ms\": ";
-    jnum(os, t.deadline_ceiling_ms);
-    os << ", \"hedge_enabled\": " << (t.hedge_enabled ? "true" : "false")
-       << ", \"hedge_pct\": ";
-    jnum(os, t.hedge_pct);
-    os << ", \"hedge_max_inflight\": " << t.hedge_max_inflight
-       << ", \"reads\": " << t.reads << ", \"hedges_issued\": " << t.hedges_issued
-       << ", \"hedges_won\": " << t.hedges_won
-       << ", \"hedges_abandoned\": " << t.hedges_abandoned
-       << ", \"reads_abandoned\": " << t.reads_abandoned
-       << ", \"breaches\": " << t.breaches
-       << ", \"evictions_slow\": " << t.evictions_slow << ", \"nodes\": [";
-    for (std::size_t i = 0; i < t.nodes.size(); ++i) {
-      const TailNodeRow& n = t.nodes[i];
-      os << (i ? ", " : "") << "{\"node\": " << n.node << ", \"reads\": " << n.reads
-         << ", \"ewma_ms\": ";
-      jnum(os, n.ewma_ms);
-      os << ", \"p50_ms\": ";
-      jnum(os, n.p50_ms);
-      os << ", \"p99_ms\": ";
-      jnum(os, n.p99_ms);
-      os << ", \"breaches\": " << n.breaches << "}";
-    }
-    os << "], \"evictions\": [";
-    for (std::size_t i = 0; i < t.evictions.size(); ++i) {
-      os << (i ? ", " : "") << "{\"node\": " << t.evictions[i].node
-         << ", \"reason\": ";
-      jstr(os, t.evictions[i].reason);
-      os << "}";
-    }
-    os << "]}";
+    os << ",\n \"io_tail\": ";
+    write_tail_object(os, stats.tail);
   }
   if (!extra.empty()) {
     os << ",\n \"extra\": {";
     for (std::size_t i = 0; i < extra.size(); ++i) {
       if (i) os << ", ";
-      jstr(os, extra[i].first);
+      write_json_string(os, extra[i].first);
       os << ": ";
-      jnum(os, extra[i].second);
+      write_json_number(os, extra[i].second);
     }
     os << "}";
   }
@@ -336,15 +333,15 @@ void write_metrics_csv(std::ostream& os, const RunStats& stats) {
   os << "\n";
   for (const CopyStats& c : stats.copies) {
     os << c.filter << "," << c.copy << "," << c.node << ",";
-    jnum(os, c.busy_seconds);
+    write_json_number(os, c.busy_seconds);
     os << ",";
-    jnum(os, c.blocked_input_seconds);
+    write_json_number(os, c.blocked_input_seconds);
     os << ",";
-    jnum(os, c.blocked_output_seconds);
+    write_json_number(os, c.blocked_output_seconds);
     os << ",";
-    jnum(os, c.enqueue_stall_seconds);
+    write_json_number(os, c.enqueue_stall_seconds);
     os << "," << c.stalled_pushes << "," << c.max_inbox << ",";
-    jnum(os, c.finish_time);
+    write_json_number(os, c.finish_time);
     WorkMeter::for_each_field(c.meter,
                               [&](std::string_view, std::int64_t v) { os << "," << v; });
     os << "\n";

@@ -59,6 +59,15 @@ void print_bottleneck_report(std::ostream& os, const BottleneckReport& report);
 /// simulator's network totals).
 using MetricsExtra = std::vector<std::pair<std::string, double>>;
 
+/// The objects h4d-metrics-v1 and h4d-jobs-v1 share, one writer each: the
+/// WorkMeter counters by name, the execution counters (`with_buffers` adds
+/// h4d-metrics-v1's quarantined and incidents arrays), the slice-cache
+/// section and the io_tail section.
+void write_meter_object(std::ostream& os, const WorkMeter& m);
+void write_execution_object(std::ostream& os, const ExecutionReport& e, bool with_buffers);
+void write_cache_object(std::ostream& os, const CacheReport& c);
+void write_tail_object(std::ostream& os, const TailReport& t);
+
 /// One self-contained JSON object (schema "h4d-metrics-v1"): makespan,
 /// per-filter aggregates, per-copy rows, bottleneck report, extras. Usable
 /// standalone or nested inside another document (no trailing newline).

@@ -1,46 +1,12 @@
 #include "fs/trace.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "nd/json.hpp"
+
 namespace h4d::fs {
-
-namespace {
-
-/// JSON string escaping (control characters, quotes, backslashes).
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c)) << std::dec
-             << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-/// Microsecond timestamp with sub-µs precision kept (Perfetto accepts
-/// fractional ts).
-void write_us(std::ostream& os, double seconds) {
-  os << std::fixed << std::setprecision(3) << seconds * 1e6
-     << std::defaultfloat << std::setprecision(6);
-}
-
-}  // namespace
 
 void TraceRecorder::span(int pid, int tid, std::string name, double ts, double dur,
                          Args args) {
@@ -92,33 +58,34 @@ void TraceRecorder::write_json(std::ostream& os) const {
     sep();
     os << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
        << ", \"tid\": 0, \"args\": {\"name\": ";
-    write_escaped(os, name);
+    write_json_string(os, name);
     os << "}}";
   }
   for (const auto& [key, name] : thread_names_) {
     sep();
     os << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << key.first
        << ", \"tid\": " << key.second << ", \"args\": {\"name\": ";
-    write_escaped(os, name);
+    write_json_string(os, name);
     os << "}}";
   }
 
   for (const Event& e : events_) {
     sep();
     os << "{\"ph\": \"" << e.phase << "\", \"name\": ";
-    write_escaped(os, e.name);
+    write_json_string(os, e.name);
+    // Microseconds, with sub-µs precision kept (Perfetto accepts fractional ts).
     os << ", \"pid\": " << e.pid << ", \"tid\": " << e.tid << ", \"ts\": ";
-    write_us(os, e.ts);
+    write_json_number(os, e.ts * 1e6, 3);
     if (e.phase == 'X') {
       os << ", \"dur\": ";
-      write_us(os, e.dur);
+      write_json_number(os, e.dur * 1e6, 3);
     }
     if (e.phase == 'i') os << ", \"s\": \"t\"";
     if (!e.args.empty()) {
       os << ", \"args\": {";
       for (std::size_t i = 0; i < e.args.size(); ++i) {
         if (i) os << ", ";
-        write_escaped(os, e.args[i].first);
+        write_json_string(os, e.args[i].first);
         os << ": " << e.args[i].second;
       }
       os << "}";

@@ -156,45 +156,71 @@ bool is_node_local_filename(const std::string& name) {
   return !name.empty() && name != "." && name != ".." && name.find('/') == std::string::npos;
 }
 
+SliceRef parse_index_line(const std::string& line, const DatasetMeta& meta) {
+  // Whitespace-separated tokens; a fifth one makes the line malformed.
+  std::istringstream is(line);
+  std::string tokens[5];
+  std::size_t n = 0;
+  while (n < 5 && is >> tokens[n]) ++n;
+  const auto whole = [](std::string_view token, auto& value, int base = 10) {
+    const char* const end = token.data() + token.size();
+    const auto [p, ec] = std::from_chars(token.data(), end, value, base);
+    return ec == std::errc{} && p == end;
+  };
+  SliceRef s;
+  if (n < 3 || n > 4 || !whole(tokens[0], s.t) || !whole(tokens[1], s.z)) {
+    throw std::runtime_error("malformed index line");
+  }
+  if (s.t < 0 || s.t >= meta.dims[3] || s.z < 0 || s.z >= meta.dims[2]) {
+    throw std::runtime_error("index slice (t=" + std::to_string(s.t) + ", z=" +
+                             std::to_string(s.z) + ") outside the volume's " +
+                             std::to_string(meta.dims[3]) + " x " +
+                             std::to_string(meta.dims[2]) + " (t x z) slices");
+  }
+  // The filename is joined onto the node directory, so it must name a file
+  // in that directory.
+  s.filename = tokens[2];
+  if (!is_node_local_filename(s.filename)) {
+    throw std::runtime_error("index filename '" + s.filename +
+                             "' is not a file in the node directory");
+  }
+  if (n == 4) {
+    if (tokens[3].size() > 8 || !whole(tokens[3], s.crc, 16)) {
+      throw std::runtime_error("index checksum '" + tokens[3] + "' is not a CRC-32 in hex");
+    }
+    s.has_crc = true;
+  }
+  return s;
+}
+
+std::string format_crc32(std::uint32_t crc) {
+  char buf[8];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, crc, 16);
+  return std::string(buf, end);
+}
+
+std::string format_index_line(const SliceRef& s) {
+  std::string line = std::to_string(s.t) + ' ' + std::to_string(s.z) + ' ' + s.filename;
+  if (s.has_crc) line += ' ' + format_crc32(s.crc);
+  return line;
+}
+
 StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
                                      int node_id)
     : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
   std::ifstream idx(dir_ / kIndexFileName);
   if (!idx) throw std::runtime_error("cannot read index " + (dir_ / kIndexFileName).string());
-  // Line format: "<t> <z> <filename> [<crc32-hex>]". The checksum column was
-  // added later; indexes without it stay readable (has_crc == false). The
-  // filename is joined onto the node directory, so it must name a file in
-  // that directory: one relative path component, never "." or "..".
   std::string line;
   std::int64_t line_no = 0;
-  const auto reject = [&](const std::string& what) {
-    throw std::runtime_error(what + " in " + (dir_ / kIndexFileName).string() + ":" +
-                             std::to_string(line_no) + ": " + line);
-  };
   while (std::getline(idx, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::istringstream is(line);
-    SliceRef s;
-    if (!(is >> s.t >> s.z >> s.filename)) reject("malformed index line");
-    if (s.t < 0 || s.t >= meta_.dims[3] || s.z < 0 || s.z >= meta_.dims[2]) {
-      reject("index slice (t=" + std::to_string(s.t) + ", z=" + std::to_string(s.z) +
-             ") outside the volume's " + std::to_string(meta_.dims[3]) + " x " +
-             std::to_string(meta_.dims[2]) + " (t x z) slices");
+    try {
+      slices_.push_back(parse_index_line(line, meta_));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(e.what() + (" in " + (dir_ / kIndexFileName).string()) + ":" +
+                               std::to_string(line_no) + ": " + line);
     }
-    if (!is_node_local_filename(s.filename)) {
-      reject("index filename '" + s.filename + "' is not a file in the node directory");
-    }
-    std::string crc_hex;
-    if (is >> crc_hex) {
-      if (crc_hex.size() > 8 ||
-          crc_hex.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos) {
-        reject("index checksum '" + crc_hex + "' is not a CRC-32 in hex");
-      }
-      s.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
-      s.has_crc = true;
-    }
-    slices_.push_back(std::move(s));
   }
 }
 
@@ -269,25 +295,22 @@ DiskDataset DiskDataset::create(const std::filesystem::path& root,
   std::vector<std::uint16_t> slice(static_cast<std::size_t>(nx * ny));
   for (std::int64_t t = 0; t < meta.dims[3]; ++t) {
     for (std::int64_t z = 0; z < meta.dims[2]; ++z) {
-      const std::string name = slice_filename(t, z);
       for (std::int64_t y = 0; y < ny; ++y) {
         std::memcpy(slice.data() + y * nx, &vol.at(0, y, z, t),
                     static_cast<std::size_t>(nx) * sizeof(std::uint16_t));
       }
       const std::size_t nbytes = slice.size() * sizeof(std::uint16_t);
-      const std::uint32_t crc = crc32(slice.data(), nbytes);
-      std::ostringstream crc_hex;
-      crc_hex << std::hex << crc;
+      const SliceRef ref{t, z, slice_filename(t, z), crc32(slice.data(), nbytes), true};
+      const std::string line = format_index_line(ref) + '\n';
       for (int rank = 0; rank < meta.replica_count(); ++rank) {
         const int node = meta.replica_node(z, t, rank);
-        const std::filesystem::path path = root / node_dir_name(node) / name;
+        const std::filesystem::path path = root / node_dir_name(node) / ref.filename;
         std::ofstream f(path, std::ios::binary);
         if (!f) throw std::runtime_error("cannot write slice " + path.string());
         f.write(reinterpret_cast<const char*>(slice.data()),
                 static_cast<std::streamsize>(nbytes));
         if (!f) throw std::runtime_error("short write to slice " + path.string());
-        indexes[static_cast<std::size_t>(node)]
-            << t << ' ' << z << ' ' << name << ' ' << crc_hex.str() << '\n';
+        indexes[static_cast<std::size_t>(node)] << line;
       }
     }
   }

@@ -117,6 +117,23 @@ struct SliceRef {
   bool has_crc = false;
 };
 
+/// One index line, "<t> <z> <filename> [<crc32-hex>]": t and z whole decimal
+/// tokens inside `meta`'s (t, z) slices, a node-local filename, and an
+/// optional CRC-32 of at most 8 hex digits (indexes written before the
+/// checksum column lack it: has_crc == false). Throws std::runtime_error
+/// saying what is wrong; the caller names the file and line. The reader,
+/// create, scrub, repair and add_checksums all read and write index lines
+/// through this parser and format_index_line().
+SliceRef parse_index_line(const std::string& line, const DatasetMeta& meta);
+
+/// The line parse_index_line() reads back as `s`, without a newline; the
+/// checksum column only when s.has_crc.
+std::string format_index_line(const SliceRef& s);
+
+/// A CRC-32 as the index's checksum column spells it: lowercase hex without
+/// leading zeros.
+std::string format_crc32(std::uint32_t crc);
+
 /// A slice read that delivered the wrong number of bytes (truncated file,
 /// I/O error mid-read, or an injected fault). Carries the slice coordinates
 /// and the expected vs. actual byte counts for diagnosis.

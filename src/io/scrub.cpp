@@ -10,6 +10,7 @@
 #include "io/dataset.hpp"
 #include "io/durable_file.hpp"
 #include "io/fault.hpp"
+#include "nd/json.hpp"
 
 namespace h4d::io {
 
@@ -17,25 +18,19 @@ namespace {
 
 using SliceKey = std::pair<std::int64_t, std::int64_t>;  // (t, z)
 
-struct IndexEntry {
-  std::string filename;
-  std::uint32_t crc = 0;
-  bool has_crc = false;
-};
-
 /// One node's on-disk state as found (not as it should be).
 struct NodeState {
   bool dir_exists = false;
   bool index_exists = false;
-  std::map<SliceKey, IndexEntry> entries;
+  /// StorageNodeReader's message when it rejected the index (empty when read).
+  std::string index_error;
+  std::map<SliceKey, SliceRef> entries;
+
+  bool index_read() const { return index_exists && index_error.empty(); }
 };
 
-std::string crc_hex(std::uint32_t crc) {
-  std::ostringstream os;
-  os << std::hex << crc;
-  return os.str();
-}
-
+/// Each node's index, read by the same StorageNodeReader the pipeline uses: an
+/// index it rejects holds no entries here and is reported and rewritten whole.
 std::vector<NodeState> load_nodes(const std::filesystem::path& root,
                                   const DatasetMeta& meta) {
   std::vector<NodeState> nodes(static_cast<std::size_t>(meta.storage_nodes));
@@ -44,28 +39,14 @@ std::vector<NodeState> load_nodes(const std::filesystem::path& root,
     const std::filesystem::path dir = root / node_dir_name(n);
     std::error_code ec;
     state.dir_exists = std::filesystem::is_directory(dir, ec);
-    if (!state.dir_exists) continue;
-    std::ifstream idx(dir / kIndexFileName);
-    state.index_exists = static_cast<bool>(idx);
-    std::string line;
-    while (std::getline(idx, line)) {
-      if (line.empty()) continue;
-      std::istringstream is(line);
-      std::int64_t t = 0, z = 0;
-      IndexEntry e;
-      // Malformed lines and names outside the node directory are dropped:
-      // the slice then shows up as an index_entry_missing finding.
-      if (!(is >> t >> z >> e.filename) || !is_node_local_filename(e.filename)) continue;
-      std::string hex;
-      if (is >> hex) {
-        try {
-          e.crc = static_cast<std::uint32_t>(std::stoul(hex, nullptr, 16));
-          e.has_crc = true;
-        } catch (const std::exception&) {
-          // unreadable checksum column: treat as absent
-        }
-      }
-      state.entries[{t, z}] = std::move(e);
+    state.index_exists = state.dir_exists && std::filesystem::exists(dir / kIndexFileName, ec);
+    if (!state.index_exists) continue;
+    try {
+      const StorageNodeReader reader(dir, meta, n);
+      // The reader's find_slice() answers with the first line for a slice.
+      for (const SliceRef& s : reader.slices()) state.entries.try_emplace({s.t, s.z}, s);
+    } catch (const std::runtime_error& e) {
+      state.index_error = e.what();
     }
   }
   return nodes;
@@ -98,48 +79,17 @@ std::optional<std::vector<std::uint8_t>> read_copy(const std::filesystem::path& 
   return bytes;
 }
 
-/// Canonical index content for `node`: every slice it holds a replica of, in
-/// the t-major order DiskDataset::create uses. Slices absent from `entries`
-/// (unrepairable) are omitted.
-std::string render_index(const DatasetMeta& meta, int node,
-                         const std::map<SliceKey, IndexEntry>& entries) {
-  std::ostringstream os;
-  for (std::int64_t t = 0; t < meta.dims[3]; ++t) {
-    for (std::int64_t z = 0; z < meta.dims[2]; ++z) {
-      if (meta.replica_rank(z, t, node) < 0) continue;
-      const auto it = entries.find({t, z});
-      if (it == entries.end()) continue;
-      os << t << ' ' << z << ' ' << it->second.filename;
-      if (it->second.has_crc) os << ' ' << crc_hex(it->second.crc);
-      os << '\n';
-    }
+/// Rewrite `node`'s index atomically: the entries of the slices it holds a
+/// replica of, in the t-major order DiskDataset::create uses.
+void write_index(const std::filesystem::path& root, const DatasetMeta& meta, int node,
+                 const std::map<SliceKey, SliceRef>& entries) {
+  std::string content;
+  for (const auto& [key, s] : entries) {
+    if (meta.replica_rank(s.z, s.t, node) >= 0) content += format_index_line(s) + '\n';
   }
-  return os.str();
-}
-
-void write_index(const std::filesystem::path& root, int node, const std::string& content) {
   const std::filesystem::path dir = root / node_dir_name(node);
   std::filesystem::create_directories(dir);
   atomic_write_file(dir / kIndexFileName, content.data(), content.size());
-}
-
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
 }
 
 }  // namespace
@@ -148,6 +98,7 @@ std::string_view scrub_defect_name(ScrubDefect d) {
   switch (d) {
     case ScrubDefect::MissingNodeDir: return "missing_node_dir";
     case ScrubDefect::MissingIndex: return "missing_index";
+    case ScrubDefect::MalformedIndex: return "malformed_index";
     case ScrubDefect::IndexEntryMissing: return "index_entry_missing";
     case ScrubDefect::MissingCopy: return "missing_copy";
     case ScrubDefect::SizeMismatch: return "size_mismatch";
@@ -186,8 +137,9 @@ void ScrubReport::write_json(std::ostream& os) const {
     const ScrubFinding& f = findings[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"kind\": \"" << scrub_defect_name(f.kind)
        << "\", \"t\": " << f.t << ", \"z\": " << f.z << ", \"node\": " << f.node
-       << ", \"rank\": " << f.rank << ", \"detail\": \"" << json_escape(f.detail)
-       << "\"}";
+       << ", \"rank\": " << f.rank << ", \"detail\": ";
+    write_json_string(os, f.detail);
+    os << "}";
   }
   os << (findings.empty() ? "]\n" : "\n  ]\n") << "}\n";
 }
@@ -206,6 +158,9 @@ ScrubReport scrub_dataset(const std::filesystem::path& root) {
     } else if (!state.index_exists) {
       report.findings.push_back({-1, -1, n, -1, ScrubDefect::MissingIndex,
                                  (root / node_dir_name(n) / kIndexFileName).string()});
+    } else if (!state.index_read()) {
+      report.findings.push_back(
+          {-1, -1, n, -1, ScrubDefect::MalformedIndex, state.index_error});
     }
   }
 
@@ -231,7 +186,7 @@ ScrubReport scrub_dataset(const std::filesystem::path& root) {
         ++report.copies_expected;
         if (!state.dir_exists) continue;  // covered by the node-level finding
         const auto it = state.entries.find({t, z});
-        if (state.index_exists && it == state.entries.end()) {
+        if (state.index_read() && it == state.entries.end()) {
           report.findings.push_back(
               {t, z, node, rank, ScrubDefect::IndexEntryMissing, ""});
         }
@@ -262,8 +217,8 @@ ScrubReport scrub_dataset(const std::filesystem::path& root) {
             ++report.copies_verified;
           } else {
             report.findings.push_back({t, z, node, rank, ScrubDefect::ChecksumMismatch,
-                                       path.string() + ": crc32 " + crc_hex(actual) +
-                                           ", index records " + crc_hex(*expected)});
+                                       path.string() + ": crc32 " + format_crc32(actual) +
+                                           ", index records " + format_crc32(*expected)});
           }
         } else {
           ++report.copies_unverified;
@@ -299,14 +254,13 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
   const std::int64_t slice_bytes = meta.slice_bytes();
 
   RepairReport report;
-  std::vector<std::map<SliceKey, IndexEntry>> final_entries(
+  std::vector<std::map<SliceKey, SliceRef>> final_entries(
       static_cast<std::size_t>(meta.storage_nodes));
   std::vector<bool> dirty(static_cast<std::size_t>(meta.storage_nodes), false);
   for (int n = 0; n < meta.storage_nodes; ++n) {
     final_entries[static_cast<std::size_t>(n)] = nodes[static_cast<std::size_t>(n)].entries;
     // A lost directory or index is rewritten even if no entry changes below.
-    if (!nodes[static_cast<std::size_t>(n)].dir_exists ||
-        !nodes[static_cast<std::size_t>(n)].index_exists) {
+    if (!nodes[static_cast<std::size_t>(n)].index_read()) {
       dirty[static_cast<std::size_t>(n)] = true;
     }
   }
@@ -315,7 +269,7 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
     for (std::int64_t z = 0; z < meta.dims[2]; ++z) {
       struct Copy {
         int node = -1;
-        const IndexEntry* entry = nullptr;
+        const SliceRef* entry = nullptr;
         std::optional<std::vector<std::uint8_t>> bytes;
         std::uint32_t crc = 0;
       };
@@ -366,7 +320,7 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
         report.unrepairable.push_back(
             {t, z, -1, -1, ScrubDefect::MissingCopy,
              indexed_crc ? "no surviving copy matches the indexed crc32 " +
-                               crc_hex(*indexed_crc)
+                               format_crc32(*indexed_crc)
                          : "no surviving full-size copy on any replica node"});
         continue;
       }
@@ -389,7 +343,7 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
                               (!c.entry->has_crc || c.entry->crc == good->crc);
         if (!entry_ok) {
           final_entries[static_cast<std::size_t>(c.node)][{t, z}] =
-              IndexEntry{slice_filename(t, z), good->crc, true};
+              SliceRef{t, z, slice_filename(t, z), good->crc, true};
           dirty[static_cast<std::size_t>(c.node)] = true;
         }
       }
@@ -398,7 +352,7 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
 
   for (int n = 0; n < meta.storage_nodes; ++n) {
     if (!dirty[static_cast<std::size_t>(n)]) continue;
-    write_index(root, n, render_index(meta, n, final_entries[static_cast<std::size_t>(n)]));
+    write_index(root, meta, n, final_entries[static_cast<std::size_t>(n)]);
     ++report.indexes_rebuilt;
   }
   return report;
@@ -417,7 +371,7 @@ ChecksumMigrationReport add_checksums(const std::filesystem::path& root) {
   const std::int64_t slice_bytes = meta.slice_bytes();
 
   ChecksumMigrationReport report;
-  std::vector<std::map<SliceKey, IndexEntry>> final_entries(
+  std::vector<std::map<SliceKey, SliceRef>> final_entries(
       static_cast<std::size_t>(meta.storage_nodes));
   std::vector<bool> dirty(static_cast<std::size_t>(meta.storage_nodes), false);
   for (int n = 0; n < meta.storage_nodes; ++n) {
@@ -477,7 +431,7 @@ ChecksumMigrationReport add_checksums(const std::filesystem::path& root) {
         const NodeState& state = nodes[static_cast<std::size_t>(node)];
         const auto it = state.entries.find({t, z});
         if (it == state.entries.end() || it->second.has_crc) continue;
-        IndexEntry e = it->second;
+        SliceRef e = it->second;
         e.crc = *agreed;
         e.has_crc = true;
         final_entries[static_cast<std::size_t>(node)][{t, z}] = std::move(e);
@@ -489,7 +443,7 @@ ChecksumMigrationReport add_checksums(const std::filesystem::path& root) {
 
   for (int n = 0; n < meta.storage_nodes; ++n) {
     if (!dirty[static_cast<std::size_t>(n)]) continue;
-    write_index(root, n, render_index(meta, n, final_entries[static_cast<std::size_t>(n)]));
+    write_index(root, meta, n, final_entries[static_cast<std::size_t>(n)]);
   }
   return report;
 }

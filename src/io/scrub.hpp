@@ -5,9 +5,11 @@
 // a bit flip the next read would only catch mid-pipeline. The scrub walks
 // every expected replica copy of every slice and verifies it against the
 // per-node index (existence, size, CRC-32), producing a machine-readable
-// inventory of divergent and missing copies. The repair pass then uses the
-// surviving good replicas to re-clone damaged or missing copies (durable
-// tmp + fsync + atomic-rename writes) and to rebuild a lost node's index —
+// inventory of divergent and missing copies. Indexes are read by the same
+// StorageNodeReader the pipeline uses, so an index the pipeline would refuse
+// is a malformed_index finding. The repair pass then uses the surviving good
+// replicas to re-clone damaged or missing copies (durable tmp + fsync +
+// atomic-rename writes) and to rebuild a lost or rejected node index —
 // restoring full replication without re-importing the source volume.
 //
 // add_checksums() is the migration path for pre-checksum datasets: it
@@ -29,6 +31,7 @@ namespace h4d::io {
 enum class ScrubDefect {
   MissingNodeDir,     ///< whole storage node directory absent
   MissingIndex,       ///< node directory exists but has no index file
+  MalformedIndex,     ///< StorageNodeReader rejects the node's index (detail: why)
   IndexEntryMissing,  ///< node index does not list a slice it should hold
   MissingCopy,        ///< indexed/expected slice file absent
   SizeMismatch,       ///< slice file exists with the wrong byte count
@@ -85,7 +88,7 @@ struct RepairReport {
 
 /// Restore full replication under `root`: re-clone every damaged or missing
 /// copy from a surviving good replica (atomic durable writes) and rebuild
-/// node indexes that are lost or inconsistent. The good copy is the one
+/// node indexes that are lost, rejected by the reader, or inconsistent. The good copy is the one
 /// matching an index CRC-32 when one exists, else the majority of the
 /// surviving full-size copies. Idempotent; a following scrub is clean unless
 /// some slice was unrepairable.

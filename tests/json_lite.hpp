@@ -1,7 +1,9 @@
 // Minimal strict JSON parser for test assertions (trace/metrics round-trip
 // validation). Parses a document into a Value tree; throws std::runtime_error
-// with position info on any syntax violation, so EXPECT_NO_THROW(parse(...))
-// doubles as a well-formedness check for emitted files.
+// with position info on any syntax violation (a raw control byte inside a
+// string included), so EXPECT_NO_THROW(parse(...)) doubles as a
+// well-formedness check for emitted files. \uXXXX escapes decode to UTF-8,
+// so an exported string can be compared with the one written.
 #pragma once
 
 #include <cmath>
@@ -175,12 +177,37 @@ class Parser {
           case 't': out += '\t'; break;
           case 'u': {
             if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            out += '?';  // code point fidelity is not needed for the tests
-            pos_ += 4;
+            unsigned cp = 0;
+            for (int i = 0; i < 4; ++i) {
+              const char h = text_[pos_++];
+              cp <<= 4;
+              if (h >= '0' && h <= '9') {
+                cp |= static_cast<unsigned>(h - '0');
+              } else if (h >= 'a' && h <= 'f') {
+                cp |= static_cast<unsigned>(h - 'a' + 10);
+              } else if (h >= 'A' && h <= 'F') {
+                cp |= static_cast<unsigned>(h - 'A' + 10);
+              } else {
+                fail("bad \\u escape");
+              }
+            }
+            // UTF-8; surrogate pairs are not combined (no export writes them).
+            if (cp < 0x80) {
+              out += static_cast<char>(cp);
+            } else if (cp < 0x800) {
+              out += static_cast<char>(0xC0 | (cp >> 6));
+              out += static_cast<char>(0x80 | (cp & 0x3F));
+            } else {
+              out += static_cast<char>(0xE0 | (cp >> 12));
+              out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+              out += static_cast<char>(0x80 | (cp & 0x3F));
+            }
             break;
           }
           default: fail("bad escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
       } else {
         out += c;
       }

@@ -432,5 +432,43 @@ TEST_F(CliTest, JobLineSimRejectsUnknownValue) {
                   "jobs: sim must be one of off|on, got 'yes'");
 }
 
+TEST_F(CliTest, JobLinesAcceptOnlyWholeTokens) {
+  const std::string ds = small_dataset();
+  const std::string jobs = (dir_ / "jobs.txt").string();
+  std::ofstream(jobs) << "tenant=a deadline_ms=60000 est_ms=2.5 retries=1 levels=8 "
+                         "roi=3,3,3,3\n";
+  ASSERT_EQ(invoke({"jobs", ds, "--file", jobs, "--roi", "3,3,3,3"}), 0) << stderr_text();
+  EXPECT_NE(stdout_text().find("completed"), std::string::npos) << stdout_text();
+
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"levels=8x", "bad integer for jobs: levels: 8x"},
+      {"roi=3,3,3,3x", "bad integer for jobs: roi: 3x"},
+      {"roi=3,3,3,3,9", "jobs: roi needs 4 comma-separated values, got '3,3,3,3,9'"},
+      {"deadline_ms=nan", "jobs: deadline_ms wants a finite non-negative ms value, got 'nan'"},
+      {"deadline_ms=-5", "jobs: deadline_ms wants a finite non-negative ms value, got '-5'"},
+      {"est_ms=-1", "jobs: est_ms wants a finite non-negative ms value, got '-1'"},
+      {"est_ms=inf", "jobs: est_ms wants a finite non-negative ms value, got 'inf'"},
+      {"retries=-3", "jobs: retries must be >= 0, got '-3'"},
+      {"retries=2x", "bad integer for jobs: retries: 2x"},
+  };
+  for (const auto& [value, message] : cases) {
+    std::ofstream(jobs, std::ios::trunc) << "tenant=a " << value << "\n";
+    expect_rejected(invoke({"jobs", ds, "--file", jobs, "--roi", "3,3,3,3"}), message);
+  }
+}
+
+TEST_F(CliTest, RoiOptionAcceptsOnlyFourWholeIntegers) {
+  const std::string ds = small_dataset();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"3,3,3,3x", "bad integer for --roi: 3x"},
+      {"3,3,3,3,9", "--roi needs 4 comma-separated values, got '3,3,3,3,9'"},
+      {"3,,3,3", "bad integer for --roi: "},
+      {"3,3,3", "--roi needs 4 comma-separated values"},
+  };
+  for (const auto& [roi, message] : cases) {
+    expect_rejected(invoke({"analyze", ds, "--roi", roi, "--chunk", "6,12,4,3"}), message);
+  }
+}
+
 }  // namespace
 }  // namespace h4d::cli

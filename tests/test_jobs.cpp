@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "io/dataset.hpp"
 #include "io/manifest.hpp"
 #include "io/phantom.hpp"
+#include "json_lite.hpp"
 #include "svc/job_manager.hpp"
 #include "svc/jobs_metrics.hpp"
 #include "svc/workload.hpp"
@@ -497,6 +499,34 @@ TEST_F(JobsFixture, OverloadSoakHoldsAccountingIdentityAndExportsMetrics) {
   EXPECT_NE(json.find("h4d-jobs-v1"), std::string::npos);
   EXPECT_NE(json.find("\"submitted\": 60"), std::string::npos);
   EXPECT_NE(json.find("\"per_job\""), std::string::npos);
+}
+
+TEST(JobsMetrics, TenantNamesWithControlBytesRoundTrip) {
+  // Quotes, a backslash, a newline and byte 0x01.
+  const std::string tenant = std::string("a\"b\\c\nd") + '\x01' + "e";
+  ServiceStats s;
+  TenantStats t;
+  t.tenant = tenant;
+  t.weight = std::nan("");
+  s.tenants.push_back(t);
+  JobRecord j;
+  j.id = 3;
+  j.tenant = tenant;
+  j.run_seconds = 0.25;
+  s.jobs.push_back(j);
+
+  std::ostringstream os;
+  write_jobs_metrics_object(os, s);
+  namespace json = h4d::testing::json;
+  json::Value doc;
+  ASSERT_NO_THROW(doc = json::parse(os.str())) << os.str();
+  EXPECT_EQ(doc.at("schema").str(), "h4d-jobs-v1");
+  EXPECT_EQ(doc.at("tenants").array.at(0).at("tenant").str(), tenant);
+  EXPECT_EQ(doc.at("tenants").array.at(0).at("weight").num(), 0.0);
+  EXPECT_EQ(doc.at("per_job").array.at(0).at("tenant").str(), tenant);
+  EXPECT_EQ(doc.at("per_job").array.at(0).at("id").num(), 3.0);
+  // Floating-point fields use the h4d-metrics-v1 number format.
+  EXPECT_NE(os.str().find("\"run_seconds\": 0.250000000"), std::string::npos) << os.str();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -259,6 +260,58 @@ TEST(Metrics, SimulatedRunExportsCleanly) {
     EXPECT_GE(c.at("blocked_input_seconds").num(), -1e-9);
     EXPECT_GE(c.at("blocked_output_seconds").num(), -1e-9);
   }
+}
+
+// Quotes, a backslash, a newline and byte 0x01: every export must escape
+// them so the string parses back unchanged.
+const std::string kAwkward = std::string("a\"b\\c\nd") + '\x01' + "e";
+
+TEST(Metrics, StringsWithControlBytesRoundTripAndNanExportsAsZero) {
+  RunStats stats;
+  stats.total_seconds = 1.0;
+  QuarantinedBuffer q;
+  q.filter = "HCC";
+  q.reason = kAwkward;
+  stats.exec.quarantined.push_back(q);
+  stats.exec.chunks_quarantined = 1;
+  CopyIncident inc;
+  inc.filter = "HCC";
+  inc.error = kAwkward;
+  stats.exec.incidents.push_back(inc);
+
+  std::ostringstream os;
+  write_metrics_object(os, stats, analyze_bottleneck(stats),
+                       {{"undefined", std::nan("")}});
+  json::Value doc;
+  ASSERT_NO_THROW(doc = json::parse(os.str())) << os.str();
+  const json::Value& ex = doc.at("execution");
+  EXPECT_EQ(ex.at("quarantined").array.at(0).at("reason").str(), kAwkward);
+  EXPECT_EQ(ex.at("incidents").array.at(0).at("error").str(), kAwkward);
+  EXPECT_EQ(doc.at("extra").at("undefined").num(), 0.0);
+  EXPECT_EQ(os.str().find(": nan"), std::string::npos) << os.str();
+}
+
+TEST(Trace, SpanNamesWithControlBytesRoundTrip) {
+  TraceRecorder trace;
+  trace.set_thread_name(0, 0, kAwkward);
+  trace.span(0, 0, kAwkward, 0.5, 0.25, {{kAwkward, 7}});
+  std::ostringstream os;
+  trace.write_json(os);
+  json::Value doc;
+  ASSERT_NO_THROW(doc = json::parse(os.str())) << os.str();
+  int spans = 0;
+  for (const json::Value& e : doc.at("traceEvents").array) {
+    if (e.at("ph").str() == "M") {
+      EXPECT_EQ(e.at("args").at("name").str(), kAwkward);
+    } else {
+      ++spans;
+      EXPECT_EQ(e.at("name").str(), kAwkward);
+      EXPECT_EQ(e.at("args").at(kAwkward).num(), 7.0);
+      EXPECT_EQ(e.at("ts").num(), 500000.0);
+      EXPECT_EQ(e.at("dur").num(), 250000.0);
+    }
+  }
+  EXPECT_EQ(spans, 1);
 }
 
 // ---- bottleneck report ----

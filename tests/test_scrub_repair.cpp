@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 
@@ -66,6 +67,38 @@ class ScrubRepairTest : public ::testing::Test {
     out << kept.str();
   }
 
+  std::string index_text(int node) const {
+    std::ifstream in(root_ / node_dir_name(node) / kIndexFileName);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+  void write_index_text(int node, const std::string& text) {
+    std::ofstream(root_ / node_dir_name(node) / kIndexFileName, std::ios::trunc) << text;
+  }
+
+  // Node 0's index is one the pipeline's reader refuses: scrub reports it
+  // once with the reader's message, and repair rewrites it so every node
+  // reads again and a second scrub is clean.
+  void expect_rejected_index_is_repaired(const std::string& reader_says) {
+    const DiskDataset ds = DiskDataset::open(root_);
+    EXPECT_THROW(ds.node_reader(0), std::runtime_error);
+    const ScrubReport before = scrub_dataset(root_);
+    EXPECT_FALSE(before.clean());
+    ASSERT_EQ(before.findings.size(), 1u) << before.summary();
+    EXPECT_EQ(before.findings[0].kind, ScrubDefect::MalformedIndex);
+    EXPECT_EQ(before.findings[0].node, 0);
+    EXPECT_NE(before.findings[0].detail.find(reader_says), std::string::npos)
+        << before.findings[0].detail;
+
+    const RepairReport repair = repair_dataset(root_);
+    EXPECT_TRUE(repair.complete()) << repair.summary();
+    EXPECT_EQ(repair.indexes_rebuilt, 1);
+    for (int n = 0; n < ds.num_nodes(); ++n) EXPECT_NO_THROW(ds.node_reader(n)) << n;
+    const ScrubReport after = scrub_dataset(root_);
+    EXPECT_TRUE(after.clean()) << after.summary();
+    EXPECT_EQ(after.copies_verified, after.copies_expected);
+    expect_intact();
+  }
+
   void expect_intact() {
     const auto back = DiskDataset::open(root_).read_all();
     EXPECT_EQ(back.storage(), vol_.storage());
@@ -108,7 +141,8 @@ TEST_F(ScrubRepairTest, BitFlipIsDetectedAndRepaired) {
 TEST_F(ScrubRepairTest, IndexNameOutsideTheNodeDirectoryIsNotFollowed) {
   create(3, 2);
   // Point node 0's entry for slice (0, 0) at node 1's replica: scrub must not
-  // vouch for node 0's copy by reading another node's file.
+  // vouch for node 0's copy by reading another node's file. The reader
+  // rejects the whole index, so scrub reports it once and repair rewrites it.
   const fsys::path index = root_ / node_dir_name(0) / kIndexFileName;
   std::ifstream in(index);
   std::ostringstream rewritten;
@@ -127,12 +161,51 @@ TEST_F(ScrubRepairTest, IndexNameOutsideTheNodeDirectoryIsNotFollowed) {
 
   const ScrubReport before = scrub_dataset(root_);
   ASSERT_EQ(before.findings.size(), 1u) << before.summary();
-  EXPECT_EQ(before.findings[0].kind, ScrubDefect::IndexEntryMissing);
+  EXPECT_EQ(before.findings[0].kind, ScrubDefect::MalformedIndex);
   EXPECT_EQ(before.findings[0].node, 0);
+  EXPECT_NE(before.findings[0].detail.find("is not a file in the node directory"),
+            std::string::npos)
+      << before.findings[0].detail;
 
   EXPECT_TRUE(repair_dataset(root_).complete());
   EXPECT_TRUE(scrub_dataset(root_).clean());
   expect_intact();
+}
+
+TEST_F(ScrubRepairTest, ChecksumThatIsNotHexIsAMalformedIndex) {
+  create(2, 1);
+  std::string text = index_text(0);
+  const std::size_t eol = text.find('\n');
+  const std::size_t crc = text.rfind(' ', eol) + 1;
+  text.replace(crc, eol - crc, "zz");
+  write_index_text(0, text);
+  expect_rejected_index_is_repaired("index checksum 'zz' is not a CRC-32 in hex");
+}
+
+TEST_F(ScrubRepairTest, SliceOutsideTheVolumeIsAMalformedIndex) {
+  create(2, 1);
+  write_index_text(0, index_text(0) + "9 9 slice_t9_z9.raw 1234\n");
+  expect_rejected_index_is_repaired("index slice (t=9, z=9) outside the volume");
+}
+
+TEST_F(ScrubRepairTest, IndexWithoutASliceLineIsReportedAndRestored) {
+  create(3, 2);
+  // Node 0's first line is its entry for slice (t=0, z=0).
+  const std::string text = index_text(0);
+  write_index_text(0, text.substr(text.find('\n') + 1));
+
+  const ScrubReport before = scrub_dataset(root_);
+  ASSERT_EQ(before.findings.size(), 1u) << before.summary();
+  EXPECT_EQ(before.findings[0].kind, ScrubDefect::IndexEntryMissing);
+  EXPECT_EQ(before.findings[0].node, 0);
+  EXPECT_EQ(before.findings[0].t, 0);
+  EXPECT_EQ(before.findings[0].z, 0);
+
+  const RepairReport repair = repair_dataset(root_);
+  EXPECT_TRUE(repair.complete()) << repair.summary();
+  EXPECT_EQ(repair.indexes_rebuilt, 1);
+  EXPECT_EQ(index_text(0), text);
+  EXPECT_TRUE(scrub_dataset(root_).clean());
 }
 
 TEST_F(ScrubRepairTest, TruncatedCopyIsDetectedAndRepaired) {
@@ -228,6 +301,27 @@ TEST_F(ScrubRepairTest, ScrubJsonInventoryIsWellFormed) {
   EXPECT_EQ(findings[0].at("kind").str(), "checksum_mismatch");
   EXPECT_EQ(findings[0].at("t").num(), 1.0);
   EXPECT_EQ(findings[0].at("z").num(), 1.0);
+}
+
+TEST_F(ScrubRepairTest, ScrubJsonRoundTripsControlBytesInFilenames) {
+  create(2, 2);
+  // Node 0's entry for slice (0, 0) names a missing node-local file whose
+  // name holds byte 0x01.
+  const std::string name = std::string("slice") + '\x01' + ".raw";
+  const std::string text = index_text(0);
+  const std::size_t eol = text.find('\n');
+  write_index_text(0, "0 0 " + name + text.substr(text.rfind(' ', eol), std::string::npos));
+
+  const ScrubReport r = scrub_dataset(root_);
+  ASSERT_EQ(r.findings.size(), 1u) << r.summary();
+  EXPECT_EQ(r.findings[0].kind, ScrubDefect::MissingCopy);
+  const std::string path = (root_ / node_dir_name(0) / name).string();
+  EXPECT_EQ(r.findings[0].detail, path);
+  std::ostringstream os;
+  r.write_json(os);
+  testing::json::Value doc;
+  ASSERT_NO_THROW(doc = testing::json::parse(os.str())) << os.str();
+  EXPECT_EQ(doc.at("findings").array.at(0).at("detail").str(), path);
 }
 
 TEST_F(ScrubRepairTest, AddChecksumsBackfillsPreChecksumIndexes) {
