@@ -205,23 +205,34 @@ std::string format_index_line(const SliceRef& s) {
   return line;
 }
 
-StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
-                                     int node_id)
-    : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
-  std::ifstream idx(dir_ / kIndexFileName);
-  if (!idx) throw std::runtime_error("cannot read index " + (dir_ / kIndexFileName).string());
+std::vector<SliceRef> read_index(const std::filesystem::path& index_path,
+                                 const DatasetMeta& meta, std::string& error) {
+  std::ifstream idx(index_path);
+  if (!idx) throw std::runtime_error("cannot read index " + index_path.string());
+  std::vector<SliceRef> slices;
   std::string line;
   std::int64_t line_no = 0;
   while (std::getline(idx, line)) {
     ++line_no;
     if (line.empty()) continue;
     try {
-      slices_.push_back(parse_index_line(line, meta_));
+      slices.push_back(parse_index_line(line, meta));
     } catch (const std::runtime_error& e) {
-      throw std::runtime_error(e.what() + (" in " + (dir_ / kIndexFileName).string()) + ":" +
-                               std::to_string(line_no) + ": " + line);
+      if (error.empty()) {
+        error = e.what() + (" in " + index_path.string()) + ":" + std::to_string(line_no) +
+                ": " + line;
+      }
     }
   }
+  return slices;
+}
+
+StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
+                                     int node_id)
+    : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
+  std::string error;
+  slices_ = read_index(dir_ / kIndexFileName, meta_, error);
+  if (!error.empty()) throw std::runtime_error(error);
 }
 
 const SliceRef* StorageNodeReader::find_slice(std::int64_t t, std::int64_t z) const {

@@ -126,6 +126,14 @@ struct SliceRef {
 /// through this parser and format_index_line().
 SliceRef parse_index_line(const std::string& line, const DatasetMeta& meta);
 
+/// Every line of the index file at `index_path` through parse_index_line(),
+/// skipping empty lines. The lines that parse are returned in file order; the
+/// first one that does not is described in `error`, which must come in
+/// empty, as "<why> in <file>:<line>: <text>", and reading goes on.
+/// Throws std::runtime_error when the file cannot be opened.
+std::vector<SliceRef> read_index(const std::filesystem::path& index_path,
+                                 const DatasetMeta& meta, std::string& error);
+
 /// The line parse_index_line() reads back as `s`, without a newline; the
 /// checksum column only when s.has_crc.
 std::string format_index_line(const SliceRef& s);

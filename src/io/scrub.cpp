@@ -22,15 +22,17 @@ using SliceKey = std::pair<std::int64_t, std::int64_t>;  // (t, z)
 struct NodeState {
   bool dir_exists = false;
   bool index_exists = false;
-  /// StorageNodeReader's message when it rejected the index (empty when read).
+  /// The first index line the reader rejects, as StorageNodeReader words it
+  /// (empty when every line reads).
   std::string index_error;
   std::map<SliceKey, SliceRef> entries;
 
   bool index_read() const { return index_exists && index_error.empty(); }
 };
 
-/// Each node's index, read by the same StorageNodeReader the pipeline uses: an
-/// index it rejects holds no entries here and is reported and rewritten whole.
+/// Each node's index, read line by line through the reader's parser. The
+/// lines it accepts keep their entries (and CRCs) even when another line is
+/// rejected; such an index is reported once and rewritten whole.
 std::vector<NodeState> load_nodes(const std::filesystem::path& root,
                                   const DatasetMeta& meta) {
   std::vector<NodeState> nodes(static_cast<std::size_t>(meta.storage_nodes));
@@ -42,9 +44,10 @@ std::vector<NodeState> load_nodes(const std::filesystem::path& root,
     state.index_exists = state.dir_exists && std::filesystem::exists(dir / kIndexFileName, ec);
     if (!state.index_exists) continue;
     try {
-      const StorageNodeReader reader(dir, meta, n);
       // The reader's find_slice() answers with the first line for a slice.
-      for (const SliceRef& s : reader.slices()) state.entries.try_emplace({s.t, s.z}, s);
+      for (const SliceRef& s : read_index(dir / kIndexFileName, meta, state.index_error)) {
+        state.entries.try_emplace({s.t, s.z}, s);
+      }
     } catch (const std::runtime_error& e) {
       state.index_error = e.what();
     }

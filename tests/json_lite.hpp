@@ -191,17 +191,9 @@ class Parser {
                 fail("bad \\u escape");
               }
             }
-            // UTF-8; surrogate pairs are not combined (no export writes them).
-            if (cp < 0x80) {
-              out += static_cast<char>(cp);
-            } else if (cp < 0x800) {
-              out += static_cast<char>(0xC0 | (cp >> 6));
-              out += static_cast<char>(0x80 | (cp & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (cp >> 12));
-              out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (cp & 0x3F));
-            }
+            // Exports escape only control bytes; every other byte is raw.
+            if (cp >= 0x80) fail("unsupported \\u escape");
+            out += static_cast<char>(cp);
             break;
           }
           default: fail("bad escape");

@@ -285,6 +285,34 @@ TEST_F(ScrubRepairTest, UnreplicatedCorruptionIsUnrepairable) {
   EXPECT_FALSE(scrub_dataset(root_).clean());
 }
 
+TEST_F(ScrubRepairTest, RejectedIndexLineKeepsTheOtherLinesChecksums) {
+  create(3, 1);
+  flip_byte(slice_path(0, 0, 0), 3);
+  // A fifth token makes the appended copy of node 0's first line malformed;
+  // the first line itself, and its CRC, still read.
+  const std::string text = index_text(0);
+  write_index_text(0, text + text.substr(0, text.find('\n')) + " extra\n");
+
+  const ScrubReport before = scrub_dataset(root_);
+  ASSERT_EQ(before.findings.size(), 2u) << before.summary();
+  EXPECT_EQ(before.findings[0].kind, ScrubDefect::MalformedIndex);
+  EXPECT_EQ(before.findings[0].node, 0);
+  EXPECT_EQ(before.findings[1].kind, ScrubDefect::ChecksumMismatch);
+  EXPECT_EQ(before.findings[1].t, 0);
+  EXPECT_EQ(before.findings[1].z, 0);
+
+  // The indexed CRC still convicts the only copy: repair must not rewrite
+  // the index around the corrupt bytes.
+  const RepairReport repair = repair_dataset(root_);
+  EXPECT_FALSE(repair.complete());
+  ASSERT_EQ(repair.unrepairable.size(), 1u) << repair.summary();
+  EXPECT_EQ(repair.unrepairable[0].t, 0);
+  EXPECT_EQ(repair.unrepairable[0].z, 0);
+  const ScrubReport after = scrub_dataset(root_);
+  ASSERT_EQ(after.findings.size(), 1u) << after.summary();
+  EXPECT_EQ(after.findings[0].kind, ScrubDefect::ChecksumMismatch);
+}
+
 TEST_F(ScrubRepairTest, ScrubJsonInventoryIsWellFormed) {
   create(2, 2);
   flip_byte(slice_path(0, 1, 1), 0);
