@@ -141,14 +141,6 @@ core::PipelineConfig hmp_config(const Workload& w, int texture_nodes,
   return cfg;
 }
 
-int split_hcc_nodes(int texture_nodes) {
-  if (texture_nodes <= 1) return 1;
-  // Maintain the paper's ~4:1 HCC:HPC processing-cost ratio (Sec. 5.2);
-  // 16 nodes => 13 HCC + 3 HPC.
-  const int hcc = std::max(1, (texture_nodes * 4 + 2) / 5);
-  return std::min(hcc, texture_nodes - 1);
-}
-
 core::PipelineConfig split_config(const Workload& w, int texture_nodes,
                                   haralick::Representation repr, bool overlap) {
   core::PipelineConfig cfg = base_config(w, repr);
@@ -168,8 +160,9 @@ core::PipelineConfig split_config(const Workload& w, int texture_nodes,
       return static_cast<int>(h.from_copy % ncopies);
     };
   } else {
-    const int hcc = split_hcc_nodes(texture_nodes);
-    const int hpc = texture_nodes - hcc;
+    // The paper's ~4:1 HCC:HPC processing-cost ratio (Sec. 5.2), through the
+    // planner's apportionment: 16 nodes => 13 HCC + 3 HPC.
+    const auto [hcc, hpc] = core::apportion_split(4.0, texture_nodes);
     cfg.hcc_copies = hcc;
     cfg.hpc_copies = hpc;
     for (int i = 0; i < hcc; ++i) cfg.hcc_nodes.push_back(kFirstTextureNode + i);

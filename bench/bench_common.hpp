@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/planner.hpp"
 #include "io/image_write.hpp"
 #include "io/phantom.hpp"
 #include "sim/executor_sim.hpp"
@@ -55,13 +56,11 @@ core::PipelineConfig hmp_config(const Workload& w, int texture_nodes,
                                 haralick::Representation repr);
 
 /// Split HCC+HPC variant (Fig. 5). overlap=false: filters on separate nodes,
-/// HCC:HPC ~ 4:1 (13+3 at 16 nodes, Sec. 5.2); overlap=true: one HCC and one
-/// HPC co-located on every texture node.
+/// core::apportion_split(4.0, n) HCC + HPC (13+3 at 16 nodes, Sec. 5.2);
+/// overlap=true (and n = 1): one HCC and one HPC co-located on every texture
+/// node.
 core::PipelineConfig split_config(const Workload& w, int texture_nodes,
                                   haralick::Representation repr, bool overlap);
-
-/// Number of HCC nodes in the no-overlap split for n texture nodes.
-int split_hcc_nodes(int texture_nodes);
 
 /// Run one configuration through the simulator and return its stats. When
 /// `--metrics` is active, the run is also recorded (labeled by variant,

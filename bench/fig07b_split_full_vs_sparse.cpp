@@ -21,13 +21,11 @@ int main(int argc, char** argv) {
     const auto opt = bench::piii_options(n);
     const auto full = bench::run_config(
         bench::split_config(w, n, Representation::Full, /*overlap=*/false), opt);
-    const auto sparse = bench::run_config(
-        bench::split_config(w, n, Representation::Sparse, /*overlap=*/false), opt);
+    const auto cfg = bench::split_config(w, n, Representation::Sparse, /*overlap=*/false);
+    const auto sparse = bench::run_config(cfg, opt);
     full_s.push_back(full.total_seconds);
     sparse_s.push_back(sparse.total_seconds);
-    const int hcc = n == 1 ? 1 : bench::split_hcc_nodes(n);
-    const int hpc = n == 1 ? 1 : n - hcc;
-    report.row({std::to_string(n), std::to_string(hcc), std::to_string(hpc),
+    report.row({std::to_string(n), std::to_string(cfg.hcc_copies), std::to_string(cfg.hpc_copies),
                 bench::Report::sec(full.total_seconds),
                 bench::Report::sec(sparse.total_seconds)});
   }
@@ -41,6 +39,6 @@ int main(int argc, char** argv) {
   report.check("sparse curve scales down with processors",
                sparse_s.back() < 0.5 * sparse_s[0]);
   report.check("16-node split is 13 HCC + 3 HPC (paper Sec. 5.2)",
-               bench::split_hcc_nodes(16) == 13);
+               core::apportion_split(4.0, 16) == std::pair{13, 3});
   return report.finish();
 }

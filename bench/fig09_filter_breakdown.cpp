@@ -19,15 +19,13 @@ int main(int argc, char** argv) {
   std::vector<double> iic_s, hcc_s, hpc_s, rfr_s, uso_s, total_s;
   for (const int n : procs) {
     const auto opt = bench::piii_options(n);
-    const auto stats = bench::run_config(
-        bench::split_config(w, n, Representation::Sparse, /*overlap=*/false), opt);
+    const auto cfg = bench::split_config(w, n, Representation::Sparse, /*overlap=*/false);
+    const auto stats = bench::run_config(cfg, opt);
     // Per-copy busy time (paper plots the processing time of one filter).
     const double rfr = stats.filter_busy_seconds("RFR") / 4.0;
     const double iic = stats.filter_busy_seconds("IIC");
-    const double hcc =
-        stats.filter_busy_seconds("HCC") / bench::split_hcc_nodes(n);
-    const double hpc = stats.filter_busy_seconds("HPC") /
-                       std::max(1, n - bench::split_hcc_nodes(n));
+    const double hcc = stats.filter_busy_seconds("HCC") / cfg.hcc_copies;
+    const double hpc = stats.filter_busy_seconds("HPC") / cfg.hpc_copies;
     const double uso = stats.filter_busy_seconds("USO");
     rfr_s.push_back(rfr);
     iic_s.push_back(iic);

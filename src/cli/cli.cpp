@@ -291,7 +291,8 @@ io::TailConfig tail_config_from_args(const Args& args) {
 core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dataset) {
   // Removed options fail loudly instead of being silently ignored: a script
   // that asked for them would otherwise measure something else.
-  for (const char* removed : {"sliding", "queue", "cache-policy", "tile-shape", "resume"}) {
+  for (const char* removed :
+       {"sliding", "queue", "cache-policy", "tile-shape", "resume", "plan"}) {
     if (args.has(removed)) {
       throw std::runtime_error(std::string("--") + removed + " was removed; drop the option");
     }
@@ -299,7 +300,8 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   core::PipelineConfig cfg;
   cfg.dataset_root = dataset;
   cfg.engine = engine_from_args(args);
-  const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
+  const io::DiskDataset ds = io::DiskDataset::open(dataset);
+  const io::DatasetMeta& meta = ds.meta();
   cfg.rfr_copies = meta.storage_nodes;
   cfg.texture_chunk = args.get_vec4("chunk", {64, 64, 8, 8});
   // Clamp the chunk to the dataset so small studies work out of the box.
@@ -335,20 +337,18 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   // Tail-tolerant I/O: adaptive deadlines, hedged reads, slow-node eviction.
   cfg.tail = tail_config_from_args(args);
 
+  // --workers is the texture-node budget: one HMP copy per node, or, for the
+  // split variant, the nodes divided between HCC and HPC by the measured
+  // HCC:HPC cost ratio of a probe read the way the run reads (paper Sec. 5.2).
+  // One node runs one copy of each.
   const int workers = args.get_int("workers", 4);
   if (cfg.variant == core::Variant::HMP) {
     cfg.hmp_copies = workers;
-  } else if (args.choice("plan", {"fixed", "auto"}) == "auto" && workers >= 2) {
-    // Probe the dataset (through the resilient read path) and split the
-    // worker budget by the measured HCC:HPC cost ratio (paper Sec. 5.2).
+  } else if (workers >= 2) {
     const core::SplitPlan plan = core::plan_split_dataset(
-        io::DiskDataset::open(dataset), cfg.engine, sim::CostModel{}, workers,
-        cfg.resilience);
+        ds, cfg.engine, sim::CostModel{}, workers, cfg.resilience, cfg.dead_nodes);
     cfg.hcc_copies = plan.hcc_nodes;
     cfg.hpc_copies = plan.hpc_nodes;
-  } else {
-    cfg.hcc_copies = std::max(1, workers * 4 / 5);
-    cfg.hpc_copies = std::max(1, workers - cfg.hcc_copies);
   }
   return cfg;
 }
@@ -452,24 +452,36 @@ int cmd_analyze(const Args& args, std::ostream& out) {
   return 0;
 }
 
-/// Paper layout for simulated runs: RFR on nodes 0..k, IIC on the next, USO
-/// after, texture filters on dedicated nodes. Returns the first texture node
-/// id (for sizing the modeled cluster).
-int place_for_simulation(core::PipelineConfig& cfg, const io::DatasetMeta& meta) {
-  for (int i = 0; i < meta.storage_nodes; ++i) cfg.rfr_nodes.push_back(i);
-  const int iic_node = meta.storage_nodes;
+/// Texture copies of a run: one per texture node.
+int texture_copies(const core::PipelineConfig& cfg) {
+  return cfg.variant == core::Variant::HMP ? cfg.hmp_copies : cfg.hcc_copies + cfg.hpc_copies;
+}
+
+/// Simulated run of `cfg`: the paper's layout placed into it (RFR on storage
+/// nodes 0..k-1, IIC on node k, USO on k+1, then one dedicated node per
+/// texture copy), the modeled PIII cluster of those nodes, and the
+/// --sim-failures model. simulate, serve --mode sim and every sim=on job
+/// line run through it.
+sim::SimOptions simulation_from_args(const Args& args, core::PipelineConfig& cfg) {
+  const int iic_node = cfg.rfr_copies;  // RFR copy k reads storage node k
+  const int first_texture = iic_node + 2;
+  const auto place = [](std::vector<int>& nodes, int first, int count) {
+    nodes.clear();
+    for (int i = 0; i < count; ++i) nodes.push_back(first + i);
+  };
+  place(cfg.rfr_nodes, 0, cfg.rfr_copies);
   cfg.iic_nodes = {iic_node};
   cfg.uso_nodes = {iic_node + 1};
-  const int first_texture = iic_node + 2;
   if (cfg.variant == core::Variant::HMP) {
-    for (int i = 0; i < cfg.hmp_copies; ++i) cfg.hmp_nodes.push_back(first_texture + i);
+    place(cfg.hmp_nodes, first_texture, cfg.hmp_copies);
   } else {
-    for (int i = 0; i < cfg.hcc_copies; ++i) cfg.hcc_nodes.push_back(first_texture + i);
-    for (int i = 0; i < cfg.hpc_copies; ++i) {
-      cfg.hpc_nodes.push_back(first_texture + cfg.hcc_copies + i);
-    }
+    place(cfg.hcc_nodes, first_texture, cfg.hcc_copies);
+    place(cfg.hpc_nodes, first_texture + cfg.hcc_copies, cfg.hpc_copies);
   }
-  return first_texture;
+  sim::SimOptions sopt;
+  sopt.cluster = sim::make_piii_cluster(first_texture + texture_copies(cfg));
+  sopt.failures = sim::FailureModel::parse(args.get("sim-failures", ""));
+  return sopt;
 }
 
 int cmd_simulate(const Args& args, std::ostream& out) {
@@ -477,22 +489,19 @@ int cmd_simulate(const Args& args, std::ostream& out) {
     throw std::runtime_error("simulate: need a dataset directory");
   }
   const std::string dataset = args.positional()[0];
-  const int workers = args.get_int("workers", 8);
-
   core::PipelineConfig cfg = pipeline_from_args(args, dataset);
-  const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
-  const int first_texture = place_for_simulation(cfg, meta);
-
-  sim::SimOptions sopt;
-  sopt.cluster = sim::make_piii_cluster(first_texture + workers + 2);
-  sopt.failures = sim::FailureModel::parse(args.get("sim-failures", ""));
+  sim::SimOptions sopt = simulation_from_args(args, cfg);
   fs::TraceRecorder trace;
   if (args.has("trace")) sopt.trace = &trace;
 
   const core::AnalysisResult r = core::analyze_simulated(cfg, sopt);
-  out << "virtual execution time " << r.sim.total_seconds << " s on "
-      << (cfg.variant == core::Variant::HMP ? "HMP" : "split HCC+HPC") << " with "
-      << workers << " texture nodes (modeled PIII cluster)\n"
+  out << "virtual execution time " << r.sim.total_seconds << " s on ";
+  if (cfg.variant == core::Variant::HMP) {
+    out << "HMP";
+  } else {
+    out << "split HCC+HPC (" << cfg.hcc_copies << " + " << cfg.hpc_copies << ")";
+  }
+  out << " with " << texture_copies(cfg) << " texture nodes (modeled PIII cluster)\n"
       << "network: " << r.sim.network_bytes / 1024 << " KiB in " << r.sim.network_transfers
       << " transfers\n";
   std::map<std::string, double> busy;
@@ -618,13 +627,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
   wl.simulate = args.choice("mode", {"threaded", "sim"}) == "sim";
   wl.base.config = pipeline_from_args(args, dataset);
   wl.base.threaded.supervise = supervisor_from_args(args);
-  if (wl.simulate) {
-    const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
-    const int first_texture = place_for_simulation(wl.base.config, meta);
-    const int workers = args.get_int("workers", 4);
-    wl.base.sim.cluster = sim::make_piii_cluster(first_texture + workers + 2);
-    wl.base.sim.failures = sim::FailureModel::parse(args.get("sim-failures", ""));
-  }
+  if (wl.simulate) wl.base.sim = simulation_from_args(args, wl.base.config);
 
   const std::vector<svc::WorkloadJob> workload = svc::make_workload(wl);
   svc::JobManager manager(manager_options_from_args(args));
@@ -703,13 +706,7 @@ int cmd_jobs(const Args& args, std::ostream& out) {
   svc::JobSpec base;
   base.config = pipeline_from_args(args, dataset);
   base.threaded.supervise = supervisor_from_args(args);
-  const bool any_sim = args.choice("mode", {"threaded", "sim"}) == "sim";
-  if (any_sim) {
-    const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
-    const int first_texture = place_for_simulation(base.config, meta);
-    base.sim.cluster = sim::make_piii_cluster(first_texture + args.get_int("workers", 4) + 2);
-    base.simulate = true;
-  }
+  base.simulate = args.choice("mode", {"threaded", "sim"}) == "sim";
 
   std::ifstream in(file);
   if (!in) throw std::runtime_error("jobs: cannot read " + file);
@@ -718,7 +715,9 @@ int cmd_jobs(const Args& args, std::ostream& out) {
   while (std::getline(in, line)) {
     const auto first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
-    specs.push_back(parse_job_line(line, base));
+    svc::JobSpec spec = parse_job_line(line, base);
+    if (spec.simulate) spec.sim = simulation_from_args(args, spec.config);
+    specs.push_back(std::move(spec));
   }
   if (specs.empty()) throw std::runtime_error("jobs: no job lines in " + file);
 
@@ -757,7 +756,7 @@ int usage(std::ostream& err) {
          "  analyze  DATASET_DIR [--out DIR] [--variant hmp|split] [--workers N]\n"
          "           [--roi X,Y,Z,T] [--levels N] [--features paper|all]\n"
          "           [--repr full|sparse] [--dirs all|axis]\n"
-         "           [--sweep strict|fast] [--chunk X,Y,Z,T] [--plan fixed|auto]\n"
+         "           [--sweep strict|fast] [--chunk X,Y,Z,T]\n"
          "           [--faults SPEC] [--retry N] [--on-corrupt fail|retry|skip]\n"
          "           [--checksums on|off] [--fill V] [--dead-nodes N,M]\n"
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"

@@ -73,8 +73,7 @@ SplitPlan plan_split_dataset(const io::DiskDataset& dataset,
                              const haralick::EngineConfig& engine,
                              const sim::CostModel& cost, int texture_nodes,
                              const io::ResilienceConfig& resilience,
-                             io::FaultInjector* injector, io::FaultReport* report,
-                             int max_probe_rois) {
+                             const std::vector<int>& dead_nodes, int max_probe_rois) {
   const io::DatasetMeta& meta = dataset.meta();
   // Probe extent: two ROIs per axis gives plan_split a few origins to sample
   // without pulling the whole dataset off disk.
@@ -85,8 +84,9 @@ SplitPlan plan_split_dataset(const io::DiskDataset& dataset,
   if (!Region4::whole(meta.dims).contains(Region4{{0, 0, 0, 0}, engine.roi_dims})) {
     throw std::invalid_argument("plan_split_dataset: dataset smaller than the ROI");
   }
+  dataset.check_slice_files();
   const Volume4<std::uint16_t> raw = dataset.read_region(
-      Region4{{0, 0, 0, 0}, probe_dims}, resilience, injector, report);
+      Region4{{0, 0, 0, 0}, probe_dims}, resilience, nullptr, nullptr, dead_nodes);
   const Quantizer quant(meta.value_min, meta.value_max, engine.num_levels);
   Volume4<Level> probe(raw.dims());
   quantize_into<std::uint16_t>(raw.view(), quant, probe.view());

@@ -38,15 +38,14 @@ std::pair<int, int> apportion_split(double cost_ratio, int texture_nodes);
 
 /// plan_split against a disk-resident dataset: reads a probe subvolume
 /// (clamped to the dataset, at least one ROI) through the resilient read
-/// path — a flaky or partly corrupt dataset can still be planned when
-/// `resilience` allows degradation — requantizes it with the dataset's
-/// global intensity range, and delegates to plan_split. `injector` and
-/// `report` are optional (fault drills / accounting).
+/// path the run uses — retries, checksums and degradation follow
+/// `resilience`, and `dead_nodes` are read from nothing — requantizes it
+/// with the dataset's global intensity range, and delegates to plan_split.
 SplitPlan plan_split_dataset(const io::DiskDataset& dataset,
                              const haralick::EngineConfig& engine,
                              const sim::CostModel& cost, int texture_nodes,
                              const io::ResilienceConfig& resilience = {},
-                             io::FaultInjector* injector = nullptr,
-                             io::FaultReport* report = nullptr, int max_probe_rois = 64);
+                             const std::vector<int>& dead_nodes = {},
+                             int max_probe_rois = 64);
 
 }  // namespace h4d::core

@@ -149,12 +149,7 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
       !p_->prefetch_slices.empty()) {
     std::vector<io::SliceRef> owned;
     for (const SliceCoord& s : p_->prefetch_slices) {
-      int owner = replicas.read_owner(s.z, s.t);
-      if (owner < 0) owner = replicas.first_alive_node();
-      if (owner != node) continue;
-      io::SliceRef ref{s.t, s.z, io::slice_filename(s.t, s.z), 0, false};
-      if (const io::SliceRef* indexed = reader.find_slice(s.t, s.z)) ref = *indexed;
-      owned.push_back(ref);
+      if (replicas.read_owner(s.z, s.t) == node) owned.push_back(reader.slice_ref(s.t, s.z));
     }
     if (!owned.empty()) {
       prefetcher =
@@ -171,9 +166,7 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
   std::int64_t static_failovers = 0;
   for (std::int64_t t = 0; t < p_->meta.dims[3]; ++t) {
     for (std::int64_t z = 0; z < p_->meta.dims[2]; ++z) {
-      int owner = replicas.read_owner(z, t);
-      if (owner < 0) owner = replicas.first_alive_node();
-      if (owner != node) continue;
+      if (replicas.read_owner(z, t) != node) continue;
       // Which IIC copies need this slice? The owners of every overlapping
       // chunk. A slice no remaining chunk needs (every chunk over it was
       // pruned by resume) is not read at all.
@@ -189,11 +182,7 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
         ++static_failovers;
         ++ctx.meter().replica_failovers;
       }
-      // Prefer the index entry (it carries the checksum); a slice this node
-      // never indexed (failover fallback) gets the conventional name.
-      io::SliceRef slice{t, z, io::slice_filename(t, z), 0, false};
-      if (const io::SliceRef* indexed = reader.find_slice(t, z)) slice = *indexed;
-      reader.read_slice(slice, raw.data());
+      reader.read_slice(reader.slice_ref(t, z), raw.data());
       const io::ReaderCounters now = reader.counters();
       meter_reads(ctx.meter(), now - before);
       before = now;

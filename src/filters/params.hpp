@@ -207,30 +207,9 @@ struct PipelineParams : RunSettings {
     // Static dead list: operator-declared nodes plus node directories found
     // missing right now. The run plans around these; a slice none of whose
     // replicas survive is only tolerable under skip_and_fill.
-    std::vector<int> dead = p.dead_nodes;
-    for (const int n : io::ReplicaSet::missing_node_dirs(p.dataset_root, p.meta)) {
-      dead.push_back(n);
-    }
-    p.replica_set = std::make_shared<io::ReplicaSet>(p.dataset_root, p.meta, dead);
+    p.replica_set = std::make_shared<io::ReplicaSet>(p.dataset_root, p.meta, p.dead_nodes);
     if (p.resilience.policy != io::DegradePolicy::SkipAndFill) {
-      // Slice numbers are consecutive, so coverage only depends on the slice
-      // number's residue mod storage_nodes; check each occurring residue.
-      const std::int64_t residues =
-          std::min<std::int64_t>(p.meta.storage_nodes, p.meta.num_slices());
-      for (std::int64_t c = 0; c < residues; ++c) {
-        bool covered = false;
-        for (int rank = 0; rank < p.meta.replica_count() && !covered; ++rank) {
-          covered = !p.replica_set->node_dead(
-              static_cast<int>((c + rank) % p.meta.storage_nodes));
-        }
-        if (!covered) {
-          throw std::runtime_error(
-              "dataset " + p.dataset_root.string() + " has slices with no surviving "
-              "replica (replication factor " + std::to_string(p.meta.replica_count()) +
-              ", " + std::to_string(p.replica_set->dead_nodes().size()) +
-              " dead nodes); repair the dataset or run with --on-corrupt skip");
-        }
-      }
+      p.replica_set->require_every_slice_covered();
     }
     return std::make_shared<const PipelineParams>(std::move(p));
   }

@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "io/fault.hpp"
 #include "io/replica_set.hpp"
@@ -210,13 +211,26 @@ std::vector<SliceRef> read_index(const std::filesystem::path& index_path,
   std::ifstream idx(index_path);
   if (!idx) throw std::runtime_error("cannot read index " + index_path.string());
   std::vector<SliceRef> slices;
+  // Slice number -> the number of its first line and its entry in `slices`.
+  std::unordered_map<std::int64_t, std::pair<std::int64_t, std::size_t>> first_line;
   std::string line;
   std::int64_t line_no = 0;
   while (std::getline(idx, line)) {
     ++line_no;
     if (line.empty()) continue;
     try {
-      slices.push_back(parse_index_line(line, meta));
+      SliceRef s = parse_index_line(line, meta);
+      const auto [first, fresh] =
+          first_line.try_emplace(meta.slice_number(s.z, s.t), line_no, slices.size());
+      if (!fresh) {
+        // The index is rejected, but no line without a CRC hides one with it.
+        const auto [first_no, at] = first->second;
+        if (s.has_crc && !slices[at].has_crc) slices[at] = s;
+        throw std::runtime_error("index lists slice (t=" + std::to_string(s.t) + ", z=" +
+                                 std::to_string(s.z) + ") again (first on line " +
+                                 std::to_string(first_no) + ")");
+      }
+      slices.push_back(std::move(s));
     } catch (const std::runtime_error& e) {
       if (error.empty()) {
         error = e.what() + (" in " + index_path.string()) + ":" + std::to_string(line_no) +
@@ -235,11 +249,11 @@ StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta
   if (!error.empty()) throw std::runtime_error(error);
 }
 
-const SliceRef* StorageNodeReader::find_slice(std::int64_t t, std::int64_t z) const {
+SliceRef StorageNodeReader::slice_ref(std::int64_t t, std::int64_t z) const {
   const auto it = std::find_if(slices_.begin(), slices_.end(), [&](const SliceRef& s) {
     return s.t == t && s.z == z;
   });
-  return it == slices_.end() ? nullptr : &*it;
+  return it == slices_.end() ? SliceRef{t, z, slice_filename(t, z), 0, false} : *it;
 }
 
 void StorageNodeReader::read_slice_bytes(const SliceRef& slice, std::uint8_t* out) const {
@@ -386,7 +400,8 @@ Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region) const {
 Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region,
                                                 const ResilienceConfig& resilience,
                                                 FaultInjector* injector,
-                                                FaultReport* report) const {
+                                                FaultReport* report,
+                                                std::vector<int> dead_nodes) const {
   if (!Region4::whole(meta_.dims).contains(region) || region.empty()) {
     throw std::invalid_argument("read_region: region " + region.str() +
                                 " not inside dataset " + meta_.dims.str());
@@ -395,9 +410,10 @@ Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region,
   const std::int64_t nx = meta_.dims[0];
   std::vector<std::uint16_t> slice(static_cast<std::size_t>(nx * meta_.dims[1]));
   FaultReportSink sink;
-  // Missing node directories are dead from the start; with r >= 2 their
-  // slices are read from the surviving replicas instead.
-  ReplicaSet replicas(root_, meta_, ReplicaSet::missing_node_dirs(root_, meta_));
+  // Declared dead nodes and missing node directories are read from nothing;
+  // with r >= 2 their slices come from the surviving replicas instead.
+  ReplicaSet replicas(root_, meta_, std::move(dead_nodes));
+  if (resilience.policy != DegradePolicy::SkipAndFill) replicas.require_every_slice_covered();
   {
     std::vector<std::unique_ptr<ResilientReader>> readers(
         static_cast<std::size_t>(meta_.storage_nodes));
@@ -405,8 +421,7 @@ Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region,
       for (std::int64_t z = 0; z < region.size[2]; ++z) {
         const std::int64_t gz = region.origin[2] + z;
         const std::int64_t gt = region.origin[3] + t;
-        int node = replicas.read_owner(gz, gt);
-        if (node < 0) node = replicas.first_alive_node();
+        const int node = replicas.read_owner(gz, gt);
         if (node < 0) {
           throw std::runtime_error("read_region: every storage node of " + root_.string() +
                                    " is missing");
@@ -417,11 +432,7 @@ Volume4<std::uint16_t> DiskDataset::read_region(const Region4& region,
               StorageNodeReader(node_dir(node), meta_, node), resilience, injector, &sink,
               &replicas);
         }
-        // Prefer the index entry (it carries the checksum); fall back to the
-        // conventional filename for indexes that lack the slice.
-        SliceRef ref{gt, gz, slice_filename(gt, gz), 0, false};
-        if (const SliceRef* indexed = reader->find_slice(gt, gz)) ref = *indexed;
-        reader->read_slice(ref, slice.data());
+        reader->read_slice(reader->slice_ref(gt, gz), slice.data());
         for (std::int64_t y = 0; y < region.size[1]; ++y) {
           std::memcpy(&out.at(0, y, z, t),
                       slice.data() + (region.origin[1] + y) * nx + region.origin[0],

@@ -127,9 +127,12 @@ struct SliceRef {
 SliceRef parse_index_line(const std::string& line, const DatasetMeta& meta);
 
 /// Every line of the index file at `index_path` through parse_index_line(),
-/// skipping empty lines. The lines that parse are returned in file order; the
-/// first one that does not is described in `error`, which must come in
-/// empty, as "<why> in <file>:<line>: <text>", and reading goes on.
+/// skipping empty lines. An index lists each (t, z) slice once: a later line
+/// for the same slice is rejected, naming the first one's line number (if only
+/// the later one has a CRC, its entry replaces the first's). The entries are
+/// returned in file order; the first line rejected is
+/// described in `error`, which must come in empty, as "<why> in
+/// <file>:<line>: <text>", and reading goes on.
 /// Throws std::runtime_error when the file cannot be opened.
 std::vector<SliceRef> read_index(const std::filesystem::path& index_path,
                                  const DatasetMeta& meta, std::string& error);
@@ -178,9 +181,10 @@ class StorageNodeReader {
   const DatasetMeta& meta() const { return meta_; }
   const std::vector<SliceRef>& slices() const { return slices_; }
 
-  /// Locate a local slice's index entry (nullptr when the node's index does
-  /// not list it).
-  const SliceRef* find_slice(std::int64_t t, std::int64_t z) const;
+  /// A local slice's index entry (it carries the checksum), or the
+  /// conventional filename without one when the node's index does not list
+  /// the slice (a failover read of a copy the index lost).
+  SliceRef slice_ref(std::int64_t t, std::int64_t z) const;
 
   /// Read the whole slice file's raw bytes (meta.slice_bytes() of them) into
   /// `out`. The slice must belong to this node. The whole slice is the only
@@ -249,11 +253,14 @@ class DiskDataset {
   /// Resilient variant: retries, checksum verification and graceful
   /// degradation follow `resilience`. `injector` (optional) injects
   /// deterministic faults; `report` (optional) receives the run's fault
-  /// accounting.
+  /// accounting. `dead_nodes` (and missing node directories) are read from
+  /// nothing, as in a pipeline run; unless `resilience` skips and fills, a
+  /// slice left without a surviving replica fails the call before any read.
   Volume4<std::uint16_t> read_region(const Region4& region,
                                      const ResilienceConfig& resilience,
                                      FaultInjector* injector = nullptr,
-                                     FaultReport* report = nullptr) const;
+                                     FaultReport* report = nullptr,
+                                     std::vector<int> dead_nodes = {}) const;
 
  private:
   DiskDataset(std::filesystem::path root, DatasetMeta meta)

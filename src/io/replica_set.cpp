@@ -19,6 +19,7 @@ ReplicaSet::ReplicaSet(std::filesystem::path root, DatasetMeta meta,
   if (health_.evict_after < 1) {
     throw std::invalid_argument("ReplicaSet: evict_after must be >= 1");
   }
+  for (const int n : missing_node_dirs(root_, meta_)) dead_.push_back(n);
   std::sort(dead_.begin(), dead_.end());
   dead_.erase(std::unique(dead_.begin(), dead_.end()), dead_.end());
   is_dead_.assign(static_cast<std::size_t>(meta_.storage_nodes), false);
@@ -60,7 +61,26 @@ int ReplicaSet::read_owner(std::int64_t z, std::int64_t t) const {
     const int node = meta_.replica_node(z, t, rank);
     if (!is_dead_[static_cast<std::size_t>(node)]) return node;
   }
-  return -1;
+  return first_alive_node();
+}
+
+void ReplicaSet::require_every_slice_covered() const {
+  // Slice numbers are consecutive, so coverage only depends on the slice
+  // number's residue mod storage_nodes; check each occurring residue.
+  const std::int64_t residues = std::min<std::int64_t>(meta_.storage_nodes, meta_.num_slices());
+  for (std::int64_t c = 0; c < residues; ++c) {
+    bool covered = false;
+    for (int rank = 0; rank < meta_.replica_count() && !covered; ++rank) {
+      covered = !is_dead_[static_cast<std::size_t>((c + rank) % meta_.storage_nodes)];
+    }
+    if (!covered) {
+      throw std::runtime_error(
+          "dataset " + root_.string() + " has slices with no surviving replica (replication "
+          "factor " + std::to_string(meta_.replica_count()) + ", " +
+          std::to_string(dead_.size()) +
+          " dead nodes); repair the dataset or run with --on-corrupt skip");
+    }
+  }
 }
 
 bool ReplicaSet::usable_locked(int node, Clock::time_point now) const {

@@ -54,8 +54,9 @@ struct EvictionEvent {
 
 class ReplicaSet {
  public:
-  /// `dead_nodes` are statically dead (operator-declared or detected missing
-  /// at open); they never appear in read plans. Out-of-range entries throw.
+  /// `dead_nodes` (operator-declared) and the nodes whose directory is
+  /// missing under `root` now are statically dead; they never appear in
+  /// read plans. Out-of-range entries throw.
   ReplicaSet(std::filesystem::path root, DatasetMeta meta,
              std::vector<int> dead_nodes = {}, ReplicaHealthConfig health = {});
 
@@ -75,10 +76,17 @@ class ReplicaSet {
   int first_alive_node() const;
 
   /// Node whose RFR copy reads this slice: the first statically-alive
-  /// replica in rank order, or -1 when every replica is dead. Deterministic
-  /// for a whole run (dynamic evictions do not move ownership; they only
-  /// reroute the reads a ResilientReader performs).
+  /// replica in rank order. A slice every replica of which is dead falls to
+  /// first_alive_node(), whose reader degrades it to fill (or fails it);
+  /// -1 only when every node is dead. Deterministic for a whole run (dynamic
+  /// evictions do not move ownership; they only reroute the reads a
+  /// ResilientReader performs).
   int read_owner(std::int64_t z, std::int64_t t) const;
+
+  /// Throws std::runtime_error ("... slices with no surviving replica ...")
+  /// when some slice has every replica statically dead: a run that must not
+  /// skip slices checks this before it reads anything.
+  void require_every_slice_covered() const;
 
   /// Ordered read candidates for one slice: `preferred` first when it holds
   /// a copy, then the remaining replicas by rank. Statically dead nodes are

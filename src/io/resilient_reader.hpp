@@ -176,9 +176,7 @@ class ResilientReader {
   ResilientReader& operator=(const ResilientReader&) = delete;
 
   const std::vector<SliceRef>& slices() const { return reader_.slices(); }
-  const SliceRef* find_slice(std::int64_t t, std::int64_t z) const {
-    return reader_.find_slice(t, z);
-  }
+  SliceRef slice_ref(std::int64_t t, std::int64_t z) const { return reader_.slice_ref(t, z); }
 
   /// Read one whole slice into `out` (meta.dims[0] * meta.dims[1] uint16
   /// values, row-major), applying the configured resilience. Returns true

@@ -44,9 +44,8 @@ std::vector<NodeState> load_nodes(const std::filesystem::path& root,
     state.index_exists = state.dir_exists && std::filesystem::exists(dir / kIndexFileName, ec);
     if (!state.index_exists) continue;
     try {
-      // The reader's find_slice() answers with the first line for a slice.
       for (const SliceRef& s : read_index(dir / kIndexFileName, meta, state.index_error)) {
-        state.entries.try_emplace({s.t, s.z}, s);
+        state.entries.emplace(SliceKey{s.t, s.z}, s);
       }
     } catch (const std::runtime_error& e) {
       state.index_error = e.what();

@@ -377,9 +377,35 @@ TEST_F(CliTest, VariantRejectsUnknownValue) {
 }
 
 TEST_F(CliTest, PlanRejectsUnknownValue) {
+  // Split copies always come from the planner: the option itself is gone.
   const std::string ds = small_dataset();
-  expect_rejected(analyze_small(ds, {"--plan", "automatic"}),
-                  "--plan must be one of fixed|auto, got 'automatic'");
+  for (const char* value : {"auto", "fixed", "automatic"}) {
+    expect_rejected(analyze_small(ds, {"--plan", value}), "--plan was removed");
+  }
+}
+
+TEST_F(CliTest, SimulatePrintsTheCopiesItRuns) {
+  // --workers defaults to 4 (split 3 + 1); one worker runs one copy of each.
+  const std::string ds = small_dataset();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> runs = {
+      {{}, "split HCC+HPC (3 + 1) with 4 texture nodes"},
+      {{"--workers", "1", "--variant", "split"}, "split HCC+HPC (1 + 1) with 2 texture nodes"}};
+  for (const auto& [extra, expected] : runs) {
+    std::vector<std::string> argv{"simulate", ds, "--roi", "3,3,3,3", "--chunk", "6,12,4,3"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    ASSERT_EQ(invoke(argv), 0) << stderr_text();
+    EXPECT_NE(stdout_text().find(expected), std::string::npos) << stdout_text();
+  }
+}
+
+TEST_F(CliTest, SimJobLineRunsWithoutSimMode) {
+  // A sim=on line gets the simulated layout and cluster of its own.
+  const std::string ds = small_dataset();
+  const std::string jobs = (dir_ / "jobs.txt").string();
+  std::ofstream(jobs) << "tenant=a sim=on\ntenant=b\n";
+  ASSERT_EQ(invoke({"jobs", ds, "--file", jobs, "--roi", "3,3,3,3", "--chunk", "6,12,4,3"}), 0)
+      << stdout_text() << stderr_text();
+  EXPECT_NE(stdout_text().find("2 completed"), std::string::npos) << stdout_text();
 }
 
 TEST_F(CliTest, ResumeRejectsUnknownValue) {

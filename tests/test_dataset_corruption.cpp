@@ -268,11 +268,11 @@ TEST_F(CorruptionTest, TruncatedSliceReportsExpectedVersusActual) {
   fsys::resize_file(slice00_path(), static_cast<std::uintmax_t>(full / 2));
 
   StorageNodeReader reader = ds.node_reader(0);
-  const SliceRef* s = reader.find_slice(0, 0);
-  ASSERT_NE(s, nullptr);
+  const SliceRef s = reader.slice_ref(0, 0);
+  ASSERT_TRUE(s.has_crc);
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(full));
   try {
-    reader.read_slice_bytes(*s, bytes.data());
+    reader.read_slice_bytes(s, bytes.data());
     FAIL() << "expected SliceReadError";
   } catch (const SliceReadError& e) {
     EXPECT_EQ(e.t, 0);

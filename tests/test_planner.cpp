@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "haralick/directions.hpp"
 #include "io/phantom.hpp"
 #include "nd/quantize.hpp"
@@ -14,6 +16,15 @@ TEST(ApportionSplit, BasicCases) {
   EXPECT_EQ(apportion_split(4.33, 16), (std::pair{13, 3}));  // paper's 13+3
   EXPECT_EQ(apportion_split(1.0, 8), (std::pair{4, 4}));
   EXPECT_EQ(apportion_split(4.0, 1), (std::pair{1, 0}));  // single node co-locates
+}
+
+TEST(ApportionSplit, PaperRatioKeepsTheFiguresSplit) {
+  // The figure harnesses split n texture nodes with apportion_split(4.0, n);
+  // it must give what their own (4n + 2) / 5 rule gave, 13 + 3 at n = 16.
+  for (int n = 2; n <= 64; ++n) {
+    const int hcc = std::min(std::max(1, (n * 4 + 2) / 5), n - 1);
+    EXPECT_EQ(apportion_split(4.0, n), (std::pair{hcc, n - hcc})) << n;
+  }
 }
 
 TEST(ApportionSplit, AlwaysAtLeastOneEach) {

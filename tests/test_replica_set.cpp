@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "io/dataset.hpp"
+#include "io/resilient_reader.hpp"
 
 namespace h4d::io {
 namespace {
@@ -324,6 +325,35 @@ TEST_F(ReplicaSetTest, UnreplicatedDatasetStillFailsOnNodeLoss) {
   fsys::remove_all(root_ / node_dir_name(1));
   const DiskDataset ds = DiskDataset::open(root_);
   EXPECT_THROW(ds.read_all(), std::exception);
+}
+
+TEST_F(ReplicaSetTest, ReadRegionReadsNothingFromADeadNode) {
+  // As in a pipeline run, a declared dead node's slices come straight from
+  // their surviving replicas: no read is tried on it and none fails over.
+  const auto vol = sample_volume({6, 5, 4, 3});
+  DiskDataset::create(root_, vol, 3, 2);
+  for (const auto& e : fsys::directory_iterator(root_ / node_dir_name(0))) {
+    if (e.path().extension() == ".raw") fsys::remove(e.path());
+  }
+  const DiskDataset ds = DiskDataset::open(root_);
+  FaultReport report;
+  const auto back = ds.read_region(Region4::whole(vol.dims()), ResilienceConfig{}, nullptr,
+                                   &report, {0});
+  EXPECT_EQ(back.storage(), vol.storage());
+  EXPECT_EQ(report.replica_failovers, 0);
+}
+
+TEST_F(ReplicaSetTest, ReadRegionRefusesSlicesNoReplicaCovers) {
+  const auto vol = sample_volume({6, 5, 4, 3});
+  DiskDataset::create(root_, vol, 3, 1);
+  const DiskDataset ds = DiskDataset::open(root_);
+  try {
+    ds.read_region(Region4::whole(vol.dims()), ResilienceConfig{}, nullptr, nullptr, {1});
+    FAIL() << "expected an uncovered-slice error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no surviving replica"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Meta format versioning -------------------------------------------------

@@ -188,6 +188,45 @@ TEST_F(ScrubRepairTest, SliceOutsideTheVolumeIsAMalformedIndex) {
   expect_rejected_index_is_repaired("index slice (t=9, z=9) outside the volume");
 }
 
+TEST_F(ScrubRepairTest, SliceListedTwiceIsAMalformedIndex) {
+  create(2, 1);
+  // A stray file, listed without a checksum for slice (0, 0) ahead of that
+  // slice's own CRC'd line: the index names the slice twice, and the reader,
+  // scrub and repair agree that an index lists each slice once. The stray
+  // bytes differ from the slice's, and with one replica no other copy can
+  // outvote them, so only the CRC the second line carries tells them apart.
+  fsys::copy_file(slice_path(0, 0, 0), root_ / node_dir_name(0) / "other.raw");
+  flip_byte(root_ / node_dir_name(0) / "other.raw", 3);
+  write_index_text(0, "0 0 other.raw\n" + index_text(0));
+  const DiskDataset ds = DiskDataset::open(root_);
+  EXPECT_THROW(ds.node_reader(0), std::runtime_error);
+  const ScrubReport before = scrub_dataset(root_);
+  ASSERT_EQ(before.findings.size(), 1u) << before.summary();
+  EXPECT_EQ(before.findings[0].kind, ScrubDefect::MalformedIndex);
+  EXPECT_EQ(before.findings[0].node, 0);
+  const std::string& detail = before.findings[0].detail;
+  EXPECT_NE(detail.find("index lists slice (t=0, z=0) again (first on line 1)"),
+            std::string::npos)
+      << detail;
+  EXPECT_NE(detail.find(std::string(kIndexFileName) + ":2: 0 0 "), std::string::npos) << detail;
+  EXPECT_EQ(before.copies_verified, 12);
+
+  // The checksummed line stands; repair writes the index with one line per
+  // slice and never trades a CRC for a line without one.
+  const RepairReport repair = repair_dataset(root_);
+  EXPECT_TRUE(repair.complete()) << repair.summary();
+  EXPECT_EQ(repair.indexes_rebuilt, 1);
+  const ScrubReport after = scrub_dataset(root_);
+  EXPECT_TRUE(after.clean()) << after.summary();
+  EXPECT_EQ(after.copies_verified, 12);
+  EXPECT_EQ(after.copies_unverified, 0);
+  const SliceRef s00 = ds.node_reader(0).slice_ref(0, 0);
+  EXPECT_EQ(s00.filename, slice_filename(0, 0));
+  EXPECT_TRUE(s00.has_crc);
+  EXPECT_EQ(ds.node_reader(0).slices().size(), 6u);
+  expect_intact();
+}
+
 TEST_F(ScrubRepairTest, IndexWithoutASliceLineIsReportedAndRestored) {
   create(3, 2);
   // Node 0's first line is its entry for slice (t=0, z=0).
